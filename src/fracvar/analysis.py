@@ -365,8 +365,8 @@ def check_axiom_limits(cfg: SuiteConfig) -> SuiteReport:
                                          errs[-1], tol * scale))
 
     trend = []
-    # coarse grid: every node of these tables rides the spectral fallback,
-    # and the note is qualitative anyway
+    # coarse grid: the note is qualitative, and near alpha = 1 the kernel
+    # arguments reach -alpha/(1 - alpha), so most values take the quadrature
     trend_n = min(cfg.n, 128)
     for delta in (1e-1, 3e-2, 1e-2):
         spec_hi = _with_order(cfg.spec, 1.0 - delta)

@@ -69,6 +69,21 @@ class TestKernelValues:
         expected = ml_eval(MLParams(beta=alpha), -lam * (t - tau) ** alpha)
         assert kernel_eval(spec, t, tau) == pytest.approx(expected, rel=1e-10)
 
+    def test_far_argument_does_not_collapse(self):
+        # H(2, 0) = E_0.3(-18); the spectral fallback once returned about
+        # 1e-21 here. Reference: the asymptotic series, whose terms at
+        # x = 18 fall far below 1e-16 before they grow again.
+        spec = cf_spec(0.9, interval=(0.0, 2.0), gamma=1.0, beta=0.3)
+        x = 0.9 / 0.1 * 2.0
+        terms = [math.gamma(0.3 * k) * math.sin(math.pi * 0.3 * k) / (math.pi * x**k)
+                 * (-1) ** (k + 1) for k in range(1, 40)]
+        assert abs(terms[-1]) < 1e-16 * terms[0]
+        h = kernel_values(spec, 2.0, np.array([0.0, 1.0]))
+        assert h[0] == pytest.approx(math.fsum(terms), rel=1e-10)
+        # the leading term 1/(x Gamma(1 - beta)) = 0.0428
+        assert h[0] == pytest.approx(1.0 / (x * math.gamma(0.7)), rel=0.05)
+        assert kernel_eval(spec, 2.0, 0.0) == pytest.approx(h[0], rel=1e-12)
+
     def test_warp_shift_invariance(self):
         # H depends on psi(t) - psi(tau); shifting psi changes nothing
         base = cf_spec(0.5, gamma=0.5, beta=0.5)

@@ -2,7 +2,9 @@
 
 The order-1/2 oracle is the classical identity E_{1/2}(-x) = exp(x^2) erfc(x),
 computed here through math.erfc so none of the package's own machinery is
-involved. Expected values below were frozen from that identity.
+involved. Expected values below were frozen from that identity. For other
+orders the oracle is the large-argument asymptotic series
+E_beta(-x) ~ sum_k (-1)^(k+1) x^(-k) / Gamma(1 - beta k).
 """
 
 import math
@@ -38,6 +40,26 @@ def erfc_oracle(x: float) -> float:
     return s / (x * math.sqrt(math.pi))
 
 
+def asymptotic_oracle(beta: float, x: float) -> tuple[float, float]:
+    """sum_k (-1)^(k+1) x^(-k) / Gamma(1 - beta k), cut at its smallest term.
+
+    Returns (sum, bound on the smallest term). 1/Gamma(1 - beta k) is taken
+    by reflection as Gamma(beta k) sin(pi beta k) / pi; for beta > 1/2 the
+    sine is formed from 1 - beta, which float arithmetic holds exactly.
+    """
+    total, smallest = 0.0, math.inf
+    for k in range(1, 400):
+        envelope = math.exp(math.lgamma(beta * k) - k * math.log(x)) / math.pi
+        if envelope > smallest:
+            break
+        smallest = envelope
+        if beta > 0.5:
+            total += envelope * math.sin(math.pi * (1.0 - beta) * k)
+        else:
+            total += (-1) ** (k + 1) * envelope * math.sin(math.pi * beta * k)
+    return total, smallest
+
+
 # frozen from erfc_oracle at x = 0.5, 1, 2, 5
 ORACLE_HALF = {
     0.5: 0.6156903441929259,
@@ -49,10 +71,10 @@ ORACLE_HALF = {
 
 @pytest.mark.parametrize("x,expected", sorted(ORACLE_HALF.items()))
 def test_order_half_against_erfc_identity(x, expected):
-    # rel 5e-9 admits the spectral route's absolute 1e-10 budget at the
-    # smaller values; series-certified arguments come out far tighter
+    # every route certifies MLParams.tol = 1e-12 relative; rel 1e-11
+    # leaves room for the oracle's own rounding
     got = ml_eval(MLParams(beta=0.5), -x)
-    assert got == pytest.approx(expected, rel=5e-9)
+    assert got == pytest.approx(expected, rel=1e-11)
     # and the frozen numbers really are the oracle's
     assert expected == pytest.approx(erfc_oracle(x), rel=1e-15)
 
@@ -72,13 +94,34 @@ def test_cancellation_region_order_half():
     # return the roundoff residue of huge alternating terms
     for x in (15.0, 25.5, 40.0):
         got = ml_eval(MLParams(beta=0.5), -x)
-        assert got == pytest.approx(erfc_oracle(x), rel=1e-7), x
+        assert got == pytest.approx(erfc_oracle(x), rel=1e-11), x
 
 
 def test_far_negative_argument_skips_series():
-    # |z| > 50: spectral only
+    # far beyond the series' reach: spectral quadrature only
     got = ml_eval(MLParams(beta=0.5), -60.0)
-    assert got == pytest.approx(erfc_oracle(60.0), rel=1e-6)
+    assert got == pytest.approx(erfc_oracle(60.0), rel=1e-11)
+
+
+@pytest.mark.parametrize("x", [7.5, 90.0, 150.0, 1e3, 3777.7, 1e4])
+def test_order_half_far_arguments_against_erfc_identity(x):
+    # E_0.5(-90) once came back as 1.2e-12 against 6.27e-3
+    assert ml_eval(MLParams(beta=0.5), -x) == pytest.approx(erfc_oracle(x), rel=1e-11)
+
+
+def test_quadrature_below_rounding_error_raises():
+    # no route can certify 1e-15 relative there; an uncertified value is
+    # never returned
+    with pytest.raises(NonConvergent):
+        ml_eval(MLParams(beta=0.5, tol=1e-15), -60.0)
+
+
+@pytest.mark.parametrize("z", [0.5, 5.0, 20.0])
+def test_positive_argument_order_half(z):
+    # E_{1/2}(z) = exp(z^2) erfc(-z); at z = 20 the sum runs past k = 2000,
+    # where 1 / Gamma(k/2 + 1) alone underflows
+    expected = math.exp(z * z) * math.erfc(-z)
+    assert ml_eval(MLParams(beta=0.5), z) == pytest.approx(expected, rel=1e-11)
 
 
 def test_huge_positive_argument_raises():
@@ -144,10 +187,49 @@ def test_monotone_decreasing_on_negative_axis(x1, x2, beta):
 
 
 def test_array_helper_matches_scalar():
-    z = -np.linspace(0.0, 30.0, 97)
+    z = -np.concatenate([np.linspace(0.0, 30.0, 97), [90.0],
+                         np.geomspace(31.0, 1e4, 60)])
     out = _ml_neg_array(0.5, z)
     ref = np.array([ml_eval(MLParams(beta=0.5), float(v)) for v in z])
-    assert np.max(np.abs(out - ref) / np.maximum(np.abs(ref), 1e-30)) < 1e-8
+    assert np.max(np.abs(out - ref) / np.maximum(np.abs(ref), 1e-30)) < 1e-11
+    oracle = np.array([erfc_oracle(-float(v)) for v in z])
+    assert np.max(np.abs(out - oracle) / oracle) < 1e-11
+
+
+def _check_against_asymptotics(beta, x1, x2, v1, v2):
+    """Monotone, inside (0, 1], and on the asymptotic series where it holds."""
+    assert 0.0 <= v2 <= v1 <= 1.0
+    # positive, unless exp(-x) itself lies below the smallest double
+    assert v2 > 0.0 or (beta == 1.0 and math.exp(-x2) == 0.0)
+    for x, v in ((x1, v1), (x2, v2)):
+        if x >= 1.0 and beta < 1.0:
+            total, smallest = asymptotic_oracle(beta, x)
+            if total > 0.0 and smallest <= 1e-13 * total:
+                assert v == pytest.approx(total, rel=1e-11), (beta, x)
+
+
+@given(st.floats(min_value=0.1, max_value=1.0),
+       st.floats(min_value=0.0, max_value=1e4),
+       st.floats(min_value=0.0, max_value=1e4))
+@settings(max_examples=200, deadline=None)
+def test_property_on_whole_negative_axis(beta, x1, x2):
+    x1, x2 = sorted((x1, x2))
+    v1, v2 = _ml_neg_array(beta, np.array([-x1, -x2]))
+    _check_against_asymptotics(beta, x1, x2, v1, v2)
+
+
+@given(st.floats(min_value=1e-3, max_value=0.1, exclude_max=True),
+       st.floats(min_value=0.0, max_value=1e4),
+       st.floats(min_value=0.0, max_value=1e4))
+@settings(max_examples=50, deadline=None)
+def test_small_orders_certified_or_refused(beta, x1, x2):
+    # below beta = 0.1 a value may be refused, but never returned wrong
+    x1, x2 = sorted((x1, x2))
+    try:
+        v1, v2 = _ml_neg_array(beta, np.array([-x1, -x2]))
+    except NonConvergent:
+        return
+    _check_against_asymptotics(beta, x1, x2, v1, v2)
 
 
 def test_array_helper_beta_one_is_exp():
