@@ -54,7 +54,6 @@ from .operators import (
     caputo_deriv_ns,
     rl_deriv_ns,
 )
-from .parallel import map_ordered
 
 DEFAULT_TOLS: Mapping[str, float] = {
     "boundedness": 1e-9,
@@ -79,9 +78,11 @@ SUITE_NAMES = (
 
 @dataclass(frozen=True)
 class TestFunction:
+    """A corpus function and its derivative, each taking a float or an ndarray."""
+
     label: str
-    fn: Callable[[float], float]
-    deriv: Callable[[float], float]
+    fn: Callable
+    deriv: Callable
 
     def on(self, a: float, b: float, n: int) -> GridFunction:
         return GridFunction.from_callable(self.fn, a, b, n, deriv=self.deriv,
@@ -94,13 +95,16 @@ def _trig_poly(seed: int, index: int) -> TestFunction:
     a_sin = rng.standard_normal(6) / j**2
     a_cos = rng.standard_normal(6) / j**2
 
-    def fn(t, _s=a_sin, _c=a_cos, _j=j):
-        return float(np.sum(_s * np.sin(_j * math.pi * t)
-                            + _c * np.cos(_j * math.pi * t)))
+    jpi = j * math.pi
 
-    def deriv(t, _s=a_sin, _c=a_cos, _j=j):
-        return float(np.sum(_j * math.pi * (_s * np.cos(_j * math.pi * t)
-                                            - _c * np.sin(_j * math.pi * t))))
+    # the harmonics run along a trailing axis, so t may be a float or an array
+    def fn(t, _s=a_sin, _c=a_cos, _w=jpi):
+        x = np.multiply.outer(t, _w)
+        return np.sum(_s * np.sin(x) + _c * np.cos(x), axis=-1)
+
+    def deriv(t, _s=a_sin, _c=a_cos, _w=jpi):
+        x = np.multiply.outer(t, _w)
+        return np.sum(_w * (_s * np.cos(x) - _c * np.sin(x)), axis=-1)
 
     return TestFunction(label=f"trig[{seed}:{index}]", fn=fn, deriv=deriv)
 
@@ -110,10 +114,10 @@ def standard_corpus(seed: int = 0, random_count: int = 6) -> tuple[TestFunction,
         TestFunction("one", lambda t: 1.0, lambda t: 0.0),
         TestFunction("t", lambda t: t, lambda t: 1.0),
         TestFunction("t^2", lambda t: t * t, lambda t: 2.0 * t),
-        TestFunction("sin_pi_t", lambda t: math.sin(math.pi * t),
-                     lambda t: math.pi * math.cos(math.pi * t)),
-        TestFunction("cos_t", math.cos, lambda t: -math.sin(t)),
-        TestFunction("exp_t", math.exp, math.exp),
+        TestFunction("sin_pi_t", lambda t: np.sin(math.pi * t),
+                     lambda t: math.pi * np.cos(math.pi * t)),
+        TestFunction("cos_t", np.cos, lambda t: -np.sin(t)),
+        TestFunction("exp_t", np.exp, np.exp),
     )
     randoms = tuple(_trig_poly(seed, k) for k in range(random_count))
     return fixed + randoms
@@ -127,7 +131,6 @@ class SuiteConfig:
     seq_len: int = 16
     tol_map: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_TOLS))
     n: int = 512
-    seed: int = 0
 
     def __post_init__(self):
         if self.seq_len < 8:
@@ -167,20 +170,14 @@ def check_boundedness(cfg: SuiteConfig) -> SuiteReport:
     factor = kernel_prefactor(cfg.spec, b)
     tol = cfg.tol("boundedness")
 
-    def one_case(tf: TestFunction):
+    failures = []
+    for tf in cfg.test_functions:
         f = tf.on(a, b, cfg.n)
-        fnorm = float(np.max(np.abs(f.values)))
-        bound = factor * fnorm
-        out = []
+        bound = factor * float(np.max(np.abs(f.values)))
         for opname, op in (("rl", rl_deriv_ns), ("caputo", caputo_deriv_ns)):
             observed = float(np.max(np.abs(op(cfg.spec, f).values.values)))
             if observed > bound * (1.0 + tol):
-                out.append(_failure(f"{tf.label}:{opname}", observed, bound))
-        return out
-
-    failures = []
-    for chunk in map_ordered(one_case, cfg.test_functions):
-        failures.extend(chunk)
+                failures.append(_failure(f"{tf.label}:{opname}", observed, bound))
     report = SuiteReport("boundedness", cases_run=2 * len(cfg.test_functions),
                          failures=failures)
     report.notes.append(
@@ -235,8 +232,8 @@ def check_lipschitz(cfg: SuiteConfig) -> SuiteReport:
 # --- limit interchange (sequence of Taylor partial sums) -------------------------
 
 
-def _taylor_partial(k: int) -> Callable[[float], float]:
-    def fn(t: float, _k=k) -> float:
+def _taylor_partial(k: int) -> Callable:
+    def fn(t, _k=k):
         term = 1.0
         total = 1.0
         for j in range(1, _k + 1):
@@ -258,7 +255,7 @@ def check_limit_interchange(cfg: SuiteConfig) -> SuiteReport:
     """
     a, b = cfg.spec.interval
     psi_span = cfg.spec.warp.fn(b) - cfg.spec.warp.fn(a)
-    limit = GridFunction.from_callable(math.exp, a, b, cfg.n, deriv=math.exp,
+    limit = GridFunction.from_callable(np.exp, a, b, cfg.n, deriv=np.exp,
                                        label="exp")
     failures = []
     notes = []
@@ -475,14 +472,13 @@ def default_suite_run(name: str, seed: int = 0) -> list[SuiteReport]:
     """Run one named suite under its canonical configuration."""
     if name == "boundedness":
         cfg = SuiteConfig(spec=_cf_like_spec(0.9, (0.0, 1.0)),
-                          test_functions=standard_corpus(seed + 7, 100), n=1024,
-                          seed=seed)
+                          test_functions=standard_corpus(seed + 7, 100), n=1024)
         reports = [check_boundedness(cfg)]
         for label, warp, interval in (("log", log_warp(), (1.0, 2.0)),
                                       ("sin", sin_warp(), (0.0, 1.0))):
             wcfg = SuiteConfig(spec=_cf_like_spec(0.9, interval, warp=warp),
                                test_functions=standard_corpus(seed + 7, 20),
-                               n=512, seed=seed)
+                               n=512)
             rep = check_boundedness(wcfg)
             rep.suite_name = f"boundedness[{label}]"
             rep.informational = True
@@ -492,8 +488,7 @@ def default_suite_run(name: str, seed: int = 0) -> list[SuiteReport]:
         return reports
     if name == "lipschitz":
         cfg = SuiteConfig(spec=_cf_like_spec(0.5, (0.0, 1.0)),
-                          test_functions=standard_corpus(seed + 11, 4), n=512,
-                          seed=seed)
+                          test_functions=standard_corpus(seed + 11, 4), n=512)
         return [check_lipschitz(cfg)]
     if name == "limit_interchange":
         reports = []
@@ -502,24 +497,22 @@ def default_suite_run(name: str, seed: int = 0) -> list[SuiteReport]:
                                       ("sin", sin_warp(), (0.0, 1.0))):
             cfg = SuiteConfig(spec=_cf_like_spec(0.5, interval, warp=warp),
                               test_functions=standard_corpus(seed, 0), n=512,
-                              seq_len=16, seed=seed)
+                              seq_len=16)
             rep = check_limit_interchange(cfg)
             rep.suite_name = f"limit_interchange[{label}]"
             reports.append(rep)
         return reports
     if name == "axiom_limits":
         cfg = SuiteConfig(spec=_cf_like_spec(0.5, (0.0, 1.0), gamma=0.5, beta=0.5),
-                          test_functions=standard_corpus(seed, 2), n=1024,
-                          seed=seed)
+                          test_functions=standard_corpus(seed, 2), n=1024)
         return [check_axiom_limits(cfg)]
     if name == "max_point":
         cfg = SuiteConfig(spec=_cf_like_spec(0.5, (0.0, 1.0)),
-                          test_functions=standard_corpus(seed + 3, 6), n=1024,
-                          seed=seed)
+                          test_functions=standard_corpus(seed + 3, 6), n=1024)
         return [check_max_point(cfg)]
     if name == "vanish_at_a":
         cfg = SuiteConfig(spec=_cf_like_spec(0.5, (0.0, 1.0)),
-                          test_functions=standard_corpus(seed, 4), n=512, seed=seed)
+                          test_functions=standard_corpus(seed, 4), n=512)
         return [check_vanish_at_a(cfg)]
     if name == "comparison":
         return [check_comparison_suite(_cf_like_spec(0.5, (0.0, 1.0)), seed=seed)]

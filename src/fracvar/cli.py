@@ -11,8 +11,7 @@ carrying the same rows plus a config echo. Exit codes: 0 success, 1 invalid
 configuration, 2 numerical failure, 3 verification-suite failures.
 
 A config file of key=value lines (keys are long flag names, booleans as
-true/false) can preload any subcommand's flags; explicit flags win. The
-FRACVAR_THREADS environment variable caps suite parallelism.
+true/false) can preload any subcommand's flags; explicit flags win.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .errors import (
     SingularOrder,
 )
 from .fde import FdeProblem, solve_fde
-from .grids import GridFunction, uniform_grid
+from .grids import GridFunction
 from .kernel import (
     KernelSpec,
     NormalizationFunction,
@@ -54,7 +53,6 @@ from .operators import (
     rl_deriv_ns,
     rl_integral_varorder,
 )
-from .parallel import thread_budget
 
 _VALIDATION_ERRORS = (InvalidParam, InvalidGrid, ExprSyntaxError)
 _NUMERICAL_ERRORS = (NonConvergent, QuadratureFailure, NewtonDivergence,
@@ -209,17 +207,12 @@ def _kernel_from_args(args) -> KernelSpec:
     )
 
 
-def _eval_on(node, grid: np.ndarray) -> np.ndarray:
-    values = expr.evaluate(node, {"t": grid})
-    return np.broadcast_to(np.asarray(values, dtype=float), grid.shape).copy()
-
-
 def _grid_function(source: str, a: float, b: float, n: int) -> GridFunction:
     node = expr.parse(source, allowed_vars={"t"})
     dnode = expr.derivative(node, "t")
-    grid = uniform_grid(a, b, n)
-    return GridFunction(grid=grid, values=_eval_on(node, grid),
-                        derivs=_eval_on(dnode, grid), label=source)
+    return GridFunction.from_callable(
+        lambda t: expr.evaluate(node, {"t": t}), a, b, n,
+        deriv=lambda t: expr.evaluate(dnode, {"t": t}), label=source)
 
 
 def _config_echo(args) -> dict:
@@ -251,22 +244,14 @@ def _run_operator(args, op_name: str) -> None:
     spec = _kernel_from_args(args)
     f = _grid_function(args.f, args.a, args.b, args.n)
     if op_name == "rl_integral":
-        def call(scheme):
-            return rl_integral_varorder(spec, f, exponent_at=args.exponent_at,
-                                        scheme=scheme)
+        result = rl_integral_varorder(spec, f, exponent_at=args.exponent_at,
+                                      scheme=args.scheme)
     else:
-        operator = _DERIV_OPS[op_name]
-
-        def call(scheme):
-            return operator(spec, f, scheme=scheme)
-
-    result = call(args.scheme)
+        result = _DERIV_OPS[op_name](spec, f, scheme=args.scheme)
     grid = result.values.grid
     values = result.values.values
     if args.estimate_error:
-        other = "product_midpoint" if args.scheme == "product_trapezoid" \
-            else "product_trapezoid"
-        cross = np.abs(values - call(other).values.values)
+        cross = result.cross_scheme
         columns = ["t", "value", "estimate_error"]
         rows = [[float(grid[i]), float(values[i]), float(cross[i])]
                 for i in range(grid.size)]
@@ -343,7 +328,6 @@ def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        thread_budget()
         args = parser.parse_args(_merge_expr_values(_expand_config(raw)))
         if args.command == "deriv":
             _run_operator(args, args.op)

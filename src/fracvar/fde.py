@@ -37,8 +37,8 @@ from .errors import (
     NewtonDivergence,
 )
 from .grids import GridFunction, uniform_grid
-from .kernel import KernelSpec
-from .operators import _KernelTable, _prefactors, caputo_deriv_ns
+from .kernel import KernelSpec, _prefactors
+from .operators import _KernelTable, caputo_deriv_ns
 
 NEWTON_TOL = 1e-10
 MAX_NEWTON = 50

@@ -4,11 +4,15 @@ Operators consume a GridFunction: samples of f on a uniform grid over
 [a, b] with n panels (n + 1 nodes), optionally carrying exact derivative
 samples. When derivatives are not supplied, second-order finite differences
 stand in (central in the interior, one-sided second order at the ends).
+
+Callables that produce samples (here and for the kernel ingredients) take a
+float or an ndarray and act elementwise; each is called once per array of
+points, and a constant result is broadcast to the array's shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +25,13 @@ def uniform_grid(a: float, b: float, n: int) -> np.ndarray:
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise InvalidGrid(f"bad interval [{a}, {b}]")
     return np.linspace(float(a), float(b), int(n) + 1)
+
+
+def _sample(fn, xs) -> np.ndarray:
+    """fn over the whole array xs at once, broadcast to the shape of xs."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.asarray(fn(xs), dtype=float)
+    return out if out.shape == xs.shape else np.broadcast_to(out, xs.shape).copy()
 
 
 def fd_deriv(values: np.ndarray, h: float) -> np.ndarray:
@@ -117,8 +128,6 @@ class GridFunction:
     def from_callable(cls, fn, a: float, b: float, n: int,
                       deriv=None, label: str = "f") -> "GridFunction":
         grid = uniform_grid(a, b, n)
-        values = np.array([fn(float(t)) for t in grid])
-        derivs = None
-        if deriv is not None:
-            derivs = np.array([deriv(float(t)) for t in grid])
+        values = _sample(fn, grid)
+        derivs = None if deriv is None else _sample(deriv, grid)
         return cls(grid=grid, values=values, derivs=derivs, label=label)

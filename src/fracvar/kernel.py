@@ -8,6 +8,10 @@ for a variable order alpha(t), an increasing time warp psi, and a
 normalization M with M(0) = M(1) = 1. H is bounded: 0 < H <= 1, with
 H(t, t) = 1, so none of the derived operators have singular kernels.
 
+Each ingredient is one callable (plus psi') that takes a float or an ndarray
+and acts elementwise; values() samples it with one call over an array. Every
+kernel value, pointwise or by row, goes through one formula (_ml_kernel).
+
 KernelSpec bundles the ingredients and validates them by sampling at grid
 resolution (1,024 panels): order bounds, psi' positivity plus a finite
 difference consistency check, and the normalization's endpoint/positivity
@@ -18,14 +22,15 @@ output node" (kernel rows are then re-evaluated with that node's order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import expr
 from .errors import DomainError, InvalidParam, SingularOrder
-from .mlf import MLParams, _ml_neg_array, ml_eval
+from .grids import _sample
+from .mlf import _ml_neg_array
 
 SINGULAR_ORDER_EPS = 1e-12
 _SAMPLES = 1024
@@ -44,12 +49,11 @@ class OrderFunction:
     1 - alpha(t) raise SingularOrder when that quantity drops below 1e-12.
     """
 
-    fn: Callable[[float], float]
+    fn: Callable
     declared_min: float
     declared_max: float
     is_constant: bool = False
     label: str = "order"
-    vec: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.declared_min <= self.declared_max <= 1.0):
@@ -67,7 +71,6 @@ class OrderFunction:
             declared_max=value,
             is_constant=True,
             label=repr(value),
-            vec=lambda ts, _v=value: np.full(np.shape(ts), _v),
         )
 
     @classmethod
@@ -96,88 +99,52 @@ class OrderFunction:
             declared_min = float(np.min(samples))
             declared_max = float(np.max(samples))
         return cls(
-            fn=lambda t, _n=node: float(expr.evaluate(_n, {"t": t})),
+            fn=lambda t, _n=node: expr.evaluate(_n, {"t": t}),
             declared_min=float(declared_min),
             declared_max=float(declared_max),
             label=src,
-            vec=lambda ts, _n=node: np.asarray(expr.evaluate(_n, {"t": np.asarray(ts, dtype=float)})),
         )
 
     def values(self, ts: np.ndarray) -> np.ndarray:
-        if self.vec is not None:
-            out = np.asarray(self.vec(ts), dtype=float)
-            return np.broadcast_to(out, np.shape(ts)).copy() if out.shape != np.shape(ts) else out
-        return np.array([self.fn(float(t)) for t in np.asarray(ts).ravel()]).reshape(np.shape(ts))
+        return _sample(self.fn, ts)
 
 
 @dataclass(frozen=True)
 class WarpFunction:
     """Time warp psi with analytic derivative, strictly increasing."""
 
-    fn: Callable[[float], float]
-    deriv: Callable[[float], float]
+    fn: Callable
+    deriv: Callable
     label: str = "warp"
-    vec: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
-    vec_deriv: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
-        if self.vec is not None:
-            return np.asarray(self.vec(ts), dtype=float)
-        return np.array([self.fn(float(t)) for t in np.asarray(ts).ravel()]).reshape(np.shape(ts))
+        return _sample(self.fn, ts)
 
     def deriv_values(self, ts: np.ndarray) -> np.ndarray:
-        if self.vec_deriv is not None:
-            out = np.asarray(self.vec_deriv(ts), dtype=float)
-            if out.shape != np.shape(ts):
-                out = np.broadcast_to(out, np.shape(ts)).copy()
-            return out
-        return np.array([self.deriv(float(t)) for t in np.asarray(ts).ravel()]).reshape(np.shape(ts))
+        return _sample(self.deriv, ts)
 
 
 def identity_warp() -> WarpFunction:
-    return WarpFunction(
-        fn=lambda t: t,
-        deriv=lambda t: 1.0,
-        label="t",
-        vec=lambda ts: np.asarray(ts, dtype=float),
-        vec_deriv=lambda ts: np.ones(np.shape(ts)),
-    )
+    return WarpFunction(fn=lambda t: t, deriv=lambda t: 1.0, label="t")
 
 
 def log_warp() -> WarpFunction:
     """psi(t) = ln t; usable on intervals with a > 0."""
-    return WarpFunction(
-        fn=math.log,
-        deriv=lambda t: 1.0 / t,
-        label="ln(t)",
-        vec=np.log,
-        vec_deriv=lambda ts: 1.0 / np.asarray(ts, dtype=float),
-    )
+    return WarpFunction(fn=np.log, deriv=lambda t: 1.0 / t, label="ln(t)")
 
 
 def sin_warp() -> WarpFunction:
     """psi(t) = sin t; usable on intervals where cos t > 0."""
-    return WarpFunction(
-        fn=math.sin,
-        deriv=math.cos,
-        label="sin(t)",
-        vec=np.sin,
-        vec_deriv=np.cos,
-    )
+    return WarpFunction(fn=np.sin, deriv=np.cos, label="sin(t)")
 
 
 def warp_from_expr(src: str) -> WarpFunction:
     node = expr.parse(src, allowed_vars={"t"})
     dnode = expr.derivative(node, "t")
     return WarpFunction(
-        fn=lambda t, _n=node: float(expr.evaluate(_n, {"t": t})),
-        deriv=lambda t, _d=dnode: float(expr.evaluate(_d, {"t": t})),
+        fn=lambda t, _n=node: expr.evaluate(_n, {"t": t}),
+        deriv=lambda t, _d=dnode: expr.evaluate(_d, {"t": t}),
         label=src,
-        vec=lambda ts, _n=node: np.asarray(expr.evaluate(_n, {"t": np.asarray(ts, dtype=float)})),
-        vec_deriv=lambda ts, _d=dnode: np.broadcast_to(
-            np.asarray(expr.evaluate(_d, {"t": np.asarray(ts, dtype=float)}), dtype=float),
-            np.shape(ts),
-        ).copy(),
     )
 
 
@@ -185,14 +152,12 @@ def warp_from_expr(src: str) -> WarpFunction:
 class NormalizationFunction:
     """Normalization M on [0, 1] with M(0) = M(1) = 1 and M > 0."""
 
-    fn: Callable[[float], float]
+    fn: Callable
     label: str = "M"
-    vec: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
     @classmethod
     def one(cls) -> "NormalizationFunction":
-        return cls(fn=lambda _a: 1.0, label="1",
-                   vec=lambda xs: np.ones(np.shape(xs)))
+        return cls(fn=lambda _a: 1.0, label="1")
 
     @classmethod
     def from_callable(cls, fn, label="M") -> "NormalizationFunction":
@@ -201,19 +166,10 @@ class NormalizationFunction:
     @classmethod
     def from_expr(cls, src: str) -> "NormalizationFunction":
         node = expr.parse(src, allowed_vars={"alpha"})
-        return cls(
-            fn=lambda a, _n=node: float(expr.evaluate(_n, {"alpha": a})),
-            label=src,
-            vec=lambda xs, _n=node: np.broadcast_to(
-                np.asarray(expr.evaluate(_n, {"alpha": np.asarray(xs, dtype=float)}), dtype=float),
-                np.shape(xs),
-            ).copy(),
-        )
+        return cls(fn=lambda a, _n=node: expr.evaluate(_n, {"alpha": a}), label=src)
 
     def values(self, xs: np.ndarray) -> np.ndarray:
-        if self.vec is not None:
-            return np.asarray(self.vec(xs), dtype=float)
-        return np.array([self.fn(float(x)) for x in np.asarray(xs).ravel()]).reshape(np.shape(xs))
+        return _sample(self.fn, xs)
 
 
 @dataclass(frozen=True)
@@ -287,12 +243,10 @@ class KernelSpec:
             )
 
     def _validate_norm(self) -> None:
-        for endpoint in (0.0, 1.0):
-            value = self.norm.fn(endpoint)
+        values = self.norm.values(_sample_grid(0.0, 1.0))
+        for endpoint, value in ((0.0, values[0]), (1.0, values[-1])):
             if abs(value - 1.0) > 1e-12:
                 raise InvalidParam(f"normalization must equal 1 at {endpoint}, got {value}")
-        xs = _sample_grid(0.0, 1.0)
-        values = self.norm.values(xs)
         if not np.all(np.isfinite(values)) or np.min(values) <= 0.0:
             raise InvalidParam("normalization must be positive and finite on [0, 1]")
 
@@ -315,6 +269,36 @@ def _check_point(spec: KernelSpec, name: str, value: float) -> None:
         raise DomainError(f"{name} = {value} outside interval [{a}, {b}]")
 
 
+def _alphas_checked(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
+    """alpha over ts; raises SingularOrder where 1 - alpha drops below 1e-12."""
+    alphas = spec.order.values(ts)
+    one_minus = 1.0 - alphas
+    bad = int(np.argmin(one_minus))
+    if one_minus[bad] < SINGULAR_ORDER_EPS:
+        raise SingularOrder(
+            f"1 - alpha(t) = {one_minus[bad]:.3e} below threshold at t = {ts[bad]:.6g}"
+        )
+    return alphas
+
+
+def _prefactors(spec: KernelSpec, alphas: np.ndarray) -> np.ndarray:
+    return spec.norm.values(alphas) / (1.0 - alphas)
+
+
+def _ml_kernel(spec: KernelSpec, alpha: float, dpsi: np.ndarray) -> np.ndarray:
+    """H at one output node of order alpha, given dpsi = psi(t) - psi(tau) >= 0."""
+    lam = alpha / (1.0 - alpha)
+    return _ml_neg_array(spec.beta_at(alpha), -lam * dpsi ** spec.gamma_at(alpha))
+
+
+def kernel_values(spec: KernelSpec, t: float, taus: np.ndarray) -> np.ndarray:
+    """Vectorized H(t, tau) over an array of tau <= t (one output node)."""
+    node = np.array([float(t)])
+    alpha = float(_alphas_checked(spec, node)[0])
+    dpsi = np.maximum(spec.warp.values(node)[0] - spec.warp.values(taus), 0.0)
+    return _ml_kernel(spec, alpha, dpsi)
+
+
 def kernel_eval(spec: KernelSpec, t: float, tau: float) -> float:
     """Evaluate H(t, tau). Requires a <= tau <= t <= b."""
     t, tau = float(t), float(tau)
@@ -322,37 +306,10 @@ def kernel_eval(spec: KernelSpec, t: float, tau: float) -> float:
     _check_point(spec, "tau", tau)
     if tau > t + 1e-12 * max(1.0, spec.interval[1] - spec.interval[0]):
         raise DomainError(f"tau = {tau} exceeds t = {t}")
-    alpha = spec.alpha_at(t)
-    one_minus = 1.0 - alpha
-    if one_minus < SINGULAR_ORDER_EPS:
-        raise SingularOrder(f"1 - alpha(t) = {one_minus:.3e} below threshold at t = {t}")
-    dpsi = max(spec.warp.fn(t) - spec.warp.fn(tau), 0.0)
-    gamma = spec.gamma_at(alpha)
-    beta = spec.beta_at(alpha)
-    argument = -alpha * dpsi**gamma / one_minus
-    if beta == 1.0:
-        return math.exp(argument)
-    return ml_eval(MLParams(beta=beta), argument)
-
-
-def kernel_values(spec: KernelSpec, t: float, taus: np.ndarray) -> np.ndarray:
-    """Vectorized H(t, tau) over an array of tau <= t (one output node)."""
-    taus = np.asarray(taus, dtype=float)
-    alpha = spec.alpha_at(float(t))
-    one_minus = 1.0 - alpha
-    if one_minus < SINGULAR_ORDER_EPS:
-        raise SingularOrder(f"1 - alpha(t) = {one_minus:.3e} below threshold at t = {t}")
-    dpsi = np.maximum(spec.warp.fn(float(t)) - spec.warp.values(taus), 0.0)
-    gamma = spec.gamma_at(alpha)
-    beta = spec.beta_at(alpha)
-    argument = -(alpha / one_minus) * dpsi**gamma
-    return _ml_neg_array(beta, argument)
+    return float(kernel_values(spec, t, np.array([tau]))[0])
 
 
 def kernel_prefactor(spec: KernelSpec, t: float) -> float:
     """M(alpha(t)) / (1 - alpha(t)); raises SingularOrder near alpha = 1."""
-    alpha = spec.alpha_at(float(t))
-    one_minus = 1.0 - alpha
-    if one_minus < SINGULAR_ORDER_EPS:
-        raise SingularOrder(f"1 - alpha(t) = {one_minus:.3e} below threshold at t = {t}")
-    return float(spec.norm.fn(alpha)) / one_minus
+    node = np.array([float(t)])
+    return float(_prefactors(spec, _alphas_checked(spec, node))[0])

@@ -25,32 +25,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateGrid,
-    InvalidParam,
-    QuadratureFailure,
-    SingularOrder,
-)
+from .errors import DegenerateGrid, InvalidParam, QuadratureFailure
 from .grids import GridFunction, fd_deriv
 from .kernel import (
-    SINGULAR_ORDER_EPS,
     KernelSpec,
     NormalizationFunction,
     OrderFunction,
     WarpFunction,
+    _alphas_checked,
+    _ml_kernel,
+    _prefactors,
     identity_warp,
     log_warp,
     sin_warp,
 )
-from .mlf import _ml_neg_array
 
 SCHEMES = ("product_trapezoid", "product_midpoint")
 
 
 @dataclass(frozen=True)
 class OperatorResult:
+    """Operator values under one scheme, with the cross-scheme estimate.
+
+    cross_scheme holds |trapezoid - midpoint| per node; quad_error_estimate
+    is its maximum.
+    """
+
     values: GridFunction
-    quad_error_estimate: float
+    cross_scheme: np.ndarray
     scheme: str
 
     def __post_init__(self):
@@ -58,6 +60,10 @@ class OperatorResult:
             raise InvalidParam(f"unknown scheme {self.scheme!r}")
         if not (self.quad_error_estimate >= 0.0):
             raise InvalidParam("quad_error_estimate must be >= 0")
+
+    @property
+    def quad_error_estimate(self) -> float:
+        return float(np.max(self.cross_scheme))
 
 
 def _check_inputs(spec: KernelSpec, f: GridFunction, scheme: str) -> None:
@@ -69,20 +75,6 @@ def _check_inputs(spec: KernelSpec, f: GridFunction, scheme: str) -> None:
         raise InvalidParam(
             f"grid interval [{f.a}, {f.b}] does not match spec interval [{a}, {b}]"
         )
-
-
-def _alphas_checked(spec: KernelSpec, grid: np.ndarray) -> np.ndarray:
-    alphas = spec.order.values(grid)
-    if np.max(alphas) > 1.0 - SINGULAR_ORDER_EPS:
-        bad = int(np.argmax(alphas))
-        raise SingularOrder(
-            f"1 - alpha(t) = {1.0 - alphas[bad]:.3e} below threshold at t = {grid[bad]:.6g}"
-        )
-    return alphas
-
-
-def _prefactors(spec: KernelSpec, alphas: np.ndarray) -> np.ndarray:
-    return spec.norm.values(alphas) / (1.0 - alphas)
 
 
 class _KernelTable:
@@ -114,23 +106,13 @@ class _KernelTable:
         ):
             step = float(steps[0])
             alpha = float(self.alphas[0])
-            lam = alpha / (1.0 - alpha)
             k = np.arange(grid.size, dtype=float)
-            self._base = _ml_neg_array(
-                float(spec.beta), -lam * (k * step) ** float(spec.gamma)
-            )
-            km = k[:-1] + 0.5
-            self._base_mid = _ml_neg_array(
-                float(spec.beta), -lam * (km * step) ** float(spec.gamma)
-            )
+            self._base = _ml_kernel(spec, alpha, k * step)
+            self._base_mid = _ml_kernel(spec, alpha, (k[:-1] + 0.5) * step)
 
     def _fresh_row(self, i: int, psi_pts: np.ndarray) -> np.ndarray:
-        alpha = float(self.alphas[i])
-        lam = alpha / (1.0 - alpha)
         dpsi = np.maximum(self.psis[i] - psi_pts, 0.0)
-        gamma = self.spec.gamma_at(alpha)
-        beta = self.spec.beta_at(alpha)
-        return _ml_neg_array(beta, -lam * dpsi**gamma)
+        return _ml_kernel(self.spec, float(self.alphas[i]), dpsi)
 
     def row(self, i: int) -> np.ndarray:
         """H(t_i, tau_j) for j = 0..i."""
@@ -148,30 +130,30 @@ class _KernelTable:
 
 
 def _convolve_nodes(table: _KernelTable, data: np.ndarray, data_mid: np.ndarray,
-                    h: float, need_mid: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Composite trapezoid and (optionally) midpoint sums of H * data."""
+                    h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite trapezoid and midpoint sums of H * data."""
     n = table.grid.size - 1
     trap = np.zeros(n + 1)
-    mid = np.zeros(n + 1) if need_mid else None
+    mid = np.zeros(n + 1)
     for i in range(1, n + 1):
         row = table.row(i)
         g = row * data[: i + 1]
         trap[i] = h * (np.sum(g) - 0.5 * (g[0] + g[i]))
-        if need_mid:
-            mid[i] = h * float(np.sum(table.mid_row(i) * data_mid[:i]))
+        mid[i] = h * float(np.sum(table.mid_row(i) * data_mid[:i]))
     return trap, mid
 
 
-def _finish(grid: np.ndarray, trap: np.ndarray, mid: np.ndarray | None,
+def _finish(grid: np.ndarray, trap: np.ndarray, mid: np.ndarray,
             scheme: str, error_budget: float | None, label: str) -> OperatorResult:
-    estimate = float(np.max(np.abs(trap - mid))) if mid is not None else 0.0
+    cross = np.abs(trap - mid)
+    estimate = float(np.max(cross))
     if error_budget is not None and estimate > error_budget:
         raise QuadratureFailure(
             f"cross-scheme estimate {estimate:.3e} exceeds budget {error_budget:.3e}"
         )
     chosen = trap if scheme == "product_trapezoid" else mid
     out = GridFunction(grid=grid, values=chosen, label=label)
-    return OperatorResult(values=out, quad_error_estimate=estimate, scheme=scheme)
+    return OperatorResult(values=out, cross_scheme=cross, scheme=scheme)
 
 
 def _aux1_both(spec: KernelSpec, f: GridFunction,
@@ -179,15 +161,14 @@ def _aux1_both(spec: KernelSpec, f: GridFunction,
     dpsiv = spec.warp.deriv_values(f.grid)
     dpsiv_mid = spec.warp.deriv_values(table._mid)
     f_mid = 0.5 * (f.values[:-1] + f.values[1:])
-    return _convolve_nodes(table, dpsiv * f.values, dpsiv_mid * f_mid, f.h,
-                           need_mid=True)
+    return _convolve_nodes(table, dpsiv * f.values, dpsiv_mid * f_mid, f.h)
 
 
 def _aux2_both(spec: KernelSpec, f: GridFunction,
                table: _KernelTable) -> tuple[np.ndarray, np.ndarray]:
     fp = f.deriv_values()
     fp_mid = 0.5 * (fp[:-1] + fp[1:])
-    return _convolve_nodes(table, fp, fp_mid, f.h, need_mid=True)
+    return _convolve_nodes(table, fp, fp_mid, f.h)
 
 
 def aux_integral_1(spec: KernelSpec, f: GridFunction, *,
@@ -253,25 +234,31 @@ def _power_moments(U: np.ndarray, mu) -> tuple[np.ndarray, np.ndarray]:
     return m0, m1
 
 
-def _product_integral(psis: np.ndarray, data: np.ndarray, i: int, mu,
-                      scheme: str) -> float:
-    """Integral over [psi_0, psi_i] of (psi_i - x)^(mu-1) g(x) dx.
+def _product_sums(psis: np.ndarray, data: np.ndarray,
+                  mu_at) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals over [psi_0, psi_i] of (psi_i - x)^(mu-1) g(x) dx, per node i.
 
-    g is interpolated from data: piecewise linear for product_trapezoid,
-    piecewise constant at panel means for product_midpoint. The weight's
-    integrable singularity at x = psi_i is handled exactly.
+    g is interpolated from data: piecewise linear for the trapezoid sums,
+    piecewise constant at panel means for the midpoint sums; both come from
+    one set of panel moments per node. mu_at(i) is the exponent at node i, a
+    scalar or one value per panel. The weight's integrable singularity at
+    x = psi_i is handled exactly.
     """
-    if i == 0:
-        return 0.0
-    U = psis[i] - psis[: i + 1]
-    U[-1] = 0.0
-    m0, m1 = _power_moments(U, mu)
-    if scheme == "product_midpoint":
-        g_mid = 0.5 * (data[:i] + data[1 : i + 1])
-        return float(np.sum(g_mid * m0))
-    delta = psis[1 : i + 1] - psis[:i]
-    slope = (data[1 : i + 1] - data[:i]) / delta
-    return float(np.sum(data[:i] * m0 + slope * m1))
+    slope = np.diff(data) / np.diff(psis)
+    g_mid = 0.5 * (data[:-1] + data[1:])
+    trap = np.zeros(psis.size)
+    mid = np.zeros(psis.size)
+    for i in range(1, psis.size):
+        U = psis[i] - psis[: i + 1]
+        U[-1] = 0.0
+        m0, m1 = _power_moments(U, mu_at(i))
+        trap[i] = np.sum(data[:i] * m0 + slope[:i] * m1)
+        mid[i] = np.sum(g_mid[:i] * m0)
+    return trap, mid
+
+
+def _gammas(xs: np.ndarray) -> np.ndarray:
+    return np.array([math.gamma(float(x)) for x in xs])
 
 
 def rl_integral_varorder(spec: KernelSpec, f: GridFunction, *,
@@ -290,21 +277,21 @@ def rl_integral_varorder(spec: KernelSpec, f: GridFunction, *,
     if exponent_at not in ("t", "tau"):
         raise InvalidParam(f"exponent_at must be 't' or 'tau', got {exponent_at!r}")
     grid = f.grid
-    psis = spec.warp.values(grid)
     alphas = spec.order.values(grid)
     if np.min(alphas) <= 0.0:
         raise InvalidParam("order must stay positive for the integral")
-    mid_alphas = None
     if exponent_at == "tau":
         mid_alphas = spec.order.values(0.5 * (grid[:-1] + grid[1:]))
-    trap = np.zeros(grid.size)
-    mid = np.zeros(grid.size)
-    for i in range(1, grid.size):
-        mu = float(alphas[i]) if mid_alphas is None else mid_alphas[:i]
-        scale = 1.0 / math.gamma(float(alphas[i]))
-        trap[i] = scale * _product_integral(psis, f.values, i, mu, "product_trapezoid")
-        mid[i] = scale * _product_integral(psis, f.values, i, mu, "product_midpoint")
-    return _finish(grid, trap, mid, scheme, error_budget, f"I[{f.label}]")
+
+        def mu_at(i):
+            return mid_alphas[:i]
+    else:
+        def mu_at(i):
+            return float(alphas[i])
+    trap, mid = _product_sums(spec.warp.values(grid), f.values, mu_at)
+    scales = 1.0 / _gammas(alphas)
+    return _finish(grid, scales * trap, scales * mid, scheme, error_budget,
+                   f"I[{f.label}]")
 
 
 def rl_deriv_classical(spec: KernelSpec, f: GridFunction, *,
@@ -320,16 +307,10 @@ def rl_deriv_classical(spec: KernelSpec, f: GridFunction, *,
     if f.n < 16:
         raise DegenerateGrid(f"classical derivative needs n >= 16, got {f.n}")
     grid = f.grid
-    psis = spec.warp.values(grid)
-    alphas = _alphas_checked(spec, grid)
-    inner_t = np.zeros(grid.size)
-    inner_m = np.zeros(grid.size)
-    for i in range(1, grid.size):
-        mu = 1.0 - float(alphas[i])
-        inner_t[i] = _product_integral(psis, f.values, i, mu, "product_trapezoid")
-        inner_m[i] = _product_integral(psis, f.values, i, mu, "product_midpoint")
-    gammas = np.array([math.gamma(1.0 - float(al)) for al in alphas])
-    factors = 1.0 / (gammas * spec.warp.deriv_values(grid))
+    mus = 1.0 - _alphas_checked(spec, grid)
+    inner_t, inner_m = _product_sums(spec.warp.values(grid), f.values,
+                                     lambda i: float(mus[i]))
+    factors = 1.0 / (_gammas(mus) * spec.warp.deriv_values(grid))
     trap = factors * fd_deriv(inner_t, f.h)
     mid = factors * fd_deriv(inner_m, f.h)
     return _finish(grid, trap, mid, scheme, error_budget, f"D_rl_cl[{f.label}]")
@@ -351,17 +332,12 @@ def caputo_deriv_classical(spec: KernelSpec, f: GridFunction, *,
     del standard_psi_caputo
     _check_inputs(spec, f, scheme)
     grid = f.grid
-    psis = spec.warp.values(grid)
-    alphas = _alphas_checked(spec, grid)
+    mus = 1.0 - _alphas_checked(spec, grid)
     data = f.deriv_values() / spec.warp.deriv_values(grid)
-    trap = np.zeros(grid.size)
-    mid = np.zeros(grid.size)
-    for i in range(1, grid.size):
-        mu = 1.0 - float(alphas[i])
-        scale = 1.0 / math.gamma(mu)
-        trap[i] = scale * _product_integral(psis, data, i, mu, "product_trapezoid")
-        mid[i] = scale * _product_integral(psis, data, i, mu, "product_midpoint")
-    return _finish(grid, trap, mid, scheme, error_budget, f"D_c_cl[{f.label}]")
+    trap, mid = _product_sums(spec.warp.values(grid), data, lambda i: float(mus[i]))
+    scales = 1.0 / _gammas(mus)
+    return _finish(grid, scales * trap, scales * mid, scheme, error_budget,
+                   f"D_c_cl[{f.label}]")
 
 
 # --- special-case factory -----------------------------------------------------

@@ -51,6 +51,16 @@ def test_corpus_is_deterministic_per_seed():
                                         "cos_t", "exp_t"]
 
 
+@pytest.mark.parametrize("seed", [0, 3, 107])
+def test_corpus_array_calls_match_float_calls(seed):
+    ts = np.linspace(-0.5, 2.0, 101)
+    for tf in standard_corpus(seed, 8):
+        for fn in (tf.fn, tf.deriv):
+            whole = np.broadcast_to(np.asarray(fn(ts), dtype=float), ts.shape)
+            single = np.array([fn(float(t)) for t in ts])
+            assert np.all(np.abs(whole - single) <= 1e-15 * np.abs(single)), tf.label
+
+
 def test_corpus_derivatives_are_consistent():
     for tf in standard_corpus(seed=2, random_count=2):
         g = tf.on(0.0, 1.0, 128)   # GridFunction validates supplied derivs

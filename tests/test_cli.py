@@ -4,9 +4,20 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from fracvar import cli
+from fracvar import (
+    GridFunction,
+    KernelSpec,
+    NormalizationFunction,
+    OrderFunction,
+    caputo_deriv_classical,
+    cli,
+    expr,
+    rl_deriv_ns,
+    warp_from_expr,
+)
 
 
 def run(args, **kwargs):
@@ -44,6 +55,31 @@ def test_deriv_estimate_error_column(tmp_path):
     assert header == ["t", "value", "estimate_error"]
     assert all(row[2] >= 0.0 for row in rows)
     assert max(row[2] for row in rows) < 1e-4
+
+
+@pytest.mark.parametrize("op,operator", [("rl_ns", rl_deriv_ns),
+                                         ("caputo_classical", caputo_deriv_classical)])
+def test_estimate_error_column_is_the_cross_scheme_gap(tmp_path, op, operator):
+    out = tmp_path / "d.csv"
+    source = "exp(t)*sin(3*t)"
+    assert run(["deriv", "--op", op, "--alpha", "0.4 + 0.2*t", "--psi", "t + t^2",
+                "--gamma", "0.6", "--beta", "track", "--f", source, "--a", "0",
+                "--b", "1", "--n", "96", "--scheme", "product_midpoint",
+                "--estimate-error", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    # the same inputs through the library, once per scheme
+    spec = KernelSpec(gamma=0.6, beta=None,
+                      order=OrderFunction.from_expr("0.4 + 0.2*t", interval=(0.0, 1.0)),
+                      warp=warp_from_expr("t + t^2"), norm=NormalizationFunction.one(),
+                      interval=(0.0, 1.0))
+    node = expr.parse(source, allowed_vars={"t"})
+    dnode = expr.derivative(node, "t")
+    f = GridFunction.from_callable(lambda t: expr.evaluate(node, {"t": t}), 0.0, 1.0, 96,
+                                   deriv=lambda t: expr.evaluate(dnode, {"t": t}))
+    trap = operator(spec, f, scheme="product_trapezoid").values.values
+    mid = operator(spec, f, scheme="product_midpoint").values.values
+    assert np.array_equal([row[1] for row in rows], mid)
+    assert np.array_equal([row[2] for row in rows], np.abs(trap - mid))
 
 
 def test_solve_documented_example(tmp_path, capsys):
@@ -147,10 +183,6 @@ class TestExitCodes:
         # ln faults at t = 0 when the grid samples it
         assert run(["deriv", "--op", "caputo_ns", "--alpha", "0.5",
                     "--f", "ln(t)", "--a", "0", "--b", "1", "--n", "64"]) == 2
-
-    def test_invalid_threads_env_is_config_error(self, monkeypatch):
-        monkeypatch.setenv("FRACVAR_THREADS", "many")
-        assert run(["verify", "--suite", "max_point"]) == 1
 
     def test_valid_threads_env_accepted(self, monkeypatch, tmp_path):
         monkeypatch.setenv("FRACVAR_THREADS", "2")

@@ -39,6 +39,21 @@ class TestGridFunction:
         assert f.h == pytest.approx(1.0 / 32)
         assert np.array_equal(f.deriv_values(), np.exp(f.grid))
 
+    def test_from_callable_samples_the_whole_grid_in_one_call(self):
+        seen = []
+
+        def fn(t):
+            seen.append(np.shape(t))
+            return np.cos(t)
+
+        f = GridFunction.from_callable(fn, 0.0, 1.0, 32, deriv=lambda t: -np.sin(t))
+        assert seen == [(33,)]
+        assert np.array_equal(f.values, np.cos(f.grid))
+        # a constant result is broadcast to the grid
+        c = GridFunction.from_callable(lambda t: 2.0, 0.0, 1.0, 32, deriv=lambda t: 0.0)
+        assert c.values.shape == c.derivs.shape == (33,)
+        assert np.all(c.values == 2.0) and np.all(c.derivs == 0.0)
+
     def test_fd_fallback_when_deriv_missing(self):
         f = GridFunction.from_callable(np.sin, 0.0, 1.0, 64)
         assert np.max(np.abs(f.deriv_values() - np.cos(f.grid))) < 1e-3

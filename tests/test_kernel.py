@@ -109,6 +109,18 @@ class TestKernelValues:
         scl = np.array([kernel_eval(spec, 0.8, float(tau)) for tau in taus])
         assert np.max(np.abs(vec - scl)) < 1e-12
 
+    @pytest.mark.parametrize("beta", [0.6, None])
+    @pytest.mark.parametrize("warp,interval", [(identity_warp(), (0.0, 1.0)),
+                                               (log_warp(), (1.0, 3.0))])
+    def test_pointwise_is_one_element_of_vectorized(self, beta, warp, interval):
+        order = OrderFunction.from_expr("0.3 + 0.2*t", interval=interval)
+        spec = KernelSpec(gamma=0.7 if beta else None, beta=beta, order=order,
+                          warp=warp, norm=NormalizationFunction.one(),
+                          interval=interval)
+        a, b = interval
+        for t, tau in [(b, a), (0.5 * (a + b), a + 0.1), (b, b), (a + 0.3, a + 0.29)]:
+            assert kernel_eval(spec, t, tau) == kernel_values(spec, t, [tau])[0]
+
 
 class TestDomainAndSingularity:
     def test_rejects_points_outside_interval(self):

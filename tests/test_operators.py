@@ -21,6 +21,7 @@ from fracvar import (
     caputo_deriv_classical,
     caputo_deriv_ns,
     identity_warp,
+    kernel_values,
     log_warp,
     make_special_case,
     rl_deriv_classical,
@@ -34,7 +35,7 @@ from fracvar.errors import (
     QuadratureFailure,
     SingularOrder,
 )
-from fracvar.operators import SPECIAL_CASES
+from fracvar.operators import SPECIAL_CASES, _KernelTable
 
 
 def cf_spec(alpha=0.5, interval=(0.0, 1.0), gamma=1.0, beta=1.0, warp=None):
@@ -339,6 +340,21 @@ def test_toeplitz_and_fresh_rows_agree():
         a = op(fast, f).values.values
         b = op(slow, f).values.values
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.6, None])
+def test_table_rows_are_kernel_values(beta):
+    # psi = ln t is not uniformly spaced, so every row is evaluated afresh;
+    # it must be exactly what the public vectorized evaluator returns
+    interval = (1.0, 3.0)
+    spec = KernelSpec(gamma=0.7 if beta else None, beta=beta,
+                      order=OrderFunction.from_expr("0.3 + 0.2*t", interval=interval),
+                      warp=log_warp(), norm=NormalizationFunction.one(),
+                      interval=interval)
+    grid = uniform_grid(*interval, 64)
+    table = _KernelTable(spec, grid)
+    for i in range(grid.size):
+        assert np.array_equal(table.row(i), kernel_values(spec, grid[i], grid[: i + 1]))
 
 
 # --- special-case factory ---------------------------------------------------------
