@@ -271,7 +271,7 @@ def _apply_unary(node: Unary, value):
 
 
 def _is_integral(exponent) -> bool:
-    return float(exponent) == int(exponent)
+    return float(exponent).is_integer()
 
 
 def _apply_binary(node: Binary, left, right):

@@ -5,9 +5,11 @@ Two numerical backbones cover all of them:
 * The bounded-kernel family (aux_integral_1/2 and the derivatives built on
   them) integrates H(t, tau) against the data with composite trapezoid
   weights; a midpoint variant exists for cross-checking, and the reported
-  quad_error_estimate is the sup difference between the two. Kernel rows
-  collapse to a single 1-d Mittag-Leffler table when the order is constant,
-  gamma/beta are fixed, and psi is uniformly spaced (Toeplitz structure).
+  quad_error_estimate is the sup difference between the two. Both sums, and
+  the solver's residual, come from one half-step kernel table (nodes and
+  panel midpoints): a single 1-d Mittag-Leffler table and two convolutions
+  when the order is constant, gamma/beta are fixed, and psi is uniformly
+  spaced (Toeplitz structure), else one kernel evaluation per output node.
 
 * The weakly singular family (the variable-order integral and the classical
   derivatives) substitutes x = psi(tau) and integrates the power singularity
@@ -78,23 +80,18 @@ def _check_inputs(spec: KernelSpec, f: GridFunction, scheme: str) -> None:
 
 
 class _KernelTable:
-    """Per-output-node kernel rows H(t_i, .) at grid nodes and midpoints.
-
-    Exploits the Toeplitz structure when the kernel parameters are constant
-    and psi lands on a uniform progression: one 1-d Mittag-Leffler table then
-    serves every row.
-    """
+    """psi on the half-step grid (entry 2j is the node tau_j, entry 2j+1 the
+    midpoint m_j of panel j), kernel rows on it, and the history sums."""
 
     def __init__(self, spec: KernelSpec, grid: np.ndarray):
         self.spec = spec
-        self.grid = grid
-        self.psis = spec.warp.values(grid)
+        self.half = np.empty(2 * grid.size - 1)
+        self.half[::2] = grid
+        self.half[1::2] = 0.5 * (grid[:-1] + grid[1:])
+        self.psih = spec.warp.values(self.half)
         self.alphas = _alphas_checked(spec, grid)
-        self._mid = 0.5 * (grid[:-1] + grid[1:])
-        self._psim = spec.warp.values(self._mid)
         self._base = None
-        self._base_mid = None
-        steps = np.diff(self.psis)
+        steps = np.diff(self.psih)
         uniform = steps.size > 0 and np.max(np.abs(steps - steps[0])) <= 1e-12 * max(
             1.0, abs(steps[0])
         )
@@ -104,43 +101,43 @@ class _KernelTable:
             and spec.gamma is not None
             and spec.beta is not None
         ):
-            step = float(steps[0])
-            alpha = float(self.alphas[0])
-            k = np.arange(grid.size, dtype=float)
-            self._base = _ml_kernel(spec, alpha, k * step)
-            self._base_mid = _ml_kernel(spec, alpha, (k[:-1] + 0.5) * step)
+            half_step = 0.5 * float(self.psih[2] - self.psih[0])
+            k = np.arange(self.half.size, dtype=float)
+            self._base = _ml_kernel(spec, float(self.alphas[0]), k * half_step)
 
-    def _fresh_row(self, i: int, psi_pts: np.ndarray) -> np.ndarray:
-        dpsi = np.maximum(self.psis[i] - psi_pts, 0.0)
+    def _row(self, i: int, stride: int) -> np.ndarray:
+        """H(t_i, .) at half-grid points 0, stride, ..., 2i."""
+        if self._base is not None:
+            return self._base[2 * i :: -stride]
+        dpsi = np.maximum(self.psih[2 * i] - self.psih[: 2 * i + 1 : stride], 0.0)
         return _ml_kernel(self.spec, float(self.alphas[i]), dpsi)
 
     def row(self, i: int) -> np.ndarray:
         """H(t_i, tau_j) for j = 0..i."""
+        return self._row(i, 2)
+
+    def sums(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sum_{j<=i} H(t_i, tau_j) x_j and sum_{j<i} H(t_i, m_j) y_j, per node i."""
+        n = self.alphas.size - 1
+        mids = np.zeros(n + 1)
         if self._base is not None:
-            return self._base[i::-1]
-        return self._fresh_row(i, self.psis[: i + 1])
+            mids[1:] = np.convolve(self._base[1::2], y)[:n]
+            return np.convolve(self._base[::2], x)[: n + 1], mids
+        nodes = np.zeros(n + 1)
+        data = np.zeros((2, 2 * n + 1))
+        data[0, ::2] = x
+        data[1, 1::2] = y
+        for i in range(n + 1):
+            nodes[i], mids[i] = data[:, : 2 * i + 1] @ self._row(i, 1)
+        return nodes, mids
 
-    def mid_row(self, i: int) -> np.ndarray:
-        """H(t_i, m_j) at panel midpoints m_j, j = 0..i-1."""
-        if i == 0:
-            return np.empty(0)
-        if self._base_mid is not None:
-            return self._base_mid[i - 1 :: -1]
-        return self._fresh_row(i, self._psim[:i])
 
-
-def _convolve_nodes(table: _KernelTable, data: np.ndarray, data_mid: np.ndarray,
-                    h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Composite trapezoid and midpoint sums of H * data."""
-    n = table.grid.size - 1
-    trap = np.zeros(n + 1)
-    mid = np.zeros(n + 1)
-    for i in range(1, n + 1):
-        row = table.row(i)
-        g = row * data[: i + 1]
-        trap[i] = h * (np.sum(g) - 0.5 * (g[0] + g[i]))
-        mid[i] = h * float(np.sum(table.mid_row(i) * data_mid[:i]))
-    return trap, mid
+def _trap_mid(table: _KernelTable, x: np.ndarray, y: np.ndarray,
+              h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite trapezoid sums of H * x and midpoint sums of H * y."""
+    nodes, mids = table.sums(np.concatenate(([0.5 * x[0]], x[1:])), y)
+    # H(t_i, t_i) = 1: the weight-1/2 end at tau_i takes off x_i / 2
+    return h * (nodes - 0.5 * x), h * mids
 
 
 def _finish(grid: np.ndarray, trap: np.ndarray, mid: np.ndarray,
@@ -158,17 +155,16 @@ def _finish(grid: np.ndarray, trap: np.ndarray, mid: np.ndarray,
 
 def _aux1_both(spec: KernelSpec, f: GridFunction,
                table: _KernelTable) -> tuple[np.ndarray, np.ndarray]:
-    dpsiv = spec.warp.deriv_values(f.grid)
-    dpsiv_mid = spec.warp.deriv_values(table._mid)
+    dpsih = spec.warp.deriv_values(table.half)
     f_mid = 0.5 * (f.values[:-1] + f.values[1:])
-    return _convolve_nodes(table, dpsiv * f.values, dpsiv_mid * f_mid, f.h)
+    return _trap_mid(table, dpsih[::2] * f.values, dpsih[1::2] * f_mid, f.h)
 
 
 def _aux2_both(spec: KernelSpec, f: GridFunction,
                table: _KernelTable) -> tuple[np.ndarray, np.ndarray]:
     fp = f.deriv_values()
     fp_mid = 0.5 * (fp[:-1] + fp[1:])
-    return _convolve_nodes(table, fp, fp_mid, f.h)
+    return _trap_mid(table, fp, fp_mid, f.h)
 
 
 def aux_integral_1(spec: KernelSpec, f: GridFunction, *,

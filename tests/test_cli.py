@@ -184,6 +184,13 @@ class TestExitCodes:
         assert run(["deriv", "--op", "caputo_ns", "--alpha", "0.5",
                     "--f", "ln(t)", "--a", "0", "--b", "1", "--n", "64"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["deriv", "--op", "caputo_ns", "--alpha", "0.5", "--f", "(-2)^(1e400)"],
+        ["solve", "--alpha", "0.5", "--rhs", "(-u)^(1e400)", "--u0", "1"],
+    ])
+    def test_infinite_exponent_is_numerical_error(self, argv):
+        assert run(argv + ["--a", "0", "--b", "1", "--n", "16"]) == 2
+
     def test_valid_threads_env_accepted(self, monkeypatch, tmp_path):
         monkeypatch.setenv("FRACVAR_THREADS", "2")
         out = tmp_path / "d.csv"

@@ -85,6 +85,17 @@ class TestEvaluation:
         with pytest.raises(DomainFault):
             ev("t^0.5", t=-2.0)
 
+    def test_infinite_exponent_of_negative_base_faults(self):
+        # 1e400 parses to inf, which is no integer
+        with pytest.raises(DomainFault):
+            ev("(-2)^(1e400)")
+        with pytest.raises(DomainFault):
+            ev("t^(1e400)", t=np.array([-2.0, 0.5]))
+
+    def test_infinite_exponent_of_small_base_is_zero(self):
+        assert ev("0.5^(1e400)") == 0.0
+        assert np.array_equal(ev("t^(1e400)", t=np.array([0.25, 0.5])), [0.0, 0.0])
+
     def test_array_fault_detected(self):
         node = expr.parse("ln(t)")
         with pytest.raises(DomainFault):

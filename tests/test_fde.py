@@ -19,6 +19,8 @@ from fracvar import (
     LinearBound,
     check_comparison,
     comparison_cases,
+    kernel_prefactor,
+    kernel_values,
     make_special_case,
     sandwich_check,
     solve_fde,
@@ -31,6 +33,7 @@ from fracvar.errors import (
     InvalidParam,
     NewtonDivergence,
 )
+from fracvar.fde import NEWTON_TOL
 
 CF = make_special_case("caputo_fabrizio", alpha=0.5, interval=(0.0, 1.0))
 
@@ -75,6 +78,41 @@ class TestLinearClosedForm:
         one = solve_fde(problem).solution.values
         two = solve_fde(problem).solution.values
         assert np.array_equal(one, two)
+
+
+@pytest.mark.parametrize("spec", [
+    make_special_case("atangana", alpha=0.5, interval=(0.0, 1.0)),
+    make_special_case("log_warp", alpha=0.4, interval=(1.0, 2.0), gamma=0.7, beta=0.6),
+], ids=["toeplitz", "log_warp"])
+@pytest.mark.parametrize("corrected", [True, False])
+def test_residual_matches_direct_collocation(spec, corrected):
+    # D_h u(t_i) = P_i sum_j c_ij (u_j - u_{j-1}) recomputed node by node from
+    # public kernel rows, independent of the solver's history sums
+    def rhs(t, u):
+        return -u ** 3 - u + math.sin(math.pi * t)
+
+    def direct(report):
+        grid, u = report.solution.grid, report.solution.values
+        f0 = rhs(float(grid[0]), 1.0)
+        gaps, scaled = [], []
+        for i in range(1, grid.size):
+            row = kernel_values(spec, grid[i], grid[: i + 1])
+            c = 0.5 * (row[:-1] + row[1:])
+            P = kernel_prefactor(spec, grid[i])
+            dh = P * float(np.dot(c, np.diff(u[: i + 1])))
+            target = rhs(float(grid[i]), float(u[i])) - (row[0] * f0 if corrected else 0.0)
+            gaps.append(abs(dh - target))
+            scaled.append(gaps[-1] / max(1.0, abs(target), P))
+        return max(gaps), max(scaled)
+
+    problem = FdeProblem(spec=spec, rhs=rhs, initial=1.0, grid_n=128)
+    # Newton stops at a scaled residual of newton_tol, so the reported norm
+    # sits near 1e-10 by default and must be the same maximum
+    report = solve_fde(problem, compat_correction=corrected)
+    assert report.residual_norm < 10.0 * NEWTON_TOL
+    assert abs(direct(report)[1] - report.residual_norm) < 1e-12
+    tight = solve_fde(problem, compat_correction=corrected, newton_tol=1e-13)
+    assert direct(tight)[0] < 1e-12
 
 
 class TestCompatibilityCorrection:

@@ -357,6 +357,53 @@ def test_table_rows_are_kernel_values(beta):
         assert np.array_equal(table.row(i), kernel_values(spec, grid[i], grid[: i + 1]))
 
 
+def _history_reference(spec, f, g_nodes, g_mids):
+    """O(n^2) trapezoid and midpoint sums of H * g from kernel_values rows."""
+    grid, h = f.grid, f.h
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    trap = np.zeros(grid.size)
+    mid = np.zeros(grid.size)
+    for i in range(1, grid.size):
+        weights = np.ones(i + 1)
+        weights[[0, i]] = 0.5
+        trap[i] = h * np.sum(weights * kernel_values(spec, grid[i], grid[: i + 1])
+                             * g_nodes[: i + 1])
+        mid[i] = h * np.sum(kernel_values(spec, grid[i], mids[:i]) * g_mids[:i])
+    return trap, mid
+
+
+@pytest.mark.parametrize("case", ["toeplitz", "log_warp", "tracked"])
+def test_history_sums_match_direct_kernel_rows(case):
+    # the table's sums (convolutions on the Toeplitz path, one half-step row
+    # per node otherwise) against a direct sum over public kernel values,
+    # midpoint sums on a non-uniform warp included
+    if case == "toeplitz":
+        spec = cf_spec(0.6, gamma=0.5, beta=0.5)
+    elif case == "log_warp":
+        spec = cf_spec(0.4, interval=(1.0, 3.0), gamma=0.7, beta=0.6, warp=log_warp())
+    else:
+        spec = KernelSpec(gamma=None, beta=None,
+                          order=OrderFunction.from_expr("0.3 + 0.2*t",
+                                                        interval=(0.0, 1.0)),
+                          warp=identity_warp(), norm=NormalizationFunction.one(),
+                          interval=(0.0, 1.0))
+    a, b = spec.interval
+    f = sampled(np.sin, a, b, n=96, deriv=np.cos)
+    mids = 0.5 * (f.grid[:-1] + f.grid[1:])
+    f_mid = 0.5 * (f.values[:-1] + f.values[1:])
+    fp = f.deriv_values()
+    references = {
+        aux_integral_1: _history_reference(
+            spec, f, spec.warp.deriv_values(f.grid) * f.values,
+            spec.warp.deriv_values(mids) * f_mid),
+        aux_integral_2: _history_reference(spec, f, fp, 0.5 * (fp[:-1] + fp[1:])),
+    }
+    for op, (trap, mid) in references.items():
+        for scheme, ref in (("product_trapezoid", trap), ("product_midpoint", mid)):
+            got = op(spec, f, scheme=scheme).values.values
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 # --- special-case factory ---------------------------------------------------------
 
 
