@@ -65,6 +65,9 @@ DEFAULT_TOLS: Mapping[str, float] = {
     "comparison": 1e-7,
 }
 
+# orders approached in the order->0 limit, largest first
+_EPSILONS = (1e-2, 1e-4, 1e-6)
+
 SUITE_NAMES = (
     "boundedness",
     "lipschitz",
@@ -127,7 +130,6 @@ def standard_corpus(seed: int = 0, random_count: int = 6) -> tuple[TestFunction,
 class SuiteConfig:
     spec: KernelSpec
     test_functions: tuple[TestFunction, ...]
-    epsilons: tuple[float, ...] = (1e-2, 1e-4, 1e-6)
     seq_len: int = 16
     tol_map: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_TOLS))
     n: int = 512
@@ -312,8 +314,8 @@ def check_axiom_limits(cfg: SuiteConfig) -> SuiteReport:
     """Kernel and operator behavior as the order approaches 0 and 1.
 
     The order->0 statements are asserted (kernel -> 1, Caputo type ->
-    f(t)-f(a), RL type -> f(t), with errors shrinking along epsilons down to
-    the grid floor). The order->1 trend toward f' depends on the choice of
+    f(t)-f(a), RL type -> f(t), with errors shrinking along _EPSILONS down
+    to the grid floor). The order->1 trend toward f' depends on the choice of
     normalization and is recorded in the notes, never asserted.
     """
     a, b = cfg.spec.interval
@@ -324,8 +326,8 @@ def check_axiom_limits(cfg: SuiteConfig) -> SuiteReport:
 
     kernel_devs = []
     grid = np.linspace(a, b, cfg.n + 1)
-    for eps in sorted(cfg.epsilons, reverse=True):
-        spec_eps = _with_order(cfg.spec, max(eps, 1e-8))
+    for eps in _EPSILONS:
+        spec_eps = _with_order(cfg.spec, eps)
         dev = 0.0
         for i in range(0, cfg.n + 1, max(1, cfg.n // 128)):
             row = kernel_values(spec_eps, grid[i], grid[: i + 1])
@@ -341,17 +343,17 @@ def check_axiom_limits(cfg: SuiteConfig) -> SuiteReport:
 
     floor = 50.0 / cfg.n**2 + 1e-9
     for tf in cfg.test_functions:
+        f = tf.on(a, b, cfg.n)
         errs_c = []
         errs_rl = []
-        for eps in sorted(cfg.epsilons, reverse=True):
-            spec_eps = _with_order(cfg.spec, max(eps, 1e-8))
-            f = tf.on(a, b, cfg.n)
+        for eps in _EPSILONS:
+            spec_eps = _with_order(cfg.spec, eps)
             dc = caputo_deriv_ns(spec_eps, f).values.values
             drl = rl_deriv_ns(spec_eps, f).values.values
             errs_c.append(float(np.max(np.abs(dc - (f.values - f.values[0])))))
             errs_rl.append(float(np.max(np.abs(drl - f.values))))
             cases += 2
-        scale = max(1.0, float(np.max(np.abs(tf.on(a, b, cfg.n).values))))
+        scale = max(1.0, float(np.max(np.abs(f.values))))
         for label, errs in (("caputo", errs_c), ("rl", errs_rl)):
             for k in range(1, len(errs)):
                 if errs[k] > errs[k - 1] * (1.0 + 1e-6) + floor * scale:
@@ -445,12 +447,12 @@ def check_vanish_at_a(cfg: SuiteConfig) -> SuiteReport:
 
 
 def check_comparison_suite(spec: KernelSpec, *, n: int = 256, count: int = 100,
-                           seed: int = 0, tol: float | None = None) -> SuiteReport:
+                           seed: int = 0) -> SuiteReport:
     failures = []
     cases = 0
     for u, q in fde.comparison_cases(spec, n, count, seed):
         cases += 1
-        rep = fde.check_comparison(spec, u, q, tol=tol)
+        rep = fde.check_comparison(spec, u, q)
         if not rep.applicable:
             failures.append(_failure(f"case {cases} not applicable",
                                      rep.max_inequality, 0.0))

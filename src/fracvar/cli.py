@@ -282,8 +282,10 @@ def _run_solve(args) -> None:
         "corrected": report.corrected,
     }
     _emit(args, ["t", "value"], rows, extra=extra)
+    # without --out, stdout carries the data and the summary goes to stderr
     print(f"u({grid[-1]:g}) = {uv[-1]:.12g}  residual = {report.residual_norm:.3e}  "
-          f"compat gap = {report.compat_gap:.3e}")
+          f"compat gap = {report.compat_gap:.3e}",
+          file=sys.stdout if args.out else sys.stderr)
 
 
 def _run_verify(args) -> int:

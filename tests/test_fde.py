@@ -17,6 +17,7 @@ from fracvar import (
     FdeProblem,
     GridFunction,
     LinearBound,
+    OrderFunction,
     check_comparison,
     comparison_cases,
     kernel_prefactor,
@@ -33,7 +34,7 @@ from fracvar.errors import (
     InvalidParam,
     NewtonDivergence,
 )
-from fracvar.fde import NEWTON_TOL
+from fracvar.fde import MAX_NEWTON, NEWTON_TOL, _solve_node
 
 CF = make_special_case("caputo_fabrizio", alpha=0.5, interval=(0.0, 1.0))
 
@@ -156,6 +157,17 @@ class TestValidationAndFailure:
         with pytest.raises(NewtonDivergence):
             solve_fde(problem)
 
+    def test_nodal_solver_falls_back_to_bisection(self):
+        # x + 1 = x^3 + x: at the start 0 the slope 1 - (3x^2 + 1) vanishes
+        # (its central difference is about -1e-14), so Newton is thrown to
+        # |x| ~ 1e14 and does not return within MAX_NEWTON steps; the root
+        # x = 1 must come from the bracket search
+        tol = 1e-12
+        root, iters = _solve_node(lambda t, x: x ** 3 + x, 0.0, 1.0, 0.0, 1.0,
+                                  0.0, tol, 1)
+        assert abs(root - 1.0) <= tol
+        assert iters > MAX_NEWTON
+
 
 class TestComparison:
     def test_negative_constant_is_applicable_and_clean(self):
@@ -213,6 +225,20 @@ class TestUniqueness:
         assert report.runs == 5
         assert report.max_divergence < 1e-8
         assert report.max_slope <= 1e-9
+
+    @pytest.mark.parametrize("name, interval, alpha", [
+        ("log_warp", (1.0, 2.0), 0.5),
+        ("variable_ml", (0.0, 1.0), "0.4 + 0.2*t"),
+    ])
+    def test_reconverges_off_the_toeplitz_path(self, name, interval, alpha):
+        if isinstance(alpha, str):
+            alpha = OrderFunction.from_expr(alpha, interval=interval)
+        spec = make_special_case(name, alpha=alpha, interval=interval)
+        problem = FdeProblem(spec=spec, rhs=lambda t, u: -u ** 3 - u + math.sin(t),
+                             initial=1.0, grid_n=128)
+        report = uniqueness_probe(problem, perturbations=3, seed=5)
+        assert report.runs == 4
+        assert report.max_divergence < 1e-8
 
     def test_increasing_rhs_rejected(self):
         problem = FdeProblem(spec=CF, rhs=lambda t, u: u, initial=1.0,

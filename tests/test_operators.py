@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracvar import (
+    FdeProblem,
     GridFunction,
     KernelSpec,
     NormalizationFunction,
@@ -27,6 +28,7 @@ from fracvar import (
     rl_deriv_classical,
     rl_deriv_ns,
     rl_integral_varorder,
+    solve_fde,
     uniform_grid,
 )
 from fracvar.errors import (
@@ -302,12 +304,6 @@ class TestClassicalDerivatives:
         rel = np.abs(out.values.values[keep] - expected) / expected
         assert np.max(rel) < 1e-5
 
-    def test_caputo_flag_is_a_documented_no_op(self):
-        f = sampled(np.sin, n=128, deriv=np.cos)
-        plain = caputo_deriv_classical(cf_spec(0.4), f)
-        flagged = caputo_deriv_classical(cf_spec(0.4), f, standard_psi_caputo=True)
-        assert np.array_equal(plain.values.values, flagged.values.values)
-
     def test_needs_enough_panels(self):
         f = sampled(ONE, n=12)
         with pytest.raises(DegenerateGrid):
@@ -432,6 +428,20 @@ class TestSpecialCases:
     def test_atangana_collapses_orders(self):
         spec = make_special_case("atangana", alpha=0.7)
         assert spec.gamma == 0.7 and spec.beta == 0.7
+
+    def test_variable_ml_at_constant_order_is_atangana(self):
+        # a constant order makes tracked gamma and beta constant, so both
+        # specs take the Toeplitz table and must agree bit for bit
+        tracked = make_special_case("variable_ml", alpha=0.5)
+        fixed = make_special_case("atangana", alpha=0.5)
+        f = sampled(np.sin, n=128, deriv=np.cos)
+        for op in (caputo_deriv_ns, rl_deriv_ns):
+            assert np.array_equal(op(tracked, f).values.values,
+                                  op(fixed, f).values.values)
+        solutions = [solve_fde(FdeProblem(spec=spec, rhs=lambda t, u: -u ** 3 - u,
+                                          initial=1.0, grid_n=128)).solution.values
+                     for spec in (tracked, fixed)]
+        assert np.array_equal(*solutions)
 
     def test_atangana_rejects_variable_order(self):
         order = OrderFunction.from_expr("0.5 + 0.1*t", interval=(0.0, 1.0))
