@@ -26,6 +26,7 @@ from . import expr
 from .analysis import SUITE_NAMES, default_suite_run
 from .errors import (
     BoundViolation,
+    DegenerateGrid,
     DomainError,
     DomainFault,
     ExprSyntaxError,
@@ -35,7 +36,6 @@ from .errors import (
     InvalidParam,
     NewtonDivergence,
     NonConvergent,
-    QuadratureFailure,
     SingularOrder,
 )
 from .fde import FdeProblem, solve_fde
@@ -54,10 +54,9 @@ from .operators import (
     rl_integral_varorder,
 )
 
-_VALIDATION_ERRORS = (InvalidParam, InvalidGrid, ExprSyntaxError)
-_NUMERICAL_ERRORS = (NonConvergent, QuadratureFailure, NewtonDivergence,
-                     SingularOrder, DomainError, DomainFault, BoundViolation,
-                     HypothesisViolation)
+_VALIDATION_ERRORS = (InvalidParam, InvalidGrid, DegenerateGrid, ExprSyntaxError)
+_NUMERICAL_ERRORS = (NonConvergent, NewtonDivergence, SingularOrder, DomainError,
+                     DomainFault, BoundViolation, HypothesisViolation)
 
 _DERIV_OPS = {
     "rl_ns": rl_deriv_ns,
@@ -293,19 +292,10 @@ def _run_verify(args) -> int:
     reports = []
     for name in names:
         reports.extend(default_suite_run(name, seed=args.seed))
-    hard_failures = 0
-    for rep in reports:
-        status = "PASS" if rep.passed else ("INFO-FAIL" if rep.informational else "FAIL")
-        if not rep.passed and not rep.informational:
-            hard_failures += len(rep.failures)
-        print(f"{status:9s} {rep.suite_name}: {rep.cases_run} cases, "
-              f"{len(rep.failures)} failures")
-        for failure in rep.failures[:5]:
-            print(f"          {failure['case']}: observed {failure['observed']:.6g} "
-                  f"vs bound {failure['bound']:.6g}")
-        for note in rep.notes:
-            print(f"          note: {note}")
-    if args.out:
+    hard_failures = sum(len(rep.failures) for rep in reports
+                        if not rep.passed and not rep.informational)
+    exit_code = 3 if hard_failures else 0
+    if args.out or args.format == "json":
         payload = {
             "config": _config_echo(args),
             "suites": [
@@ -320,10 +310,24 @@ def _run_verify(args) -> int:
                 for rep in reports
             ],
         }
+        text = json.dumps(payload, sort_keys=True) + "\n"
+        if not args.out:  # --format json: the report replaces the text lines
+            sys.stdout.write(text)
+            return exit_code
+    for rep in reports:
+        status = "PASS" if rep.passed else ("INFO-FAIL" if rep.informational else "FAIL")
+        print(f"{status:9s} {rep.suite_name}: {rep.cases_run} cases, "
+              f"{len(rep.failures)} failures")
+        for failure in rep.failures[:5]:
+            print(f"          {failure['case']}: observed {failure['observed']:.6g} "
+                  f"vs bound {failure['bound']:.6g}")
+        for note in rep.notes:
+            print(f"          note: {note}")
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True) + "\n")
+            fh.write(text)
         print(f"wrote {args.out}")
-    return 3 if hard_failures else 0
+    return exit_code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -28,10 +28,6 @@ class NonConvergent(FracvarError, ArithmeticError):
     """Series and fallback quadrature both failed accuracy certification."""
 
 
-class QuadratureFailure(FracvarError, ArithmeticError):
-    """A quadrature error estimate exceeded the caller's budget."""
-
-
 class DegenerateGrid(FracvarError, ValueError):
     """Grid too coarse for the requested operator."""
 

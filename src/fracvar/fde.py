@@ -105,19 +105,23 @@ def _solve_node(rhs: Callable[[float, float], float], t: float, scale: float,
                 node: int) -> tuple[float, int]:
     """Root x of scale * (x - anchor) + offset = rhs(t, x), and its iterations.
 
-    Newton with a central-difference slope; when a step fails, bisection on a
-    bracket grown geometrically around start. k bisection steps count as
-    MAX_NEWTON + k, so counts above MAX_NEWTON mark the fallback.
+    Newton with a central-difference slope; when a step fails or does not
+    reduce |g|, bisection on a bracket grown geometrically around start. k
+    bisection steps count as MAX_NEWTON + k, so counts above MAX_NEWTON mark
+    the fallback.
     """
 
     def g(x: float) -> float:
         return scale * (x - anchor) + offset - rhs(t, x)
 
-    x = start
+    x, g_last = start, math.inf
     for it in range(1, MAX_NEWTON + 1):
         gx = g(x)
         if abs(gx) <= tol:
             return x, it
+        if not abs(gx) < g_last:  # the last step gained nothing (or g is NaN)
+            break
+        g_last = abs(gx)
         delta = 1e-7 * max(1.0, abs(x))
         slope = scale - (rhs(t, x + delta) - rhs(t, x - delta)) / (2 * delta)
         if slope != 0.0 and math.isfinite(slope):

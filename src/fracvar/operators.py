@@ -1,21 +1,23 @@
 """The six nonlocal operators, on uniform grids.
 
-Two numerical backbones cover all of them:
+Every operator is a history sum over one half-step table (nodes and panel
+midpoints, one weight row per output node), which also gives the solver its
+residual. Each operator is computed under a trapezoid and a midpoint scheme;
+the reported quad_error_estimate is the sup difference between the two. Two
+row builders fill the table:
 
 * The bounded-kernel family (aux_integral_1/2 and the derivatives built on
-  them) integrates H(t, tau) against the data with composite trapezoid
-  weights; a midpoint variant exists for cross-checking, and the reported
-  quad_error_estimate is the sup difference between the two. Both sums, and
-  the solver's residual, come from one half-step kernel table (nodes and
-  panel midpoints): a single 1-d Mittag-Leffler table and two convolutions
-  when the order is constant and psi is uniformly spaced (Toeplitz
-  structure; tracked gamma/beta are then constant too), else one kernel
-  evaluation per output node.
+  them): the kernel values H(t_i, .), taken with composite trapezoid weights
+  at the nodes and midpoint weights at the panel midpoints.
 
 * The weakly singular family (the variable-order integral and the classical
-  derivatives) substitutes x = psi(tau) and integrates the power singularity
-  exactly against piecewise-linear data (product integration), so the
+  derivatives) substitutes x = psi(tau) and takes exact moments of the power
+  weight against piecewise-linear data (product integration), so the
   endpoint singularity costs no accuracy.
+
+When the order is constant and psi is uniformly spaced the rows are Toeplitz
+(tracked gamma/beta are then constant too): one row and two convolutions
+serve every node. Otherwise the table builds one row per output node.
 
 Outer d/dt steps use second-order central differences with one-sided stencils
 at the interval ends.
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGrid, InvalidParam, QuadratureFailure
+from .errors import DegenerateGrid, InvalidParam
 from .grids import GridFunction, fd_deriv
 from .kernel import (
     KernelSpec,
@@ -82,15 +84,29 @@ def _check_inputs(spec: KernelSpec, f: GridFunction, scheme: str) -> None:
 
 class _KernelTable:
     """psi on the half-step grid (entry 2j is the node tau_j, entry 2j+1 the
-    midpoint m_j of panel j), kernel rows on it, and the history sums."""
+    midpoint m_j of panel j), one weight row per node on it, and the history
+    sums.
 
-    def __init__(self, spec: KernelSpec, grid: np.ndarray):
-        self.spec = spec
+    row_fn(i, dpsi) returns node i's weights at half-grid points 0, stride,
+    ..., 2i, given dpsi = psi(t_i) - psi at those points. The default is the
+    kernel row H(t_i, .); the weakly singular operators pass exact power
+    moments (_product_sums). When the order is constant and psi is uniformly
+    spaced the rows are Toeplitz: the last row at exact multiples of the half
+    step, reversed, serves every node.
+    """
+
+    def __init__(self, spec: KernelSpec, grid: np.ndarray, row_fn=None):
+        self.n = grid.size - 1
         self.half = np.empty(2 * grid.size - 1)
         self.half[::2] = grid
         self.half[1::2] = 0.5 * (grid[:-1] + grid[1:])
         self.psih = spec.warp.values(self.half)
-        self.alphas = _alphas_checked(spec, grid)
+        if row_fn is None:
+            alphas = self.alphas = _alphas_checked(spec, grid)
+
+            def row_fn(i, dpsi):
+                return _ml_kernel(spec, float(alphas[i]), dpsi)
+        self._row_fn = row_fn
         self._base = None
         steps = np.diff(self.psih)
         uniform = steps.size > 0 and np.max(np.abs(steps - steps[0])) <= 1e-12 * max(
@@ -98,23 +114,23 @@ class _KernelTable:
         )
         if uniform and spec.order.is_constant:
             half_step = 0.5 * float(self.psih[2] - self.psih[0])
-            k = np.arange(self.half.size, dtype=float)
-            self._base = _ml_kernel(spec, float(self.alphas[0]), k * half_step)
+            k = np.arange(self.half.size - 1, -1, -1, dtype=float)
+            self._base = row_fn(self.n, k * half_step)[::-1]
 
     def _row(self, i: int, stride: int) -> np.ndarray:
-        """H(t_i, .) at half-grid points 0, stride, ..., 2i."""
+        """Node i's weights at half-grid points 0, stride, ..., 2i."""
         if self._base is not None:
             return self._base[2 * i :: -stride]
         dpsi = np.maximum(self.psih[2 * i] - self.psih[: 2 * i + 1 : stride], 0.0)
-        return _ml_kernel(self.spec, float(self.alphas[i]), dpsi)
+        return self._row_fn(i, dpsi)
 
     def row(self, i: int) -> np.ndarray:
-        """H(t_i, tau_j) for j = 0..i."""
+        """H(t_i, tau_j) for j = 0..i (kernel rows, the default row_fn)."""
         return self._row(i, 2)
 
     def sums(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sum_{j<=i} H(t_i, tau_j) x_j and sum_{j<i} H(t_i, m_j) y_j, per node i."""
-        n = self.alphas.size - 1
+        """sum_{j<=i} w_i(tau_j) x_j and sum_{j<i} w_i(m_j) y_j, per node i."""
+        n = self.n
         mids = np.zeros(n + 1)
         if self._base is not None:
             mids[1:] = np.convolve(self._base[1::2], y)[:n]
@@ -137,13 +153,8 @@ def _trap_mid(table: _KernelTable, x: np.ndarray, y: np.ndarray,
 
 
 def _finish(grid: np.ndarray, trap: np.ndarray, mid: np.ndarray,
-            scheme: str, error_budget: float | None, label: str) -> OperatorResult:
+            scheme: str, label: str) -> OperatorResult:
     cross = np.abs(trap - mid)
-    estimate = float(np.max(cross))
-    if error_budget is not None and estimate > error_budget:
-        raise QuadratureFailure(
-            f"cross-scheme estimate {estimate:.3e} exceeds budget {error_budget:.3e}"
-        )
     chosen = trap if scheme == "product_trapezoid" else mid
     out = GridFunction(grid=grid, values=chosen, label=label)
     return OperatorResult(values=out, cross_scheme=cross, scheme=scheme)
@@ -164,26 +175,23 @@ def _aux2_both(spec: KernelSpec, f: GridFunction,
 
 
 def aux_integral_1(spec: KernelSpec, f: GridFunction, *,
-                   scheme: str = "product_trapezoid",
-                   error_budget: float | None = None) -> OperatorResult:
+                   scheme: str = "product_trapezoid") -> OperatorResult:
     """Integral of psi'(tau) H(t, tau) f(tau) from a to t, per node."""
     _check_inputs(spec, f, scheme)
     trap, mid = _aux1_both(spec, f, _KernelTable(spec, f.grid))
-    return _finish(f.grid, trap, mid, scheme, error_budget, f"I1[{f.label}]")
+    return _finish(f.grid, trap, mid, scheme, f"I1[{f.label}]")
 
 
 def aux_integral_2(spec: KernelSpec, f: GridFunction, *,
-                   scheme: str = "product_trapezoid",
-                   error_budget: float | None = None) -> OperatorResult:
+                   scheme: str = "product_trapezoid") -> OperatorResult:
     """Integral of H(t, tau) f'(tau) from a to t, per node."""
     _check_inputs(spec, f, scheme)
     trap, mid = _aux2_both(spec, f, _KernelTable(spec, f.grid))
-    return _finish(f.grid, trap, mid, scheme, error_budget, f"I2[{f.label}]")
+    return _finish(f.grid, trap, mid, scheme, f"I2[{f.label}]")
 
 
 def rl_deriv_ns(spec: KernelSpec, f: GridFunction, *,
-                scheme: str = "product_trapezoid",
-                error_budget: float | None = None) -> OperatorResult:
+                scheme: str = "product_trapezoid") -> OperatorResult:
     """Bounded-kernel RL-type derivative: prefactor/psi' * d/dt of aux_integral_1."""
     _check_inputs(spec, f, scheme)
     table = _KernelTable(spec, f.grid)
@@ -191,62 +199,52 @@ def rl_deriv_ns(spec: KernelSpec, f: GridFunction, *,
     factors = _prefactors(spec, table.alphas) / spec.warp.deriv_values(f.grid)
     trap = factors * fd_deriv(inner_t, f.h)
     mid = factors * fd_deriv(inner_m, f.h)
-    return _finish(f.grid, trap, mid, scheme, error_budget, f"D_rl[{f.label}]")
+    return _finish(f.grid, trap, mid, scheme, f"D_rl[{f.label}]")
 
 
 def caputo_deriv_ns(spec: KernelSpec, f: GridFunction, *,
-                    scheme: str = "product_trapezoid",
-                    error_budget: float | None = None) -> OperatorResult:
+                    scheme: str = "product_trapezoid") -> OperatorResult:
     """Bounded-kernel Caputo-type derivative: prefactor * aux_integral_2."""
     _check_inputs(spec, f, scheme)
     table = _KernelTable(spec, f.grid)
     trap, mid = _aux2_both(spec, f, table)
     factors = _prefactors(spec, table.alphas)
-    return _finish(f.grid, factors * trap, factors * mid, scheme, error_budget,
-                   f"D_c[{f.label}]")
+    return _finish(f.grid, factors * trap, factors * mid, scheme, f"D_c[{f.label}]")
 
 
 # --- weakly singular family ---------------------------------------------------
 
 
-def _power_moments(U: np.ndarray, mu) -> tuple[np.ndarray, np.ndarray]:
-    """Exact panel moments of (psi(t) - x)^(mu-1) against linear data.
-
-    U holds psi(t) - psi(tau_j) for j = 0..i (decreasing to 0). Returns
-    (m0, m1) per panel, where m0 integrates the weight and m1 integrates
-    (x - x_j) times the weight. mu may be a scalar or a per-panel array.
-    """
-    mu = np.asarray(mu, dtype=float)
-    P0 = U[:-1] ** mu
-    P1 = U[1:] ** mu
-    m0 = (P0 - P1) / mu
-    Q0 = U[:-1] ** (mu + 1.0)
-    Q1 = U[1:] ** (mu + 1.0)
-    m1 = U[:-1] * m0 - (Q0 - Q1) / (mu + 1.0)
-    return m0, m1
-
-
-def _product_sums(psis: np.ndarray, data: np.ndarray,
+def _product_sums(spec: KernelSpec, grid: np.ndarray, data: np.ndarray,
                   mu_at) -> tuple[np.ndarray, np.ndarray]:
     """Integrals over [psi_0, psi_i] of (psi_i - x)^(mu-1) g(x) dx, per node i.
 
-    g is interpolated from data: piecewise linear for the trapezoid sums,
-    piecewise constant at panel means for the midpoint sums; both come from
-    one set of panel moments per node. mu_at(i) is the exponent at node i, a
-    scalar or one value per panel. The weight's integrable singularity at
-    x = psi_i is handled exactly.
+    mu = mu_at(i) is a scalar or one value per panel. Node i's table row holds
+    exact moments of the weight: entry 2j its integral over panel j, entry
+    2j+1 its first moment about the panel midpoint, entry 2i zero, so the
+    integrable singularity at x = psi_i costs no accuracy. g is interpolated
+    from data: piecewise constant at panel means for the midpoint sums,
+    piecewise linear for the trapezoid sums. On a panel the linear g is its
+    mean plus slope * (x - midpoint), so the trapezoid sum is the midpoint sum
+    plus the slopes against the first moments.
     """
-    slope = np.diff(data) / np.diff(psis)
+
+    def moments(i: int, dpsi: np.ndarray) -> np.ndarray:
+        U = dpsi[::2].copy()  # powers of a strided view are about 20 % slower
+        u0, u1 = U[:-1], U[1:]
+        mu = mu_at(i)
+        m0 = (u0**mu - u1**mu) / mu
+        out = np.zeros(dpsi.size)
+        out[:-1:2] = m0
+        q = (u0 ** (mu + 1.0) - u1 ** (mu + 1.0)) / (mu + 1.0)
+        out[1::2] = 0.5 * (u0 + u1) * m0 - q
+        return out
+
+    table = _KernelTable(spec, grid, moments)
     g_mid = 0.5 * (data[:-1] + data[1:])
-    trap = np.zeros(psis.size)
-    mid = np.zeros(psis.size)
-    for i in range(1, psis.size):
-        U = psis[i] - psis[: i + 1]
-        U[-1] = 0.0
-        m0, m1 = _power_moments(U, mu_at(i))
-        trap[i] = np.sum(data[:i] * m0 + slope[:i] * m1)
-        mid[i] = np.sum(g_mid[:i] * m0)
-    return trap, mid
+    slope = np.diff(data) / np.diff(table.psih[::2])
+    mid, corr = table.sums(np.append(g_mid, 0.0), slope)
+    return mid + corr, mid
 
 
 def _gammas(xs: np.ndarray) -> np.ndarray:
@@ -255,8 +253,7 @@ def _gammas(xs: np.ndarray) -> np.ndarray:
 
 def rl_integral_varorder(spec: KernelSpec, f: GridFunction, *,
                          exponent_at: str = "t",
-                         scheme: str = "product_trapezoid",
-                         error_budget: float | None = None) -> OperatorResult:
+                         scheme: str = "product_trapezoid") -> OperatorResult:
     """Variable-order integral with respect to psi.
 
     With exponent_at="t" (the default) the order alpha(t) enters both the
@@ -280,15 +277,13 @@ def rl_integral_varorder(spec: KernelSpec, f: GridFunction, *,
     else:
         def mu_at(i):
             return float(alphas[i])
-    trap, mid = _product_sums(spec.warp.values(grid), f.values, mu_at)
+    trap, mid = _product_sums(spec, grid, f.values, mu_at)
     scales = 1.0 / _gammas(alphas)
-    return _finish(grid, scales * trap, scales * mid, scheme, error_budget,
-                   f"I[{f.label}]")
+    return _finish(grid, scales * trap, scales * mid, scheme, f"I[{f.label}]")
 
 
 def rl_deriv_classical(spec: KernelSpec, f: GridFunction, *,
-                       scheme: str = "product_trapezoid",
-                       error_budget: float | None = None) -> OperatorResult:
+                       scheme: str = "product_trapezoid") -> OperatorResult:
     """Classical RL-type derivative: differentiate the weakly singular integral.
 
     Inner integral of psi'(tau) (psi(t)-psi(tau))^(-alpha(t)) f(tau) per node
@@ -300,17 +295,15 @@ def rl_deriv_classical(spec: KernelSpec, f: GridFunction, *,
         raise DegenerateGrid(f"classical derivative needs n >= 16, got {f.n}")
     grid = f.grid
     mus = 1.0 - _alphas_checked(spec, grid)
-    inner_t, inner_m = _product_sums(spec.warp.values(grid), f.values,
-                                     lambda i: float(mus[i]))
+    inner_t, inner_m = _product_sums(spec, grid, f.values, lambda i: float(mus[i]))
     factors = 1.0 / (_gammas(mus) * spec.warp.deriv_values(grid))
     trap = factors * fd_deriv(inner_t, f.h)
     mid = factors * fd_deriv(inner_m, f.h)
-    return _finish(grid, trap, mid, scheme, error_budget, f"D_rl_cl[{f.label}]")
+    return _finish(grid, trap, mid, scheme, f"D_rl_cl[{f.label}]")
 
 
 def caputo_deriv_classical(spec: KernelSpec, f: GridFunction, *,
-                           scheme: str = "product_trapezoid",
-                           error_budget: float | None = None) -> OperatorResult:
+                           scheme: str = "product_trapezoid") -> OperatorResult:
     """Classical Caputo-type derivative against the power kernel.
 
     Integrates (psi(t)-psi(tau))^(-alpha(t)) f'(tau) dtau / Gamma(1-alpha(t)).
@@ -323,10 +316,9 @@ def caputo_deriv_classical(spec: KernelSpec, f: GridFunction, *,
     grid = f.grid
     mus = 1.0 - _alphas_checked(spec, grid)
     data = f.deriv_values() / spec.warp.deriv_values(grid)
-    trap, mid = _product_sums(spec.warp.values(grid), data, lambda i: float(mus[i]))
+    trap, mid = _product_sums(spec, grid, data, lambda i: float(mus[i]))
     scales = 1.0 / _gammas(mus)
-    return _finish(grid, scales * trap, scales * mid, scheme, error_budget,
-                   f"D_c_cl[{f.label}]")
+    return _finish(grid, scales * trap, scales * mid, scheme, f"D_c_cl[{f.label}]")
 
 
 # --- special-case factory -----------------------------------------------------

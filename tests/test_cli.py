@@ -156,6 +156,15 @@ def test_verify_single_suite(tmp_path, capsys):
     assert payload["suites"][0]["passed"] is True
 
 
+def test_verify_json_stdout_is_valid_json(capsys):
+    # without --out, --format json prints the report that --out would write
+    assert run(["verify", "--suite", "max_point", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["format"] == "json"
+    assert [s["suite"] for s in payload["suites"]] == ["max_point"]
+    assert payload["suites"][0]["passed"] is True
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     from fracvar.analysis import SuiteReport
 
@@ -197,6 +206,12 @@ class TestExitCodes:
     def test_order_outside_unit_interval_is_config_error(self):
         assert run(["deriv", "--op", "caputo_ns", "--alpha", "1.5",
                     "--f", "t", "--a", "0", "--b", "1", "--n", "64"]) == 1
+
+    def test_too_coarse_grid_is_config_error(self):
+        # the classical derivatives and the solver both need n >= 16
+        common = ["--alpha", "0.5", "--a", "0", "--b", "1", "--n", "12"]
+        assert run(["deriv", "--op", "rl_classical", "--f", "t"] + common) == 1
+        assert run(["solve", "--rhs", "-u", "--u0", "1"] + common) == 1
 
     def test_singular_order_is_numerical_error(self):
         assert run(["deriv", "--op", "caputo_ns", "--alpha", "1",

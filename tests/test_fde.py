@@ -168,6 +168,21 @@ class TestValidationAndFailure:
         assert abs(root - 1.0) <= tol
         assert iters > MAX_NEWTON
 
+    def test_nodal_solver_leaves_newton_after_a_useless_step(self):
+        # the same equation: the first Newton step lands near 1e14 and raises
+        # |g| from 1 to 1e42, so the bracket search starts at once instead of
+        # after all MAX_NEWTON steps (3 rhs calls each)
+        calls = []
+
+        def rhs(t, x):
+            calls.append(x)
+            return x ** 3 + x
+
+        root, iters = _solve_node(rhs, 0.0, 1.0, 0.0, 1.0, 0.0, 1e-12, 1)
+        assert abs(root - 1.0) <= 1e-12
+        assert iters > MAX_NEWTON
+        assert len(calls) < 100
+
 
 class TestComparison:
     def test_negative_constant_is_applicable_and_clean(self):
