@@ -219,15 +219,15 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _emit(args, columns: list[str], rows: list[list[float]],
+def _emit(args, columns: list[str], table: np.ndarray,
           extra: dict | None = None) -> None:
+    """Write one row per line of table (columns as named) as CSV or JSON."""
     if args.format == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(f"{x:.17g}" for x in row))
-        text = "\n".join(lines) + "\n"
+        line = ",".join(["%.17g"] * len(columns)) + "\n"
+        text = ",".join(columns) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
     else:
-        payload = {"config": _config_echo(args), "columns": columns, "rows": rows}
+        payload = {"config": _config_echo(args), "columns": columns,
+                   "rows": table.tolist()}
         if extra:
             payload.update(extra)
         text = json.dumps(payload, sort_keys=True) + "\n"
@@ -247,17 +247,12 @@ def _run_operator(args, op_name: str) -> None:
                                       scheme=args.scheme)
     else:
         result = _DERIV_OPS[op_name](spec, f, scheme=args.scheme)
-    grid = result.values.grid
-    values = result.values.values
+    columns = ["t", "value"]
+    table = [result.values.grid, result.values.values]
     if args.estimate_error:
-        cross = result.cross_scheme
-        columns = ["t", "value", "estimate_error"]
-        rows = [[float(grid[i]), float(values[i]), float(cross[i])]
-                for i in range(grid.size)]
-    else:
-        columns = ["t", "value"]
-        rows = [[float(grid[i]), float(values[i])] for i in range(grid.size)]
-    _emit(args, columns, rows,
+        columns.append("estimate_error")
+        table.append(result.cross_scheme)
+    _emit(args, columns, np.column_stack(table),
           extra={"quad_error_estimate": result.quad_error_estimate})
 
 
@@ -272,7 +267,6 @@ def _run_solve(args) -> None:
     report = solve_fde(problem, compat_correction=not args.no_compat_correction)
     grid = report.solution.grid
     uv = report.solution.values
-    rows = [[float(grid[i]), float(uv[i])] for i in range(grid.size)]
     extra = {
         "u_end": float(uv[-1]),
         "residual_norm": report.residual_norm,
@@ -280,7 +274,7 @@ def _run_solve(args) -> None:
         "compat_gap": report.compat_gap,
         "corrected": report.corrected,
     }
-    _emit(args, ["t", "value"], rows, extra=extra)
+    _emit(args, ["t", "value"], np.column_stack((grid, uv)), extra=extra)
     # without --out, stdout carries the data and the summary goes to stderr
     print(f"u({grid[-1]:g}) = {uv[-1]:.12g}  residual = {report.residual_norm:.3e}  "
           f"compat gap = {report.compat_gap:.3e}",

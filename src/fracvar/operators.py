@@ -15,9 +15,19 @@ row builders fill the table:
   weight against piecewise-linear data (product integration), so the
   endpoint singularity costs no accuracy.
 
-When the order is constant and psi is uniformly spaced the rows are Toeplitz
-(tracked gamma/beta are then constant too): one row and two convolutions
-serve every node. Otherwise the table builds one row per output node.
+The table sums by one of three paths, chosen from the spec and the warp:
+
+* Exponential kernel (beta = gamma = 1, constant order, any warp): H factors
+  as exp(-lam psi(t)) exp(lam psi(tau)), so both sums come from one exact
+  recurrence on the half-step grid. It costs O(n) plus one Python step per
+  window of psi span 1/lam. Its roundoff is that of a cumulative sum over
+  one window: 3e-16 to 3e-15 sup relative against long-double direct sums
+  at n = 2048.
+* Otherwise, constant order on a uniformly spaced psi: the rows are Toeplitz
+  (tracked gamma/beta are then constant too), and one row and two
+  convolutions serve every node.
+* Otherwise one row per output node, O(n^2) kernel evaluations: each sum is
+  a dot product, as accurate as the rows.
 
 Outer d/dt steps use second-order central differences with one-sided stencils
 at the interval ends.
@@ -93,6 +103,8 @@ class _KernelTable:
     moments (_product_sums). When the order is constant and psi is uniformly
     spaced the rows are Toeplitz: the last row at exact multiples of the half
     step, reversed, serves every node.
+    sums() takes one of the three paths in the module docstring; row() is the
+    same on all of them.
     """
 
     def __init__(self, spec: KernelSpec, grid: np.ndarray, row_fn=None):
@@ -101,8 +113,11 @@ class _KernelTable:
         self.half[::2] = grid
         self.half[1::2] = 0.5 * (grid[:-1] + grid[1:])
         self.psih = spec.warp.values(self.half)
+        self._lam = None
         if row_fn is None:
             alphas = self.alphas = _alphas_checked(spec, grid)
+            if spec.beta == spec.gamma == 1.0 and spec.order.is_constant:
+                self._lam = float(alphas[0]) / (1.0 - float(alphas[0]))
 
             def row_fn(i, dpsi):
                 return _ml_kernel(spec, float(alphas[i]), dpsi)
@@ -130,6 +145,8 @@ class _KernelTable:
 
     def sums(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sum_{j<=i} w_i(tau_j) x_j and sum_{j<i} w_i(m_j) y_j, per node i."""
+        if self._lam is not None:
+            return self._exp_sums(x, y)
         n = self.n
         mids = np.zeros(n + 1)
         if self._base is not None:
@@ -142,6 +159,36 @@ class _KernelTable:
         for i in range(n + 1):
             nodes[i], mids[i] = data[:, : 2 * i + 1] @ self._row(i, 1)
         return nodes, mids
+
+    def _exp_sums(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sums() for H = exp(-lam (psi(t) - psi(tau))), by recurrence.
+
+        S_p = sum_{q<=p} exp(-lam (psi_p - psi_q)) d_q on the half grid, with
+        x at the nodes in column 0 of d and y at the midpoints in column 1.
+        The points after 0 split into windows of psi span below 1/lam. In a
+        window ending at E, S_p is a cumulative sum of e_q d_q, with
+        e_q = exp(-lam (psi_E - psi_q)) in (1/e, 1], plus the carried S at the
+        previous window's end, all divided by e_p (e_E = 1, so S_E is final
+        when the next window needs it). psi is differenced before it meets
+        lam: far from psi = 0 the scaling then adds no roundoff of its own.
+        """
+        lam, psi = self._lam, self.psih
+        d = np.zeros((psi.size, 2))
+        d[::2, 0] = x
+        d[1::2, 1] = y
+        bins = np.floor(lam * (psi[1:] - psi[0]))
+        ends = np.append(np.flatnonzero(np.diff(bins)) + 1, psi.size - 1)
+        starts = np.append(0, ends[:-1])
+        e = np.ones(psi.size)
+        e[1:] = np.exp(-lam * (np.repeat(psi[ends], ends - starts) - psi[1:]))
+        carries = np.exp(-lam * (psi[ends] - psi[starts]))
+        S = e[:, None] * d
+        for start, end, g in zip(starts.tolist(), ends.tolist(), carries.tolist()):
+            window = S[start + 1 : end + 1]
+            np.cumsum(window, axis=0, out=window)
+            window += g * S[start]
+        S /= e[:, None]
+        return S[::2, 0], S[::2, 1]
 
 
 def _trap_mid(table: _KernelTable, x: np.ndarray, y: np.ndarray,

@@ -123,6 +123,15 @@ def test_csv_to_stdout_without_out_flag(capsys):
     assert len(lines) == 66
 
 
+def test_csv_bytes_pinned(capsys):
+    # 17 significant digits, %g style: the sign of zero, subnormals and the
+    # exponent form survive
+    args = cli.build_parser().parse_args(DERIV_EXAMPLE)
+    cli._emit(args, ["t", "value"], np.array([[-0.0, 5e-324], [1e308, 0.1]]))
+    assert capsys.readouterr().out == (
+        "t,value\n-0,4.9406564584124654e-324\n1e+308,0.10000000000000001\n")
+
+
 SOLVE_EXAMPLE = ["solve", "--rhs", "-u", "--u0", "1", "--alpha", "0.5",
                  "--a", "0", "--b", "1", "--n", "64"]
 

@@ -360,15 +360,20 @@ def _history_reference(spec, f, g_nodes, g_mids):
     return trap, mid
 
 
-@pytest.mark.parametrize("case", ["toeplitz", "log_warp", "tracked"])
+@pytest.mark.parametrize("case", ["toeplitz", "log_warp", "tracked", "exp", "exp_log_warp"])
 def test_history_sums_match_direct_kernel_rows(case):
-    # the table's sums (convolutions on the Toeplitz path, one half-step row
-    # per node otherwise) against a direct sum over public kernel values,
-    # midpoint sums on a non-uniform warp included
+    # the table's sums (convolutions on the Toeplitz path, the windowed
+    # recurrence for the exponential kernel, one half-step row per node
+    # otherwise) against a direct sum over public kernel values, midpoint
+    # sums on a non-uniform warp included
     if case == "toeplitz":
         spec = cf_spec(0.6, gamma=0.5, beta=0.5)
     elif case == "log_warp":
         spec = cf_spec(0.4, interval=(1.0, 3.0), gamma=0.7, beta=0.6, warp=log_warp())
+    elif case == "exp":
+        spec = cf_spec(0.6)
+    elif case == "exp_log_warp":
+        spec = cf_spec(0.4, interval=(1.0, 3.0), warp=log_warp())
     else:
         spec = KernelSpec(gamma=None, beta=None,
                           order=OrderFunction.from_expr("0.3 + 0.2*t",
@@ -390,6 +395,41 @@ def test_history_sums_match_direct_kernel_rows(case):
         for scheme, ref in (("product_trapezoid", trap), ("product_midpoint", mid)):
             got = op(spec, f, scheme=scheme).values.values
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("alpha, interval, warp", [
+    (0.9, (0.0, 100.0), identity_warp()),  # lam * span = 900 windows
+    (0.3, (0.0, 1.0), identity_warp()),    # one window
+    (0.9, (1.0, 50.0), log_warp()),
+])
+def test_exponential_sums_match_long_double_rows(alpha, interval, warp):
+    # the exponential kernel's windowed recurrence against direct row sums in
+    # long double; scaling psi by lam before differencing costs 4.5e-14 on
+    # [0, 100], differencing first about 3e-16
+    spec = cf_spec(alpha, interval=interval, warp=warp)
+    grid = uniform_grid(*interval, 2048)
+    table = _KernelTable(spec, grid)
+    x = np.sin(3.0 * grid) + 0.2
+    y = np.cos(grid[:-1] + grid[1:])
+    psi = table.psih.astype(np.longdouble)
+    lam = np.longdouble(alpha) / (1 - np.longdouble(alpha))
+    data = np.zeros((psi.size, 2), dtype=np.longdouble)
+    data[::2, 0] = x
+    data[1::2, 1] = y
+    ref = np.array([np.exp(-lam * (psi[2 * i] - psi[: 2 * i + 1])) @ data[: 2 * i + 1]
+                    for i in range(grid.size)])
+    for got, want in zip(table.sums(x, y), ref.T):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_exponential_caputo_starts_at_exact_zero():
+    # on the exponential path node 0's sum is d_0 itself, so the trapezoid
+    # end correction cancels it exactly
+    for spec, a, b in ((cf_spec(0.7), 0.0, 1.0),
+                       (cf_spec(0.7, interval=(1.0, 2.0), warp=log_warp()), 1.0, 2.0)):
+        f = sampled(np.cos, a, b, n=200, deriv=lambda t: -np.sin(t))
+        for scheme in ("product_trapezoid", "product_midpoint"):
+            assert caputo_deriv_ns(spec, f, scheme=scheme).values.values[0] == 0.0
 
 
 def test_singular_toeplitz_and_rows_agree():
