@@ -85,10 +85,9 @@ def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="grid panels")
 
 
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
+def _add_output_flags(p: argparse.ArgumentParser, formats=("csv", "json")) -> None:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--config", default=None,
                    help="key=value file preloading flags for this subcommand")
 
@@ -128,7 +127,8 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", default="all",
                           choices=SUITE_NAMES + ("all",))
-    _add_output_flags(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0)
+    _add_output_flags(p_verify, formats=("text", "json"))
     return parser
 
 

@@ -6,11 +6,19 @@ variables ``t``, ``u``, ``alpha``, and calls of the unary functions
 ``sin cos exp ln sqrt abs``. Anything else is rejected at parse time with a
 byte offset. Evaluation raises :class:`~fracvar.errors.DomainFault` instead of
 returning NaN or infinity.
+
+Floats and numpy arrays share one evaluation path: each operation has one
+entry in a table holding its float function (``math``), its array function
+(``numpy``) and its domain tests, so an array faults where the same floats
+would, at the same node. Only an overflow in exp or ^ reads differently:
+``math`` raises it ("overflow in exp", "overflow in power"), while numpy
+returns an infinity ("expression evaluated to a non-finite value").
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -202,13 +210,26 @@ def _fault(message: str, node: Node):
     raise DomainFault(message, node.pos)
 
 
-def _check_finite(value, node: Node):
-    if isinstance(value, np.ndarray):
-        if not np.all(np.isfinite(value)):
-            _fault("expression evaluated to a non-finite value", node)
-    elif not math.isfinite(value):
-        _fault("expression evaluated to a non-finite value", node)
-    return value
+# operation -> (float function, array function, domain tests, whether the result
+# must be finite); a domain test is (predicate of the operands, fault message)
+_OPS = {
+    "sin": (math.sin, np.sin, (), True),
+    "cos": (math.cos, np.cos, (), True),
+    "exp": (math.exp, np.exp, (), True),
+    "ln": (math.log, np.log, ((lambda x: x <= 0.0, "ln of a nonpositive value"),), False),
+    "sqrt": (math.sqrt, np.sqrt, ((lambda x: x < 0.0, "sqrt of a negative value"),), False),
+    "+": (operator.add, operator.add, (), True),
+    "-": (operator.sub, operator.sub, (), True),
+    "*": (operator.mul, operator.mul, (), True),
+    "/": (operator.truediv, operator.truediv,
+          ((lambda x, y: y == 0.0, "division by zero"),), True),
+    # an infinite exponent counts as fractional: inf % 1 is nan
+    "^": (math.pow, np.power,
+          ((lambda x, y: (x < 0.0) & (y % 1.0 != 0.0),
+            "negative base with fractional exponent"),
+           (lambda x, y: (x == 0.0) & (y < 0.0), "zero base with negative exponent")),
+          True),
+}
 
 
 def evaluate(node: Node, env: dict[str, float | np.ndarray]):
@@ -222,100 +243,46 @@ def evaluate(node: Node, env: dict[str, float | np.ndarray]):
         return node.value
     if isinstance(node, Var):
         try:
-            return env[node.name]
+            value = env[node.name]
         except KeyError:
             raise UnboundVariable(node.name) from None
+        # a numpy float64 read as the float it is: same bits, faster arithmetic
+        return float(value) if isinstance(value, np.float64) else value
     if isinstance(node, Unary):
         value = evaluate(node.operand, env)
-        return _apply_unary(node, value)
-    if isinstance(node, Binary):
-        left = evaluate(node.left, env)
-        right = evaluate(node.right, env)
-        return _apply_binary(node, left, right)
-    raise TypeError(f"not an expression node: {node!r}")
+        if node.op == "neg":
+            return -value
+        if node.op == "abs":
+            return abs(value)
+        args = (value,)
+    elif isinstance(node, Binary):
+        args = (evaluate(node.left, env), evaluate(node.right, env))
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    # numpy's floating-point state matters only when an array is involved
+    if isinstance(args[0], np.ndarray) or isinstance(args[-1], np.ndarray):
+        with np.errstate(all="ignore"):
+            return _checked(node, args, True)
+    return _checked(node, args, False)
 
 
-def _apply_unary(node: Unary, value):
-    op = node.op
-    arraylike = isinstance(value, np.ndarray)
-    if op == "neg":
-        return -value
-    if op == "abs":
-        return np.abs(value) if arraylike else abs(value)
-    if op == "ln":
-        if arraylike:
-            if np.any(value <= 0.0):
-                _fault("ln of a nonpositive value", node)
-            return np.log(value)
-        if value <= 0.0:
-            _fault("ln of a nonpositive value", node)
-        return math.log(value)
-    if op == "sqrt":
-        if arraylike:
-            if np.any(value < 0.0):
-                _fault("sqrt of a negative value", node)
-            return np.sqrt(value)
-        if value < 0.0:
-            _fault("sqrt of a negative value", node)
-        return math.sqrt(value)
-    if op in ("sin", "cos", "exp"):
-        if arraylike:
-            with np.errstate(over="ignore"):
-                result = getattr(np, op)(value)
-            return _check_finite(result, node)
-        try:
-            return _check_finite(getattr(math, op)(value), node)
-        except OverflowError:
-            _fault("overflow in exp", node)
-    raise TypeError(f"unknown unary operator {op!r}")
-
-
-def _is_integral(exponent) -> bool:
-    return float(exponent).is_integer()
-
-
-def _apply_binary(node: Binary, left, right):
-    op = node.op
-    if op == "+":
-        return _check_finite(left + right, node)
-    if op == "-":
-        return _check_finite(left - right, node)
-    if op == "*":
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _check_finite(left * right, node)
-    if op == "/":
-        if isinstance(right, np.ndarray):
-            if np.any(right == 0.0):
-                _fault("division by zero", node)
-        elif right == 0.0:
-            _fault("division by zero", node)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _check_finite(left / right, node)
-    if op == "^":
-        return _power(node, left, right)
-    raise TypeError(f"unknown binary operator {op!r}")
-
-
-def _power(node: Binary, base, exponent):
-    scalar_exp = not isinstance(exponent, np.ndarray)
-    if isinstance(base, np.ndarray) or not scalar_exp:
-        base_arr = np.asarray(base, dtype=float)
-        exp_arr = np.asarray(exponent, dtype=float)
-        integral = scalar_exp and _is_integral(exponent)
-        if np.any((base_arr < 0.0) & ~integral):
-            _fault("negative base with fractional exponent", node)
-        if np.any((base_arr == 0.0) & (exp_arr < 0.0)):
-            _fault("zero base with negative exponent", node)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _check_finite(np.power(base_arr, exp_arr), node)
-    if base < 0.0 and not _is_integral(exponent):
-        _fault("negative base with fractional exponent", node)
-    if base == 0.0 and exponent < 0.0:
-        _fault("zero base with negative exponent", node)
+def _checked(node: Node, args: tuple, array: bool):
+    """node's operation on args (math for floats, numpy for arrays), faulting
+    instead of returning NaN or infinity."""
+    float_fn, array_fn, domain, finite = _OPS[node.op]
+    for bad, message in domain:
+        mask = bad(*args)
+        if np.any(mask) if array else mask:
+            _fault(message, node)
     try:
-        return _check_finite(math.pow(base, exponent), node)
-    except OverflowError:
-        _fault("overflow in power", node)
+        value = (array_fn if array else float_fn)(*args)
+    except OverflowError:  # math.exp and math.pow
+        _fault("overflow in " + ("power" if node.op == "^" else node.op), node)
+    except ValueError:  # math.sin and math.cos of an infinity
+        _fault("expression evaluated to a non-finite value", node)
+    if finite and not (np.isfinite(value).all() if array else math.isfinite(value)):
+        _fault("expression evaluated to a non-finite value", node)
+    return value
 
 
 # --- symbolic derivative -----------------------------------------------------

@@ -161,6 +161,7 @@ def test_verify_single_suite(tmp_path, capsys):
     assert code == 0
     assert "PASS" in capsys.readouterr().out
     payload = json.loads(out.read_text())
+    assert payload["config"]["format"] == "text"
     assert payload["suites"][0]["suite"] == "vanish_at_a"
     assert payload["suites"][0]["passed"] is True
 
@@ -238,6 +239,22 @@ class TestExitCodes:
     def test_infinite_exponent_is_numerical_error(self, argv):
         assert run(argv + ["--a", "0", "--b", "1", "--n", "16"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "max_point", "--format", "csv"],
+        DERIV_EXAMPLE + ["--seed", "7"],
+    ])
+    def test_unsupported_flag_is_config_error(self, argv):
+        # verify writes text or JSON only; only verify draws random cases
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1
+
+    def test_integer_exponent_expression_of_t(self, capsys):
+        # every exponent is 3, so the negative base is legal at every node
+        assert run(["deriv", "--op", "caputo_ns", "--alpha", "0.5",
+                    "--f", "(t-2)^(3+0*t)", "--a", "0", "--b", "1", "--n", "16"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 18
+
     def test_valid_threads_env_accepted(self, monkeypatch, tmp_path):
         monkeypatch.setenv("FRACVAR_THREADS", "2")
         out = tmp_path / "d.csv"
@@ -247,7 +264,7 @@ class TestExitCodes:
 def test_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["deriv", "--op", "rl_ns", "--alpha", "0.4 + 0.1*sin(t)",
-            "--f", "exp(t)", "--a", "0", "--b", "1", "--n", "128", "--seed", "7"]
+            "--f", "exp(t)", "--a", "0", "--b", "1", "--n", "128"]
     assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()

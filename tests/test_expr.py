@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fracvar import expr
 from fracvar.errors import (
@@ -104,6 +104,47 @@ class TestEvaluation:
     def test_abs(self):
         assert ev("abs(-3)") == 3.0
 
+    def test_sin_of_infinity_faults(self):
+        # math.sin raises ValueError on an infinity; the fault matches numpy's nan
+        for t in (math.inf, np.array([0.0, -math.inf])):
+            with pytest.raises(DomainFault) as err:
+                ev("1 + sin(t)", t=t)
+            assert str(err.value) == "expression evaluated to a non-finite value (node at offset 4)"
+
+    def test_integer_array_exponent_of_negative_base(self):
+        # integrality is tested elementwise, as for a float exponent
+        out = ev("t^u", t=np.array([-2.0]), u=np.array([2.0]))
+        assert np.array_equal(out, [4.0])
+        out = ev("t^u", t=np.array([-2.0, 4.0]), u=np.array([3.0, 0.5]))
+        assert np.array_equal(out, [-8.0, 2.0])
+        with pytest.raises(DomainFault):
+            ev("t^u", t=np.array([-2.0, 4.0]), u=np.array([0.5, 3.0]))
+
+
+_NON_FINITE = "expression evaluated to a non-finite value"
+
+# (source, t making it fault, message on a float, message on an array, offset)
+_FAULTS = [
+    ("1 + ln(t)", 0.0, "ln of a nonpositive value", None, 4),
+    ("sqrt(t - 1)", 0.5, "sqrt of a negative value", None, 0),
+    ("2 / (t - 1)", 1.0, "division by zero", None, 2),
+    ("(t - 3)^0.5", 1.0, "negative base with fractional exponent", None, 7),
+    ("(t - 1)^(-2)", 1.0, "zero base with negative exponent", None, 7),
+    ("1 + exp(t)", 800.0, "overflow in exp", _NON_FINITE, 4),
+    ("t * 1e300 * t", 1e5, _NON_FINITE, None, 10),
+]
+
+
+@pytest.mark.parametrize("src,t,float_message,array_message,offset", _FAULTS)
+@pytest.mark.parametrize("array", [False, True], ids=["float", "array"])
+def test_fault_message_and_offset(src, t, float_message, array_message, offset, array):
+    message = (array_message or float_message) if array else float_message
+    binding = np.array([2.0, t]) if array else t
+    with pytest.raises(DomainFault) as err:
+        ev(src, t=binding)
+    assert err.value.offset == offset
+    assert str(err.value) == f"{message} (node at offset {offset})"
+
 
 # derivative oracles: central differences on the evaluated parse tree,
 # checked at 64 points per expression
@@ -174,6 +215,30 @@ def test_round_trip_preserves_value(t, u):
     again = expr.parse(expr.to_source(node))
     assert expr.evaluate(again, {"t": t, "u": u}) == pytest.approx(
         expr.evaluate(node, {"t": t, "u": u}), rel=1e-12, abs=1e-12)
+
+
+_binding = st.one_of(st.integers(-3, 3).map(float), st.floats(min_value=-3.0, max_value=3.0))
+
+
+@given(_expr_strategy, st.lists(_binding, min_size=3, max_size=3))
+@example(expr.Binary("^", expr.Var("t"), expr.Var("u")), [-2.0, 2.0, 0.0])
+@settings(max_examples=200, deadline=None)
+def test_float_and_array_bindings_agree(node, values):
+    """One-element arrays fault at the same node as floats, or give the same value."""
+    node = expr.parse(expr.to_source(node))  # parsed nodes carry offsets
+    env = dict(zip(("t", "u", "alpha"), values))
+    outcomes = []
+    for binding in (env, {name: np.array([v]) for name, v in env.items()}):
+        try:
+            outcomes.append(("value", np.ravel(expr.evaluate(node, binding))[0]))
+        except DomainFault as exc:
+            outcomes.append(("fault", exc.offset))
+    (kind, got), (array_kind, array_got) = outcomes
+    assert kind == array_kind
+    if kind == "fault":
+        assert got == array_got
+    else:  # math and numpy may round differently
+        assert array_got == pytest.approx(got, rel=1e-9, abs=1e-12)
 
 
 def test_round_trip_expression_with_all_functions():
