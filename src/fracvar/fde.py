@@ -173,8 +173,9 @@ def solve_fde(problem: FdeProblem, *, compat_correction: bool = True,
         c = 0.5 * (row[:-1] + row[1:])
         scale = float(P[i] * c[i - 1])
         shifts[i - 1] = row[0] * f0 if compat_correction else 0.0
-        offset = float(P[i] * (c[: i - 1] @ steps[: i - 1])) + shifts[i - 1]
-        start = u[i - 1] if i == 1 else 2.0 * u[i - 1] - u[i - 2]
+        # Python floats, not numpy scalars: the Newton iterates inherit the type
+        offset = float(P[i] * (c[: i - 1] @ steps[: i - 1]) + shifts[i - 1])
+        start = float(u[i - 1] if i == 1 else 2.0 * u[i - 1] - u[i - 2])
         u[i], iters[i - 1] = _solve_node(rhs, float(grid[i]), scale, float(u[i - 1]),
                                          offset, start, newton_tol * max(1.0, scale), i)
         steps[i - 1] = u[i] - u[i - 1]

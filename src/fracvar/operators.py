@@ -35,6 +35,7 @@ at the interval ends.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -102,7 +103,8 @@ class _KernelTable:
     kernel row H(t_i, .); the weakly singular operators pass exact power
     moments (_product_sums). When the order is constant and psi is uniformly
     spaced the rows are Toeplitz: the last row at exact multiples of the half
-    step, reversed, serves every node.
+    step, reversed, serves every node. That base is built on first use, so
+    the exponential kernel's sums, which never read it, build none.
     sums() takes one of the three paths in the module docstring; row() is the
     same on all of them.
     """
@@ -122,15 +124,20 @@ class _KernelTable:
             def row_fn(i, dpsi):
                 return _ml_kernel(spec, float(alphas[i]), dpsi)
         self._row_fn = row_fn
-        self._base = None
         steps = np.diff(self.psih)
         uniform = steps.size > 0 and np.max(np.abs(steps - steps[0])) <= 1e-12 * max(
             1.0, abs(steps[0])
         )
-        if uniform and spec.order.is_constant:
-            half_step = 0.5 * float(self.psih[2] - self.psih[0])
-            k = np.arange(self.half.size - 1, -1, -1, dtype=float)
-            self._base = row_fn(self.n, k * half_step)[::-1]
+        self._toeplitz = bool(uniform and spec.order.is_constant)
+
+    @functools.cached_property
+    def _base(self) -> np.ndarray | None:
+        """The Toeplitz base row, or None off the Toeplitz path."""
+        if not self._toeplitz:
+            return None
+        half_step = 0.5 * float(self.psih[2] - self.psih[0])
+        k = np.arange(self.half.size - 1, -1, -1, dtype=float)
+        return self._row_fn(self.n, k * half_step)[::-1]
 
     def _row(self, i: int, stride: int) -> np.ndarray:
         """Node i's weights at half-grid points 0, stride, ..., 2i."""

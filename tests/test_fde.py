@@ -116,6 +116,20 @@ def test_residual_matches_direct_collocation(spec, corrected):
     assert direct(tight)[0] < 1e-12
 
 
+def test_march_passes_rhs_python_floats():
+    # numpy scalars from the solution array would make every Newton iterate,
+    # and so every rhs call, run on numpy scalar arithmetic
+    seen = set()
+
+    def rhs(t, u):
+        seen.add((type(t), type(u)))
+        return -u ** 3 - u + math.sin(math.pi * t)
+
+    for spec in (CF, make_special_case("atangana", alpha=0.5, interval=(0.0, 1.0))):
+        solve_fde(FdeProblem(spec=spec, rhs=rhs, initial=1.0, grid_n=64))
+    assert seen == {(float, float)}
+
+
 class TestCompatibilityCorrection:
     def test_raw_mode_jumps_on_incompatible_data(self):
         # f(a, u0) = -1 != 0: the discrete equation as written forces an

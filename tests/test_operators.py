@@ -36,6 +36,7 @@ from fracvar.errors import (
     InvalidParam,
     SingularOrder,
 )
+from fracvar import operators
 from fracvar.operators import SPECIAL_CASES, _KernelTable
 
 
@@ -430,6 +431,27 @@ def test_exponential_caputo_starts_at_exact_zero():
         f = sampled(np.cos, a, b, n=200, deriv=lambda t: -np.sin(t))
         for scheme in ("product_trapezoid", "product_midpoint"):
             assert caputo_deriv_ns(spec, f, scheme=scheme).values.values[0] == 0.0
+
+
+def test_exponential_table_builds_its_toeplitz_base_on_first_row(monkeypatch):
+    # the exponential kernel's sums take the recurrence and never read the
+    # Toeplitz base, so only the solver's first row() call evaluates it
+    calls = []
+    real = operators._ml_kernel
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(operators, "_ml_kernel", counted)
+    grid = uniform_grid(0.0, 1.0, 64)
+    table = _KernelTable(cf_spec(0.6), grid)
+    table.sums(np.sin(grid), np.cos(grid[1:]))
+    assert calls == []
+    rows = [table.row(i) for i in (10, 40)]
+    assert len(calls) == 1
+    for i, row in zip((10, 40), rows):
+        assert np.array_equal(row, kernel_values(cf_spec(0.6), grid[i], grid[: i + 1]))
 
 
 def test_singular_toeplitz_and_rows_agree():
