@@ -190,9 +190,20 @@ def parse(src: str, allowed_vars: frozenset[str] | set[str] = ALL_VARIABLES) -> 
     """Parse expression text into a node tree.
 
     Raises ExprSyntaxError (with byte offset), UnknownIdentifier or
-    DisallowedVariable on malformed input.
+    DisallowedVariable on malformed input, and DomainFault at the literal
+    when an infinite literal would be the value itself: 1e400, -1e400,
+    abs(1e400). One that feeds a checked operation is left to evaluation
+    (0.5^1e400 is 0, 2*1e400 faults at the product).
     """
-    return _Parser(src, frozenset(allowed_vars)).parse()
+    node = _Parser(src, frozenset(allowed_vars)).parse()
+    # evaluation checks every operation but -, abs, ln and sqrt, which pass
+    # an infinity through
+    leaf = node
+    while isinstance(leaf, Unary) and leaf.op in ("neg", "abs", "ln", "sqrt"):
+        leaf = leaf.operand
+    if isinstance(leaf, Const) and not math.isfinite(leaf.value):
+        raise DomainFault("numeric literal is not finite", leaf.pos)
+    return node
 
 
 def variables(node: Node) -> set[str]:

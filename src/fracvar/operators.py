@@ -15,19 +15,34 @@ row builders fill the table:
   weight against piecewise-linear data (product integration), so the
   endpoint singularity costs no accuracy.
 
-The table sums by one of three paths, chosen from the spec and the warp:
+The table sums by one of four paths, chosen from the spec and the warp:
 
 * Exponential kernel (beta = gamma = 1, constant order, any warp): H factors
   as exp(-lam psi(t)) exp(lam psi(tau)), so both sums come from one exact
-  recurrence on the half-step grid. It costs O(n) plus one Python step per
-  window of psi span 1/lam. Its roundoff is that of a cumulative sum over
-  one window: 3e-16 to 3e-15 sup relative against long-double direct sums
-  at n = 2048.
+  recurrence on the half-step grid (_exp_sums with the single rate lam),
+  O(n) with about log2 n numpy passes at most. Error: 3e-16 to 3e-15 sup
+  relative against long-double direct sums at n = 2048.
 * Otherwise, constant order on a uniformly spaced psi: the rows are Toeplitz
   (tracked gamma/beta are then constant too), and one row and two
   convolutions serve every node.
+* Otherwise, gamma = beta < 1 at every node (a tracked order, variable_ml,
+  or a constant order on the log, sin or expression warps): a sum of
+  exponentials in psi. E_beta(-lam s^beta) is the integral of exp(-r s)
+  against the density K_beta(r; lam), and the trapezoid rule in l = ln r on
+  one set of rates e^(l_k), shared by every node, gives
+  H_i(s) ~ sum_k w_ik exp(-e^(l_k) s); only the weights depend on node i.
+  Each sum is then the exact diagonal (H = 1) plus sum_k w_ik times K
+  decayed running sums (_exp_sums): O(nK) with K about 360 at n = 1024.
+  The step comes from the strip of analyticity, |Im l| < d =
+  min(pi (1 - beta) / beta, pi / 2), which bounds the rule's error by about
+  4 exp(-2 pi d / h), set to 1e-15 (_soe_rule). The weights are
+  spot-checked against _ml_neg_array before use (within 1e-13); the rows
+  path runs instead when the check misses or when K would exceed n, as
+  beta -> 1 narrows the strip.
 * Otherwise one row per output node, O(n^2) kernel evaluations: each sum is
   a dot product, as accurate as the rows.
+
+row(i), the solver march's kernel row, is the same on every path.
 
 Outer d/dt steps use second-order central differences with one-sided stencils
 at the interval ends.
@@ -41,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGrid, InvalidParam
+from .errors import DegenerateGrid, InvalidParam, NonConvergent
 from .grids import GridFunction, fd_deriv
 from .kernel import (
     KernelSpec,
@@ -55,8 +70,12 @@ from .kernel import (
     log_warp,
     sin_warp,
 )
+from .mlf import _ml_neg_array
 
 SCHEMES = ("product_trapezoid", "product_midpoint")
+_SOE_EPS = 1e-15     # target relative error of the sum-of-exponentials rule
+_SOE_TOL = 1e-13     # its spot check against _ml_neg_array
+_BLOCK = 1 << 15     # rate-source pairs per temporary of _exp_sums
 
 
 @dataclass(frozen=True)
@@ -105,8 +124,10 @@ class _KernelTable:
     spaced the rows are Toeplitz: the last row at exact multiples of the half
     step, reversed, serves every node. That base is built on first use, so
     the exponential kernel's sums, which never read it, build none.
-    sums() takes one of the three paths in the module docstring; row() is the
-    same on all of them.
+    sums() takes one of the four paths in the module docstring (exponential,
+    Toeplitz, sum of exponentials, rows); the sum-of-exponentials rule is
+    built and spot-checked on the first sums() call and falls back to rows
+    when it cannot be certified. row() is the same on all of them.
     """
 
     def __init__(self, spec: KernelSpec, grid: np.ndarray, row_fn=None):
@@ -115,8 +136,9 @@ class _KernelTable:
         self.half[::2] = grid
         self.half[1::2] = 0.5 * (grid[:-1] + grid[1:])
         self.psih = spec.warp.values(self.half)
-        self._lam = None
+        self._lam = self._spec = None
         if row_fn is None:
+            self._spec = spec
             alphas = self.alphas = _alphas_checked(spec, grid)
             if spec.beta == spec.gamma == 1.0 and spec.order.is_constant:
                 self._lam = float(alphas[0]) / (1.0 - float(alphas[0]))
@@ -150,15 +172,57 @@ class _KernelTable:
         """H(t_i, tau_j) for j = 0..i (kernel rows, the default row_fn)."""
         return self._row(i, 2)
 
+    @functools.cached_property
+    def _soe(self):
+        """(rates, weights) of the sum-of-exponentials kernel, or None (rows).
+
+        None unless gamma = beta < 1 at every node, K <= n and the weights
+        at the nodes with extreme beta and lam match _ml_neg_array within
+        _SOE_TOL on 64 log-spaced s in [s_min, span]. weights(ks) gives w at
+        nodes 1..n for rates[ks].
+        """
+        spec = self._spec
+        if spec is None:
+            return None
+        alphas = self.alphas
+        betas = alphas if spec.beta is None else np.full(alphas.size, float(spec.beta))
+        gammas = alphas if spec.gamma is None else np.full(alphas.size, float(spec.gamma))
+        if not np.array_equal(betas, gammas):
+            return None
+        lams = alphas / (1.0 - alphas)
+        s_min = float(np.min(np.diff(self.psih)))
+        span = float(self.psih[-1] - self.psih[0])
+        rule = _soe_rule(betas, lams, s_min, span, self.n)
+        if rule is None:
+            return None
+        ell, h = rule
+        s = np.geomspace(s_min, span, 64)
+        decays = np.exp(-np.outer(s, np.exp(ell)))
+        for i in {int(np.argmin(betas)), int(np.argmax(betas)),
+                  int(np.argmin(lams)), int(np.argmax(lams))}:
+            try:
+                want = _ml_neg_array(float(betas[i]), -lams[i] * s ** betas[i])
+            except NonConvergent:
+                return None
+            got = decays @ _soe_weights(betas[i], lams[i], h)(ell)
+            if not np.max(np.abs(got - want) / want) <= _SOE_TOL:
+                return None
+        # a fixed beta needs e^(beta l) once, not once per node
+        weights = _soe_weights(betas[None, 1:] if spec.beta is None else betas[None, :1],
+                               lams[None, 1:], h)
+        return np.exp(ell), lambda ks: weights(ell[ks, None])
+
     def sums(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sum_{j<=i} w_i(tau_j) x_j and sum_{j<i} w_i(m_j) y_j, per node i."""
         if self._lam is not None:
-            return self._exp_sums(x, y)
+            return _exp_sums(self.psih, x, y, np.array([self._lam]))
         n = self.n
         mids = np.zeros(n + 1)
         if self._base is not None:
             mids[1:] = np.convolve(self._base[1::2], y)[:n]
             return np.convolve(self._base[::2], x)[: n + 1], mids
+        if self._soe is not None:
+            return _exp_sums(self.psih, x, y, *self._soe)
         nodes = np.zeros(n + 1)
         data = np.zeros((2, 2 * n + 1))
         data[0, ::2] = x
@@ -167,35 +231,126 @@ class _KernelTable:
             nodes[i], mids[i] = data[:, : 2 * i + 1] @ self._row(i, 1)
         return nodes, mids
 
-    def _exp_sums(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sums() for H = exp(-lam (psi(t) - psi(tau))), by recurrence.
 
-        S_p = sum_{q<=p} exp(-lam (psi_p - psi_q)) d_q on the half grid, with
-        x at the nodes in column 0 of d and y at the midpoints in column 1.
-        The points after 0 split into windows of psi span below 1/lam. In a
-        window ending at E, S_p is a cumulative sum of e_q d_q, with
-        e_q = exp(-lam (psi_E - psi_q)) in (1/e, 1], plus the carried S at the
-        previous window's end, all divided by e_p (e_E = 1, so S_E is final
-        when the next window needs it). psi is differenced before it meets
-        lam: far from psi = 0 the scaling then adds no roundoff of its own.
-        """
-        lam, psi = self._lam, self.psih
-        d = np.zeros((psi.size, 2))
-        d[::2, 0] = x
-        d[1::2, 1] = y
-        bins = np.floor(lam * (psi[1:] - psi[0]))
-        ends = np.append(np.flatnonzero(np.diff(bins)) + 1, psi.size - 1)
-        starts = np.append(0, ends[:-1])
-        e = np.ones(psi.size)
-        e[1:] = np.exp(-lam * (np.repeat(psi[ends], ends - starts) - psi[1:]))
-        carries = np.exp(-lam * (psi[ends] - psi[starts]))
-        S = e[:, None] * d
-        for start, end, g in zip(starts.tolist(), ends.tolist(), carries.tolist()):
-            window = S[start + 1 : end + 1]
-            np.cumsum(window, axis=0, out=window)
-            window += g * S[start]
-        S /= e[:, None]
-        return S[::2, 0], S[::2, 1]
+def _soe_rule(betas: np.ndarray, lams: np.ndarray, s_min: float, span: float,
+              max_terms: int) -> tuple[np.ndarray, float] | None:
+    """Nodes l_k and step h of the trapezoid rule in l = ln r for
+    E_beta(-lam s^beta) = integral exp(-e^l s) K_beta(e^l; lam) e^l dl, on
+    s in [s_min, span], for every (beta, lam) pair given; None if it needs
+    more than max_terms nodes or beta reaches 1.
+
+    The integrand is analytic in |Im l| < min(pi (1 - beta) / beta, pi / 2)
+    (poles of K, then exp(-e^l s) stops decaying), so the step comes from
+    the trapezoid rule's error, about 4 exp(-2 pi d / h), set to _SOE_EPS.
+    Left of l_lo the integrand is below 2 sin(beta pi) e^(beta l) / (pi lam),
+    whose integral is kept below _SOE_EPS times the lower bound
+    1 / (1 + Gamma(1 - beta) lam span^beta) of E_beta(-lam span^beta); right
+    of l_hi, exp(-e^l s_min) is below e^-40.
+    """
+    b_max = float(np.max(betas))
+    if b_max >= 1.0:
+        return None
+    d = min(math.pi * (1.0 - b_max) / b_max, 0.5 * math.pi)
+    h = 2.0 * math.pi * d / math.log(4.0 / _SOE_EPS)
+    with np.errstate(divide="ignore"):
+        tails = np.log(_SOE_EPS * math.pi * lams * betas / (
+            2.0 * np.sin(math.pi * betas)
+            * (1.0 + math.gamma(1.0 - b_max) * lams * span ** betas))) / betas
+    l_hi = math.log(40.0 / s_min)
+    steps = (l_hi - float(np.min(tails))) / h
+    if not steps <= max_terms - 1:
+        return None
+    return l_hi - h * np.arange(math.ceil(steps), -1, -1), h
+
+
+def _soe_weights(betas, lams, h: float):
+    """The trapezoid weights as a function of the nodes ell: h K_beta(e^l; lam)
+    e^l, with K_beta(r; lam) = (lam sin(beta pi) / pi) r^(beta-1)
+    / (r^(2 beta) + 2 lam cos(beta pi) r^beta + lam^2); betas and lams
+    broadcast against ell."""
+    scale = (h / math.pi) * lams * np.sin(math.pi * betas)
+    shift = 2.0 * lams * np.cos(math.pi * betas)
+    lam2 = lams * lams
+
+    def weights(ell):
+        u = np.exp(betas * ell)
+        return scale * u / ((u + shift) * u + lam2)
+    return weights
+
+
+def _exp_sums(psi: np.ndarray, x: np.ndarray, y: np.ndarray, rates: np.ndarray,
+              weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """x_i + sum_k w_ik T0_ik and sum_k w_ik T1_ik per node i, on the half-step
+    grid psi (nodes at even entries), where
+
+        T0_ik = sum_{j<i} exp(-r_k (psi_2i - psi_2j)) x_j,
+        T1_ik = sum_{j<i} exp(-r_k (psi_2i - psi_2j+1)) y_j.
+
+    weights(ks) gives w (one row per rate) at nodes 1..n for rates[ks], which
+    ascend; None means w = 1. Rates are taken in blocks of _BLOCK // (2n).
+    Within a block the sources j split into rows of W, where W - 1 node
+    steps decay by no more than 1/e at the fastest rate. In a row ending at
+    reference R, with e(p) = exp(-r (R - psi_p)), T at node j+1 is a
+    cumulative sum of e(source) * data plus the carry from the previous
+    row's reference, all divided by e(psi_2j+2). The carries are the linear
+    recurrence of the row ends, solved by doubling: the decay across 2^m
+    rows is one exp of a psi difference, never a product of rounded decays,
+    so a term carried across the grid meets at most log2(rows) rounded
+    factors. psi is differenced before it meets r, so no far-from-zero psi
+    adds roundoff.
+    """
+    n = x.size - 1
+    nodes, mids = np.array(x, dtype=float), np.zeros(n + 1)
+    gap = float(np.max(psi[2::2] - psi[:-2:2]))
+    block = max(1, _BLOCK // (2 * n))
+    width = None
+    for lo in range(0, rates.size, block):
+        r = rates[lo:lo + block, None, None]
+        fastest = float(r[-1, 0, 0]) * gap
+        W = n if fastest * n <= 1.0 else 1 + int(1.0 / fastest)
+        if W != width:
+            width, rows = W, -(-n // W)
+            pad = rows * W - n
+            # row q: sources j = qW..qW+W-1 (node j and midpoint j), targets
+            # the nodes j+1, reference the row's last target
+            tgt = np.append(psi[2::2], np.full(pad, psi[-1])).reshape(rows, W)
+            ref = tgt[:, -1:]
+            a_tgt = ref - tgt
+            a_mid = ref - np.append(psi[1::2], np.full(pad, psi[-1])).reshape(rows, W)
+            data = np.zeros((2, 1, rows * W))
+            data[0, 0, :n] = x[:-1]
+            data[1, 0, :n] = y
+            data = data.reshape(2, 1, rows, W)
+            refs = np.append(psi[0], ref)
+            steps = (refs[1:] - refs[:-1])[None]
+        # axes: column (node data, midpoint data), rate, row, source in row
+        e_tgt = np.exp(-r * a_tgt)
+        carry = np.exp(-r[..., 0] * steps)
+        S = np.empty((2, r.size, rows, W))
+        # the node source j sits at target j-1, or at the previous reference
+        S[0, :, :, 0] = carry
+        S[0, :, :, 1:] = e_tgt[..., :-1]
+        np.exp(-r * a_mid, out=S[1])
+        S *= data
+        np.cumsum(S, axis=-1, out=S)
+        # V[..., q] = the sums at refs[q], V[..., 0] = 0 at node 0
+        V = np.zeros((2, r.size, rows + 1))
+        V[..., 1:] = S[..., -1]
+        V[..., 1:] += carry * V[..., :-1]
+        span = 2
+        while span <= rows:
+            V[..., span:] += np.exp(-r[..., 0] * (refs[span:] - refs[:-span])) * V[..., :-span]
+            span *= 2
+        S += (carry * V[..., :-1])[..., None]
+        S /= e_tgt
+        S = S.reshape(2, r.size, rows * W)[..., :n]
+        if weights is None:
+            T = S[:, 0]
+        else:
+            T = np.einsum("cki,ki->ci", S, weights(slice(lo, lo + block)))
+        nodes[1:] += T[0]
+        mids[1:] += T[1]
+    return nodes, mids
 
 
 def _trap_mid(table: _KernelTable, x: np.ndarray, y: np.ndarray,

@@ -239,6 +239,11 @@ class TestExitCodes:
     def test_infinite_exponent_is_numerical_error(self, argv):
         assert run(argv + ["--a", "0", "--b", "1", "--n", "16"]) == 2
 
+    def test_infinite_literal_is_numerical_error(self, capsys):
+        assert run(["deriv", "--op", "caputo_ns", "--alpha", "0.5", "--f", "1e400",
+                    "--a", "0", "--b", "1", "--n", "16"]) == 2
+        assert "offset 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "max_point", "--format", "csv"],
         DERIV_EXAMPLE + ["--seed", "7"],

@@ -96,6 +96,14 @@ class TestEvaluation:
         assert ev("0.5^(1e400)") == 0.0
         assert np.array_equal(ev("t^(1e400)", t=np.array([0.25, 0.5])), [0.0, 0.0])
 
+    @pytest.mark.parametrize("src, offset", [("1e400", 0), ("-1e400", 1), ("abs(1e400)", 4)])
+    @pytest.mark.parametrize("t", [0.5, np.array([0.5, 1.0])])
+    def test_infinite_literal_faults_at_its_offset(self, src, offset, t):
+        # no checked operation follows the literal, so parsing faults at it
+        with pytest.raises(DomainFault) as err:
+            ev(src, t=t)
+        assert err.value.offset == offset
+
     def test_array_fault_detected(self):
         node = expr.parse("ln(t)")
         with pytest.raises(DomainFault):

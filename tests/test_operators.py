@@ -37,6 +37,7 @@ from fracvar.errors import (
     SingularOrder,
 )
 from fracvar import operators
+from fracvar.mlf import _ml_neg_array
 from fracvar.operators import SPECIAL_CASES, _KernelTable
 
 
@@ -361,12 +362,22 @@ def _history_reference(spec, f, g_nodes, g_mids):
     return trap, mid
 
 
-@pytest.mark.parametrize("case", ["toeplitz", "log_warp", "tracked", "exp", "exp_log_warp"])
+def tracked_spec(order="0.3 + 0.2*t"):
+    return KernelSpec(gamma=None, beta=None,
+                      order=OrderFunction.from_expr(order, interval=(0.0, 1.0)),
+                      warp=identity_warp(), norm=NormalizationFunction.one(),
+                      interval=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("case", ["toeplitz", "log_warp", "tracked", "exp", "exp_log_warp",
+                                  "soe_log_warp", "soe_variable_order", "soe_tracked"])
 def test_history_sums_match_direct_kernel_rows(case):
     # the table's sums (convolutions on the Toeplitz path, the windowed
-    # recurrence for the exponential kernel, one half-step row per node
+    # recurrence for the exponential kernel, sums of exponentials for
+    # gamma = beta < 1 once n reaches their count, one half-step row per node
     # otherwise) against a direct sum over public kernel values, midpoint
     # sums on a non-uniform warp included
+    n = 512 if case.startswith("soe") else 96
     if case == "toeplitz":
         spec = cf_spec(0.6, gamma=0.5, beta=0.5)
     elif case == "log_warp":
@@ -375,14 +386,19 @@ def test_history_sums_match_direct_kernel_rows(case):
         spec = cf_spec(0.6)
     elif case == "exp_log_warp":
         spec = cf_spec(0.4, interval=(1.0, 3.0), warp=log_warp())
-    else:
-        spec = KernelSpec(gamma=None, beta=None,
-                          order=OrderFunction.from_expr("0.3 + 0.2*t",
-                                                        interval=(0.0, 1.0)),
+    elif case == "soe_log_warp":
+        spec = cf_spec(0.4, interval=(1.0, 3.0), gamma=0.5, beta=0.5, warp=log_warp())
+    elif case == "soe_variable_order":
+        spec = KernelSpec(gamma=0.6, beta=0.6,
+                          order=OrderFunction.from_expr("0.3 + 0.2*t", interval=(0.0, 1.0)),
                           warp=identity_warp(), norm=NormalizationFunction.one(),
                           interval=(0.0, 1.0))
+    else:
+        spec = tracked_spec()
+    if case.startswith("soe"):
+        assert _KernelTable(spec, uniform_grid(*spec.interval, n))._soe is not None
     a, b = spec.interval
-    f = sampled(np.sin, a, b, n=96, deriv=np.cos)
+    f = sampled(np.sin, a, b, n=n, deriv=np.cos)
     mids = 0.5 * (f.grid[:-1] + f.grid[1:])
     f_mid = 0.5 * (f.values[:-1] + f.values[1:])
     fp = f.deriv_values()
@@ -452,6 +468,63 @@ def test_exponential_table_builds_its_toeplitz_base_on_first_row(monkeypatch):
     assert len(calls) == 1
     for i, row in zip((10, 40), rows):
         assert np.array_equal(row, kernel_values(cf_spec(0.6), grid[i], grid[: i + 1]))
+
+
+def _soe_cutoff(n=1024):
+    """The largest beta (to 0.01) whose rule fits in n terms on [0, 1]."""
+    alphas = np.linspace(0.05, 0.9, 18)
+    fits = [b for b in np.arange(0.70, 0.995, 0.01)
+            if operators._soe_rule(np.full(alphas.size, b), alphas / (1 - alphas),
+                                   0.5 / n, 1.0, n) is not None]
+    return float(fits[-1])
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.7, "cutoff"])
+def test_soe_weights_match_mittag_leffler(beta):
+    # the trapezoid rule in l = ln r against the certified evaluator, over
+    # the orders and the psi gaps of an n = 1024 grid on [0, 1]
+    beta = _soe_cutoff() if beta == "cutoff" else beta
+    s_min, span = 0.5 / 1024, 1.0
+    alphas = np.linspace(0.05, 0.9, 18)
+    lams = alphas / (1 - alphas)
+    ell, h = operators._soe_rule(np.full(alphas.size, beta), lams, s_min, span, 10**6)
+    s = np.geomspace(s_min, span, 200)
+    decays = np.exp(-np.outer(s, np.exp(ell)))
+    for lam in lams:
+        want = _ml_neg_array(beta, -lam * s**beta)
+        got = decays @ operators._soe_weights(beta, lam, h)(ell)
+        assert np.max(np.abs(got - want) / want) <= operators._SOE_TOL
+
+
+def test_soe_routing(monkeypatch):
+    # tracked and log-warp sums take the sums of exponentials and evaluate no
+    # kernel row; an order reaching beta = 0.95 needs more terms than nodes,
+    # and gamma != beta has no such sum, so both take one row per node
+    calls = []
+    real = operators._ml_kernel
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(operators, "_ml_kernel", counted)
+    n = 512
+    for spec, rows in ((tracked_spec(), 0),
+                       (cf_spec(0.4, interval=(1.0, 3.0), gamma=0.5, beta=0.5,
+                                warp=log_warp()), 0),
+                       (tracked_spec("0.75 + 0.2*t"), n + 1),
+                       (cf_spec(0.4, interval=(1.0, 3.0), gamma=0.7, beta=0.6,
+                                warp=log_warp()), n + 1)):
+        grid = uniform_grid(*spec.interval, n)
+        calls.clear()
+        _KernelTable(spec, grid).sums(np.sin(grid), np.cos(grid[1:]))
+        assert len(calls) == rows
+    # so does a spot check that misses
+    monkeypatch.setattr(operators, "_SOE_TOL", 0.0)
+    grid = uniform_grid(0.0, 1.0, n)
+    calls.clear()
+    _KernelTable(tracked_spec(), grid).sums(np.sin(grid), np.cos(grid[1:]))
+    assert len(calls) == n + 1
 
 
 def test_singular_toeplitz_and_rows_agree():
