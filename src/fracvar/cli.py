@@ -258,11 +258,7 @@ def _run_operator(args, op_name: str) -> None:
 
 def _run_solve(args) -> None:
     spec = _kernel_from_args(args)
-    node = expr.parse(args.rhs, allowed_vars={"t", "u"})
-
-    def rhs(t: float, u: float) -> float:
-        return float(expr.evaluate(node, {"t": t, "u": u}))
-
+    rhs = expr.to_function(expr.parse(args.rhs, allowed_vars={"t", "u"}), ("t", "u"))
     problem = FdeProblem(spec=spec, rhs=rhs, initial=args.u0, grid_n=args.n)
     report = solve_fde(problem, compat_correction=not args.no_compat_correction)
     grid = report.solution.grid

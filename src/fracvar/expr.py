@@ -13,6 +13,12 @@ entry in a table holding its float function (``math``), its array function
 would, at the same node. Only an overflow in exp or ^ reads differently:
 ``math`` raises it ("overflow in exp", "overflow in power"), while numpy
 returns an infinity ("expression evaluated to a non-finite value").
+
+For float bindings called many times (the solver's right-hand side),
+:func:`to_function` compiles a tree once into straight-line Python generated
+from the same table, with every domain and finiteness test inline. When a
+test misses it re-runs the walk, so fault messages and offsets are the
+walk's, and values are the walk's to the bit. Arrays always walk.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,24 +228,32 @@ def _fault(message: str, node: Node):
     raise DomainFault(message, node.pos)
 
 
+def _domain_test(source: str, message: str):
+    """A domain test: the predicate of the operands x (and y) as a function,
+    for the walk, and as source, for to_function; then its fault message."""
+    return eval(f"lambda x, y=None: {source}", {}), source, message
+
+
 # operation -> (float function, array function, domain tests, whether the result
-# must be finite); a domain test is (predicate of the operands, fault message)
+# must be finite)
 _OPS = {
     "sin": (math.sin, np.sin, (), True),
     "cos": (math.cos, np.cos, (), True),
     "exp": (math.exp, np.exp, (), True),
-    "ln": (math.log, np.log, ((lambda x: x <= 0.0, "ln of a nonpositive value"),), False),
-    "sqrt": (math.sqrt, np.sqrt, ((lambda x: x < 0.0, "sqrt of a negative value"),), False),
+    "ln": (math.log, np.log, (_domain_test("x <= 0.0", "ln of a nonpositive value"),),
+           False),
+    "sqrt": (math.sqrt, np.sqrt, (_domain_test("x < 0.0", "sqrt of a negative value"),),
+             False),
     "+": (operator.add, operator.add, (), True),
     "-": (operator.sub, operator.sub, (), True),
     "*": (operator.mul, operator.mul, (), True),
     "/": (operator.truediv, operator.truediv,
-          ((lambda x, y: y == 0.0, "division by zero"),), True),
+          (_domain_test("y == 0.0", "division by zero"),), True),
     # an infinite exponent counts as fractional: inf % 1 is nan
     "^": (math.pow, np.power,
-          ((lambda x, y: (x < 0.0) & (y % 1.0 != 0.0),
-            "negative base with fractional exponent"),
-           (lambda x, y: (x == 0.0) & (y < 0.0), "zero base with negative exponent")),
+          (_domain_test("(x < 0.0) & (y % 1.0 != 0.0)",
+                        "negative base with fractional exponent"),
+           _domain_test("(x == 0.0) & (y < 0.0)", "zero base with negative exponent")),
           True),
 }
 
@@ -281,7 +296,7 @@ def _checked(node: Node, args: tuple, array: bool):
     """node's operation on args (math for floats, numpy for arrays), faulting
     instead of returning NaN or infinity."""
     float_fn, array_fn, domain, finite = _OPS[node.op]
-    for bad, message in domain:
+    for bad, _, message in domain:
         mask = bad(*args)
         if np.any(mask) if array else mask:
             _fault(message, node)
@@ -294,6 +309,70 @@ def _checked(node: Node, args: tuple, array: bool):
     if finite and not (np.isfinite(value).all() if array else math.isfinite(value)):
         _fault("expression evaluated to a non-finite value", node)
     return value
+
+
+# float functions that to_function writes as operators
+_INFIX = {operator.add: "+", operator.sub: "-", operator.mul: "*", operator.truediv: "/"}
+
+
+def to_function(node: Node, names: Sequence[str]) -> Callable[..., float]:
+    """Compile the tree into a function of positional floats, one per name.
+
+    The function is straight-line code, built once: each operation calls its
+    float function from _OPS with the entry's domain tests before it and its
+    finiteness test after it. When a test misses or math raises, it returns
+    evaluate(node, env) instead, so the walk stays the only source of
+    DomainFault messages and offsets, and each result is the walk's to the
+    bit. Constants are bound by name (inf, -0.0 and pi are not safe literals).
+    Array bindings go through evaluate.
+    """
+    names = tuple(names)
+    unbound = variables(node) - set(names)
+    if unbound:
+        raise UnboundVariable(min(unbound))
+    params = ", ".join(f"_a{i}" for i in range(len(names)))
+    namespace = {"_isfinite": math.isfinite,
+                 "_walk": lambda *args: evaluate(node, dict(zip(names, args)))}
+    lines = []
+
+    def emit(node: Node) -> str:
+        """Append the lines computing node; return the name holding its value."""
+        if isinstance(node, Const):
+            name = f"_c{len(namespace)}"
+            namespace[name] = node.value
+            return name
+        if isinstance(node, Var):
+            return f"_a{names.index(node.name)}"
+        if isinstance(node, Unary):
+            args = (emit(node.operand),)
+        elif isinstance(node, Binary):
+            args = (emit(node.left), emit(node.right))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        result = f"_v{len(lines)}"
+        if node.op in ("neg", "abs"):
+            lines.append(f"{result} = {'-' if node.op == 'neg' else 'abs'}({args[0]})")
+            return result
+        float_fn, _, domain, finite = _OPS[node.op]
+        if domain:
+            lines.append(f"{', '.join('xy'[:len(args)])} = {', '.join(args)}")
+            lines.extend(f"if {source}: raise ArithmeticError" for _, source, _ in domain)
+        if float_fn in _INFIX:
+            lines.append(f"{result} = {args[0]} {_INFIX[float_fn]} {args[1]}")
+        else:
+            namespace["_" + float_fn.__name__] = float_fn
+            lines.append(f"{result} = _{float_fn.__name__}({', '.join(args)})")
+        if finite:
+            lines.append(f"if not _isfinite({result}): raise ArithmeticError")
+        return result
+
+    value = emit(node)
+    body = "".join(f"        {line}\n" for line in lines)
+    source = (f"def compiled({params}):\n    try:\n{body}        return {value}\n"
+              f"    except (ArithmeticError, ValueError):\n        pass\n"
+              f"    return _walk({params})\n")
+    exec(compile(source, "<fracvar.expr>", "exec"), namespace)
+    return namespace["compiled"]
 
 
 # --- symbolic derivative -----------------------------------------------------

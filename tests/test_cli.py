@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fracvar import (
+    FdeProblem,
     GridFunction,
     KernelSpec,
     NormalizationFunction,
@@ -16,6 +17,7 @@ from fracvar import (
     cli,
     expr,
     rl_deriv_ns,
+    solve_fde,
     warp_from_expr,
 )
 
@@ -146,6 +148,23 @@ def test_solve_csv_stdout_is_pure_data(capsys):
     assert captured.err.startswith("u(1) = ")
 
 
+def test_compiled_rhs_gives_the_walked_solution():
+    # the nonlinear right-hand side of the benchmark's solve workload
+    node = expr.parse("-u^3 - 1.5*u + (-0.75)*sin(pi*t)", allowed_vars={"t", "u"})
+    spec = KernelSpec(gamma=0.5, beta=0.5,
+                      order=OrderFunction.from_expr("0.5", interval=(0.0, 1.0)),
+                      warp=warp_from_expr("t"), norm=NormalizationFunction.one(),
+                      interval=(0.0, 1.0))
+
+    def walked(t, u):
+        return float(expr.evaluate(node, {"t": t, "u": u}))
+
+    compiled_u, walked_u = (
+        solve_fde(FdeProblem(spec=spec, rhs=rhs, initial=1.2, grid_n=512)).solution.values
+        for rhs in (expr.to_function(node, ("t", "u")), walked))
+    assert np.array_equal(compiled_u, walked_u)
+
+
 def test_solve_json_stdout_is_valid_json(capsys):
     assert run(SOLVE_EXAMPLE + ["--format", "json"]) == 0
     captured = capsys.readouterr()
@@ -238,6 +257,16 @@ class TestExitCodes:
     ])
     def test_infinite_exponent_is_numerical_error(self, argv):
         assert run(argv + ["--a", "0", "--b", "1", "--n", "16"]) == 2
+
+    @pytest.mark.parametrize("rhs, message", [
+        ("1/(u*1e308*10) - u", "expression evaluated to a non-finite value (node at offset 10)"),
+        ("(-0.5)^1e400 - u", "negative base with fractional exponent (node at offset 6)"),
+    ])
+    def test_rhs_fault_carries_the_walks_message(self, rhs, message, capsys):
+        # unchecked math would read both as 0 - u
+        assert run(["solve", "--alpha", "0.5", "--rhs", rhs, "--u0", "1",
+                    "--a", "0", "--b", "1", "--n", "16"]) == 2
+        assert capsys.readouterr().err == f"fracvar: numerical failure: {message}\n"
 
     def test_infinite_literal_is_numerical_error(self, capsys):
         assert run(["deriv", "--op", "caputo_ns", "--alpha", "0.5", "--f", "1e400",

@@ -11,6 +11,7 @@ from fracvar.errors import (
     DisallowedVariable,
     DomainFault,
     ExprSyntaxError,
+    UnboundVariable,
     UnknownIdentifier,
 )
 
@@ -191,19 +192,22 @@ def test_derivative_wrt_other_variable():
     assert expr.evaluate(du, {"t": 3.0, "u": 100.0}) == 3.0
 
 
-_expr_strategy = st.recursive(
-    st.one_of(
-        st.floats(min_value=0.1, max_value=9.0).map(lambda v: expr.Const(round(v, 3))),
-        st.sampled_from(["t", "u", "alpha"]).map(expr.Var),
-    ),
-    lambda children: st.one_of(
-        st.tuples(st.sampled_from(["+", "-", "*", "/", "^"]), children, children)
-        .map(lambda trio: expr.Binary(trio[0], trio[1], trio[2])),
-        st.tuples(st.sampled_from(["neg", "sin", "cos", "exp", "abs"]), children)
-        .map(lambda pair: expr.Unary(pair[0], pair[1])),
-    ),
-    max_leaves=12,
-)
+def _trees(constants):
+    return st.recursive(
+        st.one_of(constants.map(expr.Const), st.sampled_from(["t", "u", "alpha"]).map(expr.Var)),
+        lambda children: st.one_of(
+            st.tuples(st.sampled_from(["+", "-", "*", "/", "^"]), children, children)
+            .map(lambda trio: expr.Binary(trio[0], trio[1], trio[2])),
+            st.tuples(st.sampled_from(["neg", "sin", "cos", "exp", "ln", "sqrt", "abs"]),
+                      children)
+            .map(lambda pair: expr.Unary(pair[0], pair[1])),
+        ),
+        max_leaves=12,
+    )
+
+
+_small_constants = st.floats(min_value=0.1, max_value=9.0).map(lambda v: round(v, 3))
+_expr_strategy = _trees(_small_constants)
 
 
 @given(_expr_strategy)
@@ -258,3 +262,53 @@ def test_round_trip_expression_with_all_functions():
         expr.evaluate(node, {"t": t}), rel=1e-14)
     # integer-exponent powers of negatives stay legal after printing
     assert ev("(-2)^2") == 4.0
+
+
+# constants near the overflow threshold make every finiteness test fire
+_wide_constants = st.one_of(_small_constants, st.floats(min_value=1e299, max_value=1e301),
+                            st.sampled_from([0.0, 1e308]))
+_compile_binding = st.one_of(st.sampled_from([0.0, -0.0]), st.integers(-3, 3).map(float),
+                             st.floats(min_value=-3.0, max_value=3.0))
+
+
+def _outcome(fn, values):
+    try:
+        return "value", float(fn(*values)).hex()
+    except DomainFault as exc:
+        return "fault", str(exc), exc.offset
+
+
+@given(_trees(_wide_constants).map(expr.to_source),
+       st.lists(_compile_binding, min_size=3, max_size=3))
+@example("1/(u*1e308*10)", [0.0, 1.0, 0.0])
+@example("(-0.5)^1e400", [0.0, 0.0, 0.0])
+@settings(max_examples=300, deadline=None)
+def test_compiled_and_walked_results_agree(src, values):
+    """The same bits (so -0.0 counts), or the same fault at the same offset."""
+    node = expr.parse(src)
+    names = ("t", "u", "alpha")
+    walked = _outcome(lambda *args: expr.evaluate(node, dict(zip(names, args))), values)
+    assert _outcome(expr.to_function(node, names), values) == walked
+
+
+@pytest.mark.parametrize("src, unchecked, offset", [
+    ("1/(u*1e308*10)", lambda u: 1 / (u * 1e308 * 10), 10),
+    ("(-0.5)^1e400", lambda u: math.pow(-0.5, math.inf), 6),
+])
+def test_compiled_function_keeps_the_domain_tests(src, unchecked, offset):
+    assert unchecked(1.0) == 0.0  # plain math code finds nothing wrong
+    fn = expr.to_function(expr.parse(src), ("t", "u"))
+    with pytest.raises(DomainFault) as err:
+        fn(0.0, 1.0)
+    assert err.value.offset == offset
+
+
+def test_compiled_constants_are_bound_by_name():
+    # none of these is a safe source literal
+    for value in (-0.0, math.inf, math.pi):
+        assert expr.to_function(expr.Const(value), ())().hex() == value.hex()
+
+
+def test_compiled_function_needs_every_variable_named():
+    with pytest.raises(UnboundVariable):
+        expr.to_function(expr.parse("t + u"), ("t",))
