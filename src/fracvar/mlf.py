@@ -10,19 +10,20 @@ tolerance ``tol``; otherwise NonConvergent is raised. Two routes:
   eps * terms * sum_k |term_k|. A value is certified when that bound is below
   tol times the value and, for z < 0, the value lies in (0, 1], where
   complete monotonicity puts E_beta(-x).
-* Quadrature of the spectral form for every other argument. With x = -z,
-  t = x^(1/beta), s = sin(beta pi), c = cos(beta pi), the substitution
-  r = e^l / t in E_beta(-x) = integral_0^inf exp(-r t) K_beta(r) dr gives
+* Quadrature of the spectral form for every other argument. For 0 < beta < 1,
 
-      E_beta(-x) = s / (pi x) integral exp(-e^l) e^(beta l)
-                   / ((1 + c w)^2 + (s w)^2) dl,      w = e^(beta l) / x,
+      E_beta(-lam s^beta) = integral exp(-e^l s) K_beta(e^l; lam) e^l dl,
+      K_beta(e^l; lam) e^l = (sin / pi) w / ((w + cos)^2 + sin^2),
 
-  whose bulk sits at l = O(1) for every x. The trapezoid rule runs on the
-  double-exponential map l = v - exp(-v) for exponentially decaying
-  integrands (Takahasi and Mori), on nodes shared by all arguments. As
-  beta -> 1 the integrand has a near pole of width about s at w = -1/c;
-  where its weight exp(-t) still counts, the same integral in the angle phi,
-  e^(beta l) = x sin(beta pi - phi) / sin phi,
+  with w = e^(beta l) / lam and sin, cos of beta pi taken from the nearer end
+  of (0, 1) (``_density``, the one copy of K_beta): no lam^2 is formed, and
+  the sum of squares keeps the near pole at w = -cos free of cancellation as
+  beta -> 1. With lam = x and s = 1 the bulk sits at l = O(1) for every x.
+  The trapezoid rule runs on the double-exponential map l = v - exp(-v) for
+  exponentially decaying integrands (Takahasi and Mori), on nodes shared by
+  all arguments. As beta -> 1 the near pole narrows to a width of about sin;
+  where its weight exp(-t), t = x^(1/beta), still counts, the same integral
+  in the angle phi, e^(beta l) = x sin(beta pi - phi) / sin phi,
 
       E_beta(-x) = 1/(beta pi) integral_0^(beta pi)
                    exp(-(x sin(beta pi - phi) / sin phi)^(1/beta)) dphi,
@@ -31,6 +32,20 @@ tolerance ``tol``; otherwise NonConvergent is raised. Two routes:
   The error estimate is the gap between the sums at step h and h/2, plus a
   bound on rounding; elements that miss tol are refined a bounded number of
   times, in blocks of about _BLOCK argument-node pairs.
+
+The same density gives the sum-of-exponentials (SOE) rule of the history
+sums (``_soe_rule``): E_beta(-lam s^beta) ~ sum_k w_k exp(-e^(l_k) s) for
+every node's (beta, lam) on one set of rates, s in [s_min, span]. The
+integrand is analytic in the strip |Im l| < d = min(pi (1 - beta) / beta,
+pi / 2) (poles of K_beta, then exp(-e^l s) stops decaying), so the trapezoid
+step comes from the rule's error bound 4 exp(-2 pi d / h) = _SOE_EPS. The
+left tail, below 2 sin(beta pi) e^(beta l) / (pi lam), is cut where its
+integral falls below _SOE_EPS times the lower bound
+1 / (1 + Gamma(1 - beta) lam span^beta) of E_beta(-lam span^beta); the right
+one where exp(-e^l s_min) < e^-40. The rule is certified before use against
+``_ml_neg_array`` within _SOE_TOL on 64 log-spaced s, at the nodes with
+extreme beta and lam; it is refused when that check misses or when it needs
+more rates than allowed, as beta -> 1 narrows the strip.
 """
 
 from __future__ import annotations
@@ -51,6 +66,8 @@ _BLOCK = 1 << 16     # argument-node pairs per temporary
 _POLE_BETA = 0.8     # above it, arguments near the pole take the angular form
 _LOG_TAIL = math.log(0.25 * _EPS)
 _LOG_TERM_CAP = math.log(1e290)
+_SOE_EPS = 1e-15     # target relative error of the sum-of-exponentials rule
+_SOE_TOL = 1e-13     # its spot check against _ml_neg_array
 
 
 @dataclass(frozen=True)
@@ -155,12 +172,28 @@ def _trapezoid(f, lo: float, hi: float, tol: float, roundoff: np.ndarray) -> np.
         f"spectral quadrature missed tol={tol:.1e} for {rows.size} argument(s)")
 
 
+def _density(beta, lam, scale=1.0):
+    """l -> scale K_beta(e^l; lam) e^l in the form of the module docstring;
+    beta and lam broadcast against l, and a scalar beta takes one exp per l."""
+    beta = np.asarray(beta, dtype=float)
+    # sin and cos of beta pi from the nearer end of (0, 1): beta pi loses 1 - beta
+    half = np.minimum(beta, 1.0 - beta)
+    sin = np.sin(math.pi * half)
+    cos = np.where(beta <= 0.5, 1.0, -1.0) * np.cos(math.pi * half)
+    # divided through by c = scale sin / pi: v / ((v + cos / c)^2 + (pi / scale)^2)
+    # with v = w / c, so one (l, lam) pair costs five operations after the exp
+    c = scale * sin / math.pi
+    inv, shift, floor = 1.0 / (lam * c), cos / c, (math.pi / scale) ** 2
+
+    def density(ell):
+        v = np.exp(beta * ell) * inv
+        with np.errstate(over="ignore"):
+            return v / ((v + shift) ** 2 + floor)
+    return density
+
+
 def _quadrature(beta: float, x: np.ndarray, tol: float) -> np.ndarray:
     """E_beta(-x) for x > 0, 0 < beta < 1, by the spectral integral."""
-    # s and c from the nearer end of (0, 1): beta * pi loses 1 - beta
-    half = min(beta, 1.0 - beta)
-    s = math.sin(math.pi * half)
-    c = math.cos(math.pi * half) * (1.0 if beta <= 0.5 else -1.0)
     log_tol = math.log(1.0 / tol)
     with np.errstate(over="ignore"):
         t = x ** (1.0 / beta)
@@ -169,7 +202,7 @@ def _quadrature(beta: float, x: np.ndarray, tol: float) -> np.ndarray:
     if beta > _POLE_BETA:
         # -log of the lower bound E_beta(-x) >= 1 / (1 + Gamma(1 - beta) x)
         log_bound = np.log1p(math.gamma(1.0 - beta) * x)
-        near = t <= log_tol + 10.0 + log_bound - math.log(s)
+        near = t <= log_tol + 10.0 + log_bound - math.log(math.sin(math.pi * (1.0 - beta)))
 
     far = ~near
     if np.any(far):
@@ -183,13 +216,9 @@ def _quadrature(beta: float, x: np.ndarray, tol: float) -> np.ndarray:
         def ell(rows, v):
             em = np.exp(-v)
             ell_ = v - em
-            with np.errstate(over="ignore", under="ignore"):
-                common = (1.0 + em) * np.exp(beta * ell_ - np.exp(ell_))
-                w = np.exp(beta * ell_) / xf[rows, None]
-                return ((common / ((1.0 + c * w) ** 2 + (s * w) ** 2)).sum(axis=1))
+            return _density(beta, xf[rows, None])(ell_) @ ((1.0 + em) * np.exp(-np.exp(ell_)))
 
-        sums = _trapezoid(ell, v_lo, v_hi, tol, np.full(xf.size, 64.0 * _EPS))
-        out[far] = (s / math.pi) / xf * sums
+        out[far] = _trapezoid(ell, v_lo, v_hi, tol, np.full(xf.size, 64.0 * _EPS))
 
     if np.any(near):
         tn = t[near]
@@ -239,6 +268,43 @@ def _ml_neg_array(beta: float, z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return out.reshape(z.shape)
 
 
+def _soe_rule(betas: np.ndarray, lams: np.ndarray, s_min: float, span: float,
+              max_terms: int):
+    """(rates, weights) of the SOE rule for E_beta(-lam s^beta), one (beta, lam)
+    pair per node, on s in [s_min, span]; None if it needs more than
+    max_terms rates, beta reaches 1 or the spot check of the module docstring
+    misses. weights(ks) gives w (one row per rate, one column per node) for
+    rates[ks].
+    """
+    b_max = float(np.max(betas))
+    if b_max >= 1.0:
+        return None
+    d = min(math.pi * (1.0 - b_max) / b_max, 0.5 * math.pi)
+    h = 2.0 * math.pi * d / math.log(4.0 / _SOE_EPS)
+    with np.errstate(divide="ignore"):
+        tails = np.log(_SOE_EPS * math.pi * lams * betas / (
+            2.0 * np.sin(math.pi * betas)
+            * (1.0 + math.gamma(1.0 - b_max) * lams * span ** betas))) / betas
+    l_hi = math.log(40.0 / s_min)
+    steps = (l_hi - float(np.min(tails))) / h
+    if not steps <= max_terms - 1:
+        return None
+    ell = l_hi - h * np.arange(math.ceil(steps), -1, -1)
+    s = np.geomspace(s_min, span, 64)
+    decays = np.exp(-np.outer(s, np.exp(ell)))
+    for i in {int(np.argmin(betas)), int(np.argmax(betas)),
+              int(np.argmin(lams)), int(np.argmax(lams))}:
+        try:
+            want = _ml_neg_array(float(betas[i]), -lams[i] * s ** betas[i])
+        except NonConvergent:
+            return None
+        got = decays @ _density(betas[i], lams[i], h)(ell)
+        if not np.max(np.abs(got - want) / want) <= _SOE_TOL:
+            return None
+    weights = _density(betas[0] if np.all(betas == betas[0]) else betas, lams, h)
+    return np.exp(ell), lambda ks: weights(ell[ks, None])
+
+
 def ml_eval(params: MLParams, z: float) -> float:
     """Evaluate E_beta(z) to the relative accuracy requested by params.
 
@@ -272,12 +338,8 @@ def spectral_density(gamma: float, r) -> float | np.ndarray:
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0.0):
         raise InvalidParam("spectral density requires r > 0")
-    singam = math.sin(gamma * math.pi)
-    cosgam = math.cos(gamma * math.pi)
-    with np.errstate(over="ignore"):
-        rg = arr**gamma
-        denom = rg * rg + 2.0 * cosgam * rg + 1.0
-        out = (arr ** (gamma - 1.0)) * singam / (math.pi * denom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _density(gamma, 1.0)(np.log(arr)) / arr
     out = np.where(np.isfinite(out), out, 0.0)
     if np.ndim(r) == 0:
         return float(out)

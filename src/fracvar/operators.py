@@ -26,19 +26,12 @@ The table sums by one of four paths, chosen from the spec and the warp:
   (tracked gamma/beta are then constant too), and one row and two
   convolutions serve every node.
 * Otherwise, gamma = beta < 1 at every node (a tracked order, variable_ml,
-  or a constant order on the log, sin or expression warps): a sum of
-  exponentials in psi. E_beta(-lam s^beta) is the integral of exp(-r s)
-  against the density K_beta(r; lam), and the trapezoid rule in l = ln r on
-  one set of rates e^(l_k), shared by every node, gives
-  H_i(s) ~ sum_k w_ik exp(-e^(l_k) s); only the weights depend on node i.
-  Each sum is then the exact diagonal (H = 1) plus sum_k w_ik times K
-  decayed running sums (_exp_sums): O(nK) with K about 360 at n = 1024.
-  The step comes from the strip of analyticity, |Im l| < d =
-  min(pi (1 - beta) / beta, pi / 2), which bounds the rule's error by about
-  4 exp(-2 pi d / h), set to 1e-15 (_soe_rule). The weights are
-  spot-checked against _ml_neg_array before use (within 1e-13); the rows
-  path runs instead when the check misses or when K would exceed n, as
-  beta -> 1 narrows the strip.
+  or a constant order on the log, sin or expression warps): the certified
+  sum-of-exponentials rule of mlf (_soe_rule), H_i(s) ~ sum_k w_ik
+  exp(-r_k s) on rates shared by every node. Each sum is then the exact
+  diagonal (H = 1) plus sum_k w_ik times K decayed running sums
+  (_exp_sums): O(nK) with K about 360 at n = 1024. Rows run when the rule
+  is refused or would need more than n rates.
 * Otherwise one row per output node, O(n^2) kernel evaluations: each sum is
   a dot product, as accurate as the rows.
 
@@ -56,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGrid, InvalidParam, NonConvergent
+from .errors import DegenerateGrid, InvalidParam
 from .grids import GridFunction, fd_deriv
 from .kernel import (
     KernelSpec,
@@ -70,11 +63,9 @@ from .kernel import (
     log_warp,
     sin_warp,
 )
-from .mlf import _ml_neg_array
+from .mlf import _soe_rule
 
 SCHEMES = ("product_trapezoid", "product_midpoint")
-_SOE_EPS = 1e-15     # target relative error of the sum-of-exponentials rule
-_SOE_TOL = 1e-13     # its spot check against _ml_neg_array
 _BLOCK = 1 << 15     # rate-source pairs per temporary of _exp_sums
 
 
@@ -174,13 +165,9 @@ class _KernelTable:
 
     @functools.cached_property
     def _soe(self):
-        """(rates, weights) of the sum-of-exponentials kernel, or None (rows).
-
-        None unless gamma = beta < 1 at every node, K <= n and the weights
-        at the nodes with extreme beta and lam match _ml_neg_array within
-        _SOE_TOL on 64 log-spaced s in [s_min, span]. weights(ks) gives w at
-        nodes 1..n for rates[ks].
-        """
+        """(rates, weights) of mlf's sum-of-exponentials rule for the kernel
+        rows, or None (rows): None unless gamma = beta at every node and the
+        rule holds with at most n rates."""
         spec = self._spec
         if spec is None:
             return None
@@ -189,28 +176,8 @@ class _KernelTable:
         gammas = alphas if spec.gamma is None else np.full(alphas.size, float(spec.gamma))
         if not np.array_equal(betas, gammas):
             return None
-        lams = alphas / (1.0 - alphas)
-        s_min = float(np.min(np.diff(self.psih)))
-        span = float(self.psih[-1] - self.psih[0])
-        rule = _soe_rule(betas, lams, s_min, span, self.n)
-        if rule is None:
-            return None
-        ell, h = rule
-        s = np.geomspace(s_min, span, 64)
-        decays = np.exp(-np.outer(s, np.exp(ell)))
-        for i in {int(np.argmin(betas)), int(np.argmax(betas)),
-                  int(np.argmin(lams)), int(np.argmax(lams))}:
-            try:
-                want = _ml_neg_array(float(betas[i]), -lams[i] * s ** betas[i])
-            except NonConvergent:
-                return None
-            got = decays @ _soe_weights(betas[i], lams[i], h)(ell)
-            if not np.max(np.abs(got - want) / want) <= _SOE_TOL:
-                return None
-        # a fixed beta needs e^(beta l) once, not once per node
-        weights = _soe_weights(betas[None, 1:] if spec.beta is None else betas[None, :1],
-                               lams[None, 1:], h)
-        return np.exp(ell), lambda ks: weights(ell[ks, None])
+        return _soe_rule(betas, alphas / (1.0 - alphas), float(np.min(np.diff(self.psih))),
+                         float(self.psih[-1] - self.psih[0]), self.n)
 
     def sums(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sum_{j<=i} w_i(tau_j) x_j and sum_{j<i} w_i(m_j) y_j, per node i."""
@@ -232,52 +199,6 @@ class _KernelTable:
         return nodes, mids
 
 
-def _soe_rule(betas: np.ndarray, lams: np.ndarray, s_min: float, span: float,
-              max_terms: int) -> tuple[np.ndarray, float] | None:
-    """Nodes l_k and step h of the trapezoid rule in l = ln r for
-    E_beta(-lam s^beta) = integral exp(-e^l s) K_beta(e^l; lam) e^l dl, on
-    s in [s_min, span], for every (beta, lam) pair given; None if it needs
-    more than max_terms nodes or beta reaches 1.
-
-    The integrand is analytic in |Im l| < min(pi (1 - beta) / beta, pi / 2)
-    (poles of K, then exp(-e^l s) stops decaying), so the step comes from
-    the trapezoid rule's error, about 4 exp(-2 pi d / h), set to _SOE_EPS.
-    Left of l_lo the integrand is below 2 sin(beta pi) e^(beta l) / (pi lam),
-    whose integral is kept below _SOE_EPS times the lower bound
-    1 / (1 + Gamma(1 - beta) lam span^beta) of E_beta(-lam span^beta); right
-    of l_hi, exp(-e^l s_min) is below e^-40.
-    """
-    b_max = float(np.max(betas))
-    if b_max >= 1.0:
-        return None
-    d = min(math.pi * (1.0 - b_max) / b_max, 0.5 * math.pi)
-    h = 2.0 * math.pi * d / math.log(4.0 / _SOE_EPS)
-    with np.errstate(divide="ignore"):
-        tails = np.log(_SOE_EPS * math.pi * lams * betas / (
-            2.0 * np.sin(math.pi * betas)
-            * (1.0 + math.gamma(1.0 - b_max) * lams * span ** betas))) / betas
-    l_hi = math.log(40.0 / s_min)
-    steps = (l_hi - float(np.min(tails))) / h
-    if not steps <= max_terms - 1:
-        return None
-    return l_hi - h * np.arange(math.ceil(steps), -1, -1), h
-
-
-def _soe_weights(betas, lams, h: float):
-    """The trapezoid weights as a function of the nodes ell: h K_beta(e^l; lam)
-    e^l, with K_beta(r; lam) = (lam sin(beta pi) / pi) r^(beta-1)
-    / (r^(2 beta) + 2 lam cos(beta pi) r^beta + lam^2); betas and lams
-    broadcast against ell."""
-    scale = (h / math.pi) * lams * np.sin(math.pi * betas)
-    shift = 2.0 * lams * np.cos(math.pi * betas)
-    lam2 = lams * lams
-
-    def weights(ell):
-        u = np.exp(betas * ell)
-        return scale * u / ((u + shift) * u + lam2)
-    return weights
-
-
 def _exp_sums(psi: np.ndarray, x: np.ndarray, y: np.ndarray, rates: np.ndarray,
               weights=None) -> tuple[np.ndarray, np.ndarray]:
     """x_i + sum_k w_ik T0_ik and sum_k w_ik T1_ik per node i, on the half-step
@@ -286,7 +207,7 @@ def _exp_sums(psi: np.ndarray, x: np.ndarray, y: np.ndarray, rates: np.ndarray,
         T0_ik = sum_{j<i} exp(-r_k (psi_2i - psi_2j)) x_j,
         T1_ik = sum_{j<i} exp(-r_k (psi_2i - psi_2j+1)) y_j.
 
-    weights(ks) gives w (one row per rate) at nodes 1..n for rates[ks], which
+    weights(ks) gives w (one row per rate) at nodes 0..n for rates[ks], which
     ascend; None means w = 1. Rates are taken in blocks of _BLOCK // (2n).
     Within a block the sources j split into rows of W, where W - 1 node
     steps decay by no more than 1/e at the fastest rate. In a row ending at
@@ -347,7 +268,7 @@ def _exp_sums(psi: np.ndarray, x: np.ndarray, y: np.ndarray, rates: np.ndarray,
         if weights is None:
             T = S[:, 0]
         else:
-            T = np.einsum("cki,ki->ci", S, weights(slice(lo, lo + block)))
+            T = np.einsum("cki,ki->ci", S, weights(slice(lo, lo + block))[:, 1:])
         nodes[1:] += T[0]
         mids[1:] += T[1]
     return nodes, mids

@@ -109,6 +109,15 @@ def test_order_half_far_arguments_against_erfc_identity(x):
     assert ml_eval(MLParams(beta=0.5), -x) == pytest.approx(erfc_oracle(x), rel=1e-11)
 
 
+@pytest.mark.parametrize("beta", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("x", [1e100, 1e300])
+def test_huge_negative_argument_leading_term(beta, x):
+    # E_beta(-x) = 1 / (x Gamma(1 - beta)) + O(x^-2); a density that formed
+    # x^2 would overflow to zero weight and certify E = 0
+    expected = 1.0 / (x * math.gamma(1.0 - beta))
+    assert ml_eval(MLParams(beta=beta), -x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_quadrature_below_rounding_error_raises():
     # no route can certify 1e-15 relative there; an uncertified value is
     # never returned
@@ -153,9 +162,21 @@ class TestSpectralDensity:
             assert np.all(spectral_density(gamma, r) > 0.0)
 
     def test_unit_mass(self):
-        # integral of the density is E_gamma(0) = 1
+        # integral of the density is E_gamma(0) = 1; in l = ln r the
+        # integrand decays like e^(-gamma |l|) at both ends, so the trapezoid
+        # rule converges exponentially
         for gamma in (0.3, 0.5, 0.9):
-            assert ml_eval_spectral(gamma, 0.0) == pytest.approx(1.0, abs=5e-9)
+            m = math.floor(800.0 / gamma)
+            r = np.exp(0.05 * np.arange(-m, m + 1))
+            assert 0.05 * np.sum(spectral_density(gamma, r) * r) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.99, 0.999, 0.9999])
+    def test_accurate_near_order_one(self, gamma):
+        # K_gamma(1) = sin(pi e) / (4 pi sin^2(pi e / 2)), e = 1 - gamma; the
+        # denominator 2 + 2 cos(gamma pi) cancels when formed directly
+        e = 1.0 - gamma
+        expected = math.sin(math.pi * e) / (4.0 * math.pi * math.sin(0.5 * math.pi * e) ** 2)
+        assert spectral_density(gamma, 1.0) == pytest.approx(expected, rel=1e-13)
 
     def test_gamma_validation(self):
         with pytest.raises(InvalidParam):

@@ -36,7 +36,7 @@ from fracvar.errors import (
     InvalidParam,
     SingularOrder,
 )
-from fracvar import operators
+from fracvar import mlf, operators
 from fracvar.mlf import _ml_neg_array
 from fracvar.operators import SPECIAL_CASES, _KernelTable
 
@@ -471,11 +471,11 @@ def test_exponential_table_builds_its_toeplitz_base_on_first_row(monkeypatch):
 
 
 def _soe_cutoff(n=1024):
-    """The largest beta (to 0.01) whose rule fits in n terms on [0, 1]."""
+    """The largest beta (to 0.01) whose certified rule fits in n terms on [0, 1]."""
     alphas = np.linspace(0.05, 0.9, 18)
     fits = [b for b in np.arange(0.70, 0.995, 0.01)
-            if operators._soe_rule(np.full(alphas.size, b), alphas / (1 - alphas),
-                                   0.5 / n, 1.0, n) is not None]
+            if mlf._soe_rule(np.full(alphas.size, b), alphas / (1 - alphas),
+                             0.5 / n, 1.0, n) is not None]
     return float(fits[-1])
 
 
@@ -487,13 +487,12 @@ def test_soe_weights_match_mittag_leffler(beta):
     s_min, span = 0.5 / 1024, 1.0
     alphas = np.linspace(0.05, 0.9, 18)
     lams = alphas / (1 - alphas)
-    ell, h = operators._soe_rule(np.full(alphas.size, beta), lams, s_min, span, 10**6)
+    rates, weights = mlf._soe_rule(np.full(alphas.size, beta), lams, s_min, span, 10**6)
     s = np.geomspace(s_min, span, 200)
-    decays = np.exp(-np.outer(s, np.exp(ell)))
-    for lam in lams:
+    got = np.exp(-np.outer(s, rates)) @ weights(slice(None))
+    for lam, column in zip(lams, got.T):
         want = _ml_neg_array(beta, -lam * s**beta)
-        got = decays @ operators._soe_weights(beta, lam, h)(ell)
-        assert np.max(np.abs(got - want) / want) <= operators._SOE_TOL
+        assert np.max(np.abs(column - want) / want) <= mlf._SOE_TOL
 
 
 def test_soe_routing(monkeypatch):
@@ -520,7 +519,7 @@ def test_soe_routing(monkeypatch):
         _KernelTable(spec, grid).sums(np.sin(grid), np.cos(grid[1:]))
         assert len(calls) == rows
     # so does a spot check that misses
-    monkeypatch.setattr(operators, "_SOE_TOL", 0.0)
+    monkeypatch.setattr(mlf, "_SOE_TOL", 0.0)
     grid = uniform_grid(0.0, 1.0, n)
     calls.clear()
     _KernelTable(tracked_spec(), grid).sums(np.sin(grid), np.cos(grid[1:]))
