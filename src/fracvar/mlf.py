@@ -269,12 +269,12 @@ def _ml_neg_array(beta: float, z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 def _soe_rule(betas: np.ndarray, lams: np.ndarray, s_min: float, span: float,
-              max_terms: int):
+              max_terms: int, cols: slice = slice(None)):
     """(rates, weights) of the SOE rule for E_beta(-lam s^beta), one (beta, lam)
     pair per node, on s in [s_min, span]; None if it needs more than
     max_terms rates, beta reaches 1 or the spot check of the module docstring
-    misses. weights(ks) gives w (one row per rate, one column per node) for
-    rates[ks].
+    misses. Every pair enters the rule and the check; weights(ks) gives w
+    (one row per rate, one column per pair in cols) for rates[ks].
     """
     b_max = float(np.max(betas))
     if b_max >= 1.0:
@@ -301,7 +301,7 @@ def _soe_rule(betas: np.ndarray, lams: np.ndarray, s_min: float, span: float,
         got = decays @ _density(betas[i], lams[i], h)(ell)
         if not np.max(np.abs(got - want) / want) <= _SOE_TOL:
             return None
-    weights = _density(betas[0] if np.all(betas == betas[0]) else betas, lams, h)
+    weights = _density(betas[0] if np.all(betas == betas[0]) else betas[cols], lams[cols], h)
     return np.exp(ell), lambda ks: weights(ell[ks, None])
 
 

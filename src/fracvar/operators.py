@@ -165,8 +165,8 @@ class _KernelTable:
 
     @functools.cached_property
     def _soe(self):
-        """(rates, weights) of mlf's sum-of-exponentials rule for the kernel
-        rows, or None (rows): None unless gamma = beta at every node and the
+        """(rates, weights at nodes 1..n) of mlf's sum-of-exponentials rule for
+        the kernel rows, or None (rows): None unless gamma = beta at every node and the
         rule holds with at most n rates."""
         spec = self._spec
         if spec is None:
@@ -177,7 +177,7 @@ class _KernelTable:
         if not np.array_equal(betas, gammas):
             return None
         return _soe_rule(betas, alphas / (1.0 - alphas), float(np.min(np.diff(self.psih))),
-                         float(self.psih[-1] - self.psih[0]), self.n)
+                         float(self.psih[-1] - self.psih[0]), self.n, slice(1, None))
 
     def sums(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sum_{j<=i} w_i(tau_j) x_j and sum_{j<i} w_i(m_j) y_j, per node i."""
@@ -207,7 +207,7 @@ def _exp_sums(psi: np.ndarray, x: np.ndarray, y: np.ndarray, rates: np.ndarray,
         T0_ik = sum_{j<i} exp(-r_k (psi_2i - psi_2j)) x_j,
         T1_ik = sum_{j<i} exp(-r_k (psi_2i - psi_2j+1)) y_j.
 
-    weights(ks) gives w (one row per rate) at nodes 0..n for rates[ks], which
+    weights(ks) gives w (one row per rate) at nodes 1..n for rates[ks], which
     ascend; None means w = 1. Rates are taken in blocks of _BLOCK // (2n).
     Within a block the sources j split into rows of W, where W - 1 node
     steps decay by no more than 1/e at the fastest rate. In a row ending at
@@ -268,7 +268,7 @@ def _exp_sums(psi: np.ndarray, x: np.ndarray, y: np.ndarray, rates: np.ndarray,
         if weights is None:
             T = S[:, 0]
         else:
-            T = np.einsum("cki,ki->ci", S, weights(slice(lo, lo + block))[:, 1:])
+            T = np.einsum("cki,ki->ci", S, weights(slice(lo, lo + block)))
         nodes[1:] += T[0]
         mids[1:] += T[1]
     return nodes, mids
