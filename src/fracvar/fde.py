@@ -8,9 +8,13 @@ Discretization: product-trapezoid collocation. At node t_i the derivative is
 
 and the scalar equation D_h u = rhs(t_i, u_i), memory term frozen, is solved
 per node by one nodal solver (Newton, then bracket and bisection), which the
-uniqueness probe shares. Cost is O(n^2) with the kernel table shared
-across nodes; the residual certification afterwards is one history sum of
-that table over all nodes.
+uniqueness probe shares. The memory sum_{j<i-1} c_ij (u_j+1 - u_j) comes
+from the kernel table's march, on the path its history sums take: O(n) for
+the exponential kernel, O(nK) on the sum of exponentials (K about 320), one
+dot product per node on Toeplitz rows, one kernel row per node otherwise.
+The residual certification afterwards is one history sum of that table over
+all nodes, by the table's blocked recurrences rather than the march's, so it
+checks the march.
 
 Initial-condition compatibility: the continuous equation at t = a forces
 f(a, u0) = 0; incompatible data make the exact solution jump at a. By default
@@ -160,32 +164,36 @@ def solve_fde(problem: FdeProblem, *, compat_correction: bool = True,
     table = _KernelTable(problem.spec, grid)
     P = _prefactors(problem.spec, table.alphas)
     rhs = problem.rhs
-    u = np.empty(n + 1)
-    u[0] = problem.initial
-    f0 = rhs(float(grid[0]), float(problem.initial))
+    u0 = float(problem.initial)
+    f0 = rhs(float(grid[0]), u0)
     compat_gap = abs(f0)
     iters = np.zeros(n, dtype=int)
-    shifts = np.zeros(n)
-    steps = np.zeros(n)  # steps[j] = u_{j+1} - u_j, filled as the march goes
+    f_shift = f0 if compat_correction else 0.0
+    u = np.empty(n + 1)
+    u[0] = x = last = u0
+    shifts = np.empty(n)
 
+    # Python floats, not numpy scalars: the Newton iterates inherit the type
+    march = table.march()
+    du = None
     for i in range(1, n + 1):
-        row = table.row(i)
-        c = 0.5 * (row[:-1] + row[1:])
-        scale = float(P[i] * c[i - 1])
-        shifts[i - 1] = row[0] * f0 if compat_correction else 0.0
-        # Python floats, not numpy scalars: the Newton iterates inherit the type
-        offset = float(P[i] * (c[: i - 1] @ steps[: i - 1]) + shifts[i - 1])
-        start = float(u[i - 1] if i == 1 else 2.0 * u[i - 1] - u[i - 2])
-        u[i], iters[i - 1] = _solve_node(rhs, float(grid[i]), scale, float(u[i - 1]),
-                                         offset, start, newton_tol * max(1.0, scale), i)
-        steps[i - 1] = u[i] - u[i - 1]
+        head, sub, memory = march.send(du)
+        p = float(P[i])
+        shifts[i - 1] = shift = head * f_shift
+        scale = p * (0.5 * (sub + 1.0))
+        start = x if i == 1 else 2.0 * x - last
+        last = x
+        x, iters[i - 1] = _solve_node(rhs, float(grid[i]), scale, last, p * memory + shift,
+                                      start, newton_tol * max(1.0, scale), i)
+        u[i] = x
+        du = x - last
 
     # residual certification, independent of the Newton internals:
     # sum_j c_ij du_j = (sum_{j<=i} H_ij (du_j + du_{j+1}) - du_{i+1}) / 2
     du = np.diff(u, prepend=u[0], append=u[-1])  # du_0 = du_{n+1} = 0
     memory, _ = table.sums(du[:-1] + du[1:], np.zeros(n))
     dh = (P * 0.5 * (memory - du[1:]))[1:]
-    targets = np.array([rhs(float(grid[i]), float(u[i])) for i in range(1, n + 1)])
+    targets = np.array([rhs(t, x) for t, x in zip(grid[1:].tolist(), u[1:].tolist())])
     targets -= shifts
     scaled = np.abs(dh - targets) / np.maximum(np.maximum(1.0, np.abs(targets)), P[1:])
     worst = int(np.argmax(scaled)) + 1

@@ -269,12 +269,13 @@ def _ml_neg_array(beta: float, z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 def _soe_rule(betas: np.ndarray, lams: np.ndarray, s_min: float, span: float,
-              max_terms: int, cols: slice = slice(None)):
+              max_terms: int):
     """(rates, weights) of the SOE rule for E_beta(-lam s^beta), one (beta, lam)
     pair per node, on s in [s_min, span]; None if it needs more than
     max_terms rates, beta reaches 1 or the spot check of the module docstring
-    misses. Every pair enters the rule and the check; weights(ks) gives w
-    (one row per rate, one column per pair in cols) for rates[ks].
+    misses. Every pair enters the rule and the check; weights(cols)(ks) gives
+    w for rates[ks], one row per rate and one column per pair in cols, or one
+    column for every pair when all pairs are the same.
     """
     b_max = float(np.max(betas))
     if b_max >= 1.0:
@@ -301,8 +302,15 @@ def _soe_rule(betas: np.ndarray, lams: np.ndarray, s_min: float, span: float,
         got = decays @ _density(betas[i], lams[i], h)(ell)
         if not np.max(np.abs(got - want) / want) <= _SOE_TOL:
             return None
-    weights = _density(betas[0] if np.all(betas == betas[0]) else betas[cols], lams[cols], h)
-    return np.exp(ell), lambda ks: weights(ell[ks, None])
+    fixed = bool(np.all(betas == betas[0]))
+    if fixed and np.all(lams == lams[0]):
+        column = _density(betas[0], lams[0], h)(ell[:, None])
+        return np.exp(ell), lambda cols: lambda ks: column[ks]
+
+    def weights(cols):
+        density = _density(betas[0] if fixed else betas[cols], lams[cols], h)
+        return lambda ks: density(ell[ks, None])
+    return np.exp(ell), weights
 
 
 def ml_eval(params: MLParams, z: float) -> float:
@@ -331,7 +339,10 @@ def ml_eval(params: MLParams, z: float) -> float:
 def spectral_density(gamma: float, r) -> float | np.ndarray:
     """Density K_gamma(r) of the spectral representation of E_gamma(-t^gamma).
 
-    Positive for every r > 0 when 0 < gamma < 1; its total mass is 1.
+    Positive for every finite r > 0 when 0 < gamma < 1; its total mass is 1.
+    It grows like r^(gamma - 1) as r -> 0: where it passes the float range
+    (r = 5e-324 at gamma = 0.01) the value is inf. At r = inf it is 0.0, the
+    limit.
     """
     if not (0.0 < gamma < 1.0):
         raise InvalidParam(f"gamma must lie in (0, 1), got {gamma}")
@@ -340,7 +351,7 @@ def spectral_density(gamma: float, r) -> float | np.ndarray:
         raise InvalidParam("spectral density requires r > 0")
     with np.errstate(over="ignore", invalid="ignore"):
         out = _density(gamma, 1.0)(np.log(arr)) / arr
-    out = np.where(np.isfinite(out), out, 0.0)
+    out = np.where(arr == np.inf, 0.0, out)
     if np.ndim(r) == 0:
         return float(out)
     return out

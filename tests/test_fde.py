@@ -35,6 +35,7 @@ from fracvar.errors import (
     NewtonDivergence,
 )
 from fracvar.fde import MAX_NEWTON, NEWTON_TOL, _solve_node
+from fracvar.operators import _KernelTable
 
 CF = make_special_case("caputo_fabrizio", alpha=0.5, interval=(0.0, 1.0))
 
@@ -81,12 +82,29 @@ class TestLinearClosedForm:
         assert np.array_equal(one, two)
 
 
-@pytest.mark.parametrize("spec", [
-    make_special_case("atangana", alpha=0.5, interval=(0.0, 1.0)),
-    make_special_case("log_warp", alpha=0.4, interval=(1.0, 2.0), gamma=0.7, beta=0.6),
-], ids=["toeplitz", "log_warp"])
+SOE_SPEC = make_special_case("log_warp", alpha=0.4, interval=(1.0, 2.0), gamma=0.5, beta=0.5)
+
+
+def _march_route(spec, n):
+    """The path of the solver's kernel table: exp, toeplitz, soe or rows."""
+    table = _KernelTable(spec, uniform_grid(*spec.interval, n))
+    if table._lam is not None:
+        return "exp"
+    if table._base is not None:
+        return "toeplitz"
+    return "rows" if table._soe is None else "soe"
+
+
+@pytest.mark.parametrize("spec, n, route", [
+    (make_special_case("atangana", alpha=0.5, interval=(0.0, 1.0)), 128, "toeplitz"),
+    (make_special_case("log_warp", alpha=0.4, interval=(1.0, 2.0), gamma=0.7, beta=0.6),
+     128, "rows"),
+    (make_special_case("log_warp", alpha=0.4, interval=(1.0, 2.0)), 128, "exp"),
+    # at n = 128 this rule would need more rates than nodes and take rows
+    (SOE_SPEC, 512, "soe"),
+], ids=["toeplitz", "log_warp", "exp_log_warp", "soe_log_warp"])
 @pytest.mark.parametrize("corrected", [True, False])
-def test_residual_matches_direct_collocation(spec, corrected):
+def test_residual_matches_direct_collocation(spec, n, route, corrected):
     # D_h u(t_i) = P_i sum_j c_ij (u_j - u_{j-1}) recomputed node by node from
     # public kernel rows, independent of the solver's history sums
     def rhs(t, u):
@@ -106,7 +124,8 @@ def test_residual_matches_direct_collocation(spec, corrected):
             scaled.append(gaps[-1] / max(1.0, abs(target), P))
         return max(gaps), max(scaled)
 
-    problem = FdeProblem(spec=spec, rhs=rhs, initial=1.0, grid_n=128)
+    assert _march_route(spec, n) == route
+    problem = FdeProblem(spec=spec, rhs=rhs, initial=1.0, grid_n=n)
     # Newton stops at a scaled residual of newton_tol, so the reported norm
     # sits near 1e-10 by default and must be the same maximum
     report = solve_fde(problem, compat_correction=corrected)
@@ -125,9 +144,31 @@ def test_march_passes_rhs_python_floats():
         seen.add((type(t), type(u)))
         return -u ** 3 - u + math.sin(math.pi * t)
 
-    for spec in (CF, make_special_case("atangana", alpha=0.5, interval=(0.0, 1.0))):
-        solve_fde(FdeProblem(spec=spec, rhs=rhs, initial=1.0, grid_n=64))
+    for spec, n in ((CF, 64), (make_special_case("atangana", alpha=0.5, interval=(0.0, 1.0)), 64),
+                    (SOE_SPEC, 512)):
+        solve_fde(FdeProblem(spec=spec, rhs=rhs, initial=1.0, grid_n=n))
+    assert _march_route(SOE_SPEC, 512) == "soe"
     assert seen == {(float, float)}
+
+
+@pytest.mark.parametrize("spec, route", [
+    (make_special_case("log_warp", alpha=0.6, interval=(1.0, 3.0)), "exp"),
+    (make_special_case("log_warp", alpha=0.5, interval=(1.0, 2.0), gamma=0.5, beta=0.5), "soe"),
+    (make_special_case("variable_ml", alpha=OrderFunction.from_expr("0.5 + 0.2*t",
+                                                                    interval=(0.0, 1.0))),
+     "soe"),
+    (make_special_case("atangana", alpha=0.5, interval=(0.0, 1.0)), "toeplitz"),
+], ids=["exp_log_warp", "soe_log_warp", "soe_tracked", "toeplitz"])
+def test_march_matches_rows_march(spec, route, monkeypatch):
+    # the march on its own path against one kernel row per node
+    n = 2048
+    assert _march_route(spec, n) == route
+    problem = FdeProblem(spec=spec, rhs=lambda t, u: -u ** 3 - u + math.sin(math.pi * t),
+                         initial=1.0, grid_n=n)
+    fast = solve_fde(problem).solution.values
+    monkeypatch.setattr(_KernelTable, "march", _KernelTable._rows_march)
+    rows = solve_fde(problem).solution.values
+    assert np.max(np.abs(fast - rows)) <= 1e-11 * np.max(np.abs(rows))
 
 
 class TestCompatibilityCorrection:

@@ -74,9 +74,9 @@ def test_order_half_against_erfc_identity(x, expected):
     # every route certifies MLParams.tol = 1e-12 relative; rel 1e-11
     # leaves room for the oracle's own rounding
     got = ml_eval(MLParams(beta=0.5), -x)
-    assert got == pytest.approx(expected, rel=1e-11)
+    assert got == pytest.approx(expected, rel=1e-11, abs=0.0)
     # and the frozen numbers really are the oracle's
-    assert expected == pytest.approx(erfc_oracle(x), rel=1e-15)
+    assert expected == pytest.approx(erfc_oracle(x), rel=1e-15, abs=0.0)
 
 
 def test_value_at_zero_is_one():
@@ -86,7 +86,7 @@ def test_value_at_zero_is_one():
 
 def test_order_one_reduces_to_exp():
     for z in (-3.0, -0.5, 0.25, 2.0):
-        assert ml_eval(MLParams(beta=1.0), z) == pytest.approx(math.exp(z), rel=1e-15)
+        assert ml_eval(MLParams(beta=1.0), z) == pytest.approx(math.exp(z), rel=1e-15, abs=0.0)
 
 
 def test_cancellation_region_order_half():
@@ -94,19 +94,20 @@ def test_cancellation_region_order_half():
     # return the roundoff residue of huge alternating terms
     for x in (15.0, 25.5, 40.0):
         got = ml_eval(MLParams(beta=0.5), -x)
-        assert got == pytest.approx(erfc_oracle(x), rel=1e-11), x
+        assert got == pytest.approx(erfc_oracle(x), rel=1e-11, abs=0.0), x
 
 
 def test_far_negative_argument_skips_series():
     # far beyond the series' reach: spectral quadrature only
     got = ml_eval(MLParams(beta=0.5), -60.0)
-    assert got == pytest.approx(erfc_oracle(60.0), rel=1e-11)
+    assert got == pytest.approx(erfc_oracle(60.0), rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("x", [7.5, 90.0, 150.0, 1e3, 3777.7, 1e4])
 def test_order_half_far_arguments_against_erfc_identity(x):
     # E_0.5(-90) once came back as 1.2e-12 against 6.27e-3
-    assert ml_eval(MLParams(beta=0.5), -x) == pytest.approx(erfc_oracle(x), rel=1e-11)
+    assert ml_eval(MLParams(beta=0.5), -x) == pytest.approx(erfc_oracle(x), rel=1e-11,
+                                                                  abs=0.0)
 
 
 @pytest.mark.parametrize("beta", [0.5, 0.9, 0.99])
@@ -130,7 +131,7 @@ def test_positive_argument_order_half(z):
     # E_{1/2}(z) = exp(z^2) erfc(-z); at z = 20 the sum runs past k = 2000,
     # where 1 / Gamma(k/2 + 1) alone underflows
     expected = math.exp(z * z) * math.erfc(-z)
-    assert ml_eval(MLParams(beta=0.5), z) == pytest.approx(expected, rel=1e-11)
+    assert ml_eval(MLParams(beta=0.5), z) == pytest.approx(expected, rel=1e-11, abs=0.0)
 
 
 def test_huge_positive_argument_raises():
@@ -177,6 +178,15 @@ class TestSpectralDensity:
         e = 1.0 - gamma
         expected = math.sin(math.pi * e) / (4.0 * math.pi * math.sin(0.5 * math.pi * e) ** 2)
         assert spectral_density(gamma, 1.0) == pytest.approx(expected, rel=1e-13)
+
+    def test_range_ends(self):
+        # near r = 0 the density grows like r^(gamma - 1): at gamma = 0.01 and
+        # r = 5e-324 it is about 1e318, past the float range, so inf; at
+        # r = inf it is its limit 0
+        assert spectral_density(0.01, 5e-324) == math.inf
+        assert spectral_density(0.01, math.inf) == 0.0
+        got = spectral_density(0.01, np.array([5e-324, 1.0, math.inf]))
+        assert got[0] == math.inf and 0.0 < got[1] < math.inf and got[2] == 0.0
 
     def test_gamma_validation(self):
         with pytest.raises(InvalidParam):
@@ -226,7 +236,7 @@ def _check_against_asymptotics(beta, x1, x2, v1, v2):
         if x >= 1.0 and beta < 1.0:
             total, smallest = asymptotic_oracle(beta, x)
             if total > 0.0 and smallest <= 1e-13 * total:
-                assert v == pytest.approx(total, rel=1e-11), (beta, x)
+                assert v == pytest.approx(total, rel=1e-11, abs=0.0), (beta, x)
 
 
 @given(st.floats(min_value=0.1, max_value=1.0),

@@ -451,8 +451,8 @@ def test_exponential_caputo_starts_at_exact_zero():
 
 
 def test_exponential_table_builds_its_toeplitz_base_on_first_row(monkeypatch):
-    # the exponential kernel's sums take the recurrence and never read the
-    # Toeplitz base, so only the solver's first row() call evaluates it
+    # the exponential kernel's sums and march take the recurrence and never
+    # read the Toeplitz base, so only a first row() call evaluates it
     calls = []
     real = operators._ml_kernel
 
@@ -469,6 +469,21 @@ def test_exponential_table_builds_its_toeplitz_base_on_first_row(monkeypatch):
     assert len(calls) == 1
     for i, row in zip((10, 40), rows):
         assert np.array_equal(row, kernel_values(cf_spec(0.6), grid[i], grid[: i + 1]))
+
+
+@pytest.mark.parametrize("m", [1025, 2048, 2113, 4097])
+def test_lower_convolve_matches_long_double(m):
+    # the Toeplitz path's truncated product (halved recursively above 1024
+    # points) against direct long-double sums, on a kernel-like row and
+    # signed data
+    rng = np.random.default_rng(m)
+    a = np.exp(-np.linspace(0.0, 3.0, m)) * (1.0 + 0.1 * rng.random(m))
+    b = rng.standard_normal(m)
+    got = operators._lower_convolve(a, b)
+    al, bl = a.astype(np.longdouble), b.astype(np.longdouble)
+    want = np.array([al[i::-1] @ bl[: i + 1] for i in range(m)])
+    assert got.shape == (m,)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _soe_cutoff(n=1024):
@@ -496,7 +511,7 @@ def test_soe_weights_match_mittag_leffler(beta):
     assert rule is not None
     rates, weights = rule
     s = np.geomspace(s_min, span, 200)
-    got = np.exp(-np.outer(s, rates)) @ weights(slice(None))
+    got = np.exp(-np.outer(s, rates)) @ weights(slice(None))(slice(None))
     for lam, column in zip(lams, got.T):
         want = _ml_neg_array(beta, -lam * s**beta)
         assert np.max(np.abs(column - want) / want) <= mlf._SOE_TOL
