@@ -26,13 +26,19 @@ The table sums by one of four paths, chosen from the spec and the warp:
   (tracked gamma/beta are then constant too), and one row and two
   convolutions serve every node, truncated to the n + 1 outputs kept
   (_lower_convolve).
-* Otherwise, gamma = beta < 1 at every node (a tracked order, variable_ml,
-  or a constant order on the log, sin or expression warps): the certified
-  sum-of-exponentials rule of mlf (_soe_rule), H_i(s) ~ sum_k w_ik
-  exp(-r_k s) on rates shared by every node. Each sum is then the exact
-  diagonal (H = 1) plus sum_k w_ik times K decayed running sums
-  (_exp_sums): O(nK) with K about 360 at n = 1024. Rows run when the rule
-  is refused or would need more than n rates.
+* Otherwise, sums of exponentials on a certified rule of mlf, with rates
+  shared by every node and the slow ones (r span <= 1) folded into 14, so
+  K is about 60 and the sums cost O(nK) (_exp_sums). Rows run when no rule
+  applies (gamma != beta, mu >= 1) or the rule is refused, as when it would
+  need more than n rates.
+  - gamma = beta < 1 at every node (a tracked order, variable_ml, or a
+    constant order on the log, sin or expression warps): _soe_rule,
+    H_i(s) ~ sum_k w_ik exp(-r_k s). Each sum is the exact diagonal (H = 1)
+    plus sum_k w_ik times K decayed running sums.
+  - The weakly singular family with 0 < mu < 1 (_power_sums): _power_rule
+    for s^(mu-1). Each node keeps the exact moments of its last panel; the
+    earlier panels enter through closed-form integrals of exp(-r (psi_i - x))
+    against the linear data.
 * Otherwise one row per output node, O(n^2) kernel evaluations: each sum is
   a dot product, as accurate as the rows.
 
@@ -67,11 +73,13 @@ from .kernel import (
     log_warp,
     sin_warp,
 )
-from .mlf import _soe_rule
+from .mlf import _power_rule, _soe_rule
 
 SCHEMES = ("product_trapezoid", "product_midpoint")
 _BLOCK = 1 << 15     # rate-source pairs per temporary of _exp_sums
 _MARCH_BLOCK = 256   # nodes per block of the exponential kernel's march
+# Taylor coefficients of _phis' phi1, z^1 to z^15
+_PHI1_SERIES = [(-1) ** (p + 1) * p / (2.0 * math.factorial(p + 2)) for p in range(1, 16)]
 
 
 @dataclass(frozen=True)
@@ -188,7 +196,7 @@ class _KernelTable:
     def sums(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sum_{j<=i} w_i(tau_j) x_j and sum_{j<i} w_i(m_j) y_j, per node i."""
         if self._lam is not None:
-            return _exp_sums(self.psih, x, y, np.array([self._lam]))
+            return _diagonal_sums(self.psih, x, y, np.array([self._lam]))
         n = self.n
         mids = np.zeros(n + 1)
         if self._base is not None:
@@ -196,7 +204,7 @@ class _KernelTable:
             return _lower_convolve(self._base[::2], x), mids
         if self._soe is not None:
             rates, weights = self._soe
-            return _exp_sums(self.psih, x, y, rates, weights(slice(1, None)))
+            return _diagonal_sums(self.psih, x, y, rates, weights(slice(1, None)))
         nodes = np.zeros(n + 1)
         data = np.zeros((2, 2 * n + 1))
         data[0, ::2] = x
@@ -307,14 +315,31 @@ def _lower_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exp_sums(psi: np.ndarray, x: np.ndarray, y: np.ndarray, rates: np.ndarray,
-              weights=None) -> tuple[np.ndarray, np.ndarray]:
-    """x_i + sum_k w_ik T0_ik and sum_k w_ik T1_ik per node i, on the half-step
-    grid psi (nodes at even entries), where
+def _diagonal_sums(psi: np.ndarray, x: np.ndarray, y: np.ndarray, rates: np.ndarray,
+                   weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """sums() of kernel rows on the exponential sums: x_i (H = 1 on the
+    diagonal) plus the node column of _exp_sums, and its midpoint column,
+    which is left out when y = 0."""
+    sums = _exp_sums(psi, lambda ks: x[None, None, :-1], rates, weights,
+                     y if y.any() else None)
+    nodes, mids = np.array(x, dtype=float), np.zeros(x.size)
+    nodes[1:] += sums[0]
+    if sums.shape[0] == 2:
+        mids[1:] += sums[1]
+    return nodes, mids
 
-        T0_ik = sum_{j<i} exp(-r_k (psi_2i - psi_2j)) x_j,
-        T1_ik = sum_{j<i} exp(-r_k (psi_2i - psi_2j+1)) y_j.
 
+def _exp_sums(psi: np.ndarray, x, rates: np.ndarray, weights=None,
+              y: np.ndarray | None = None) -> np.ndarray:
+    """sum_k w_ik T_ik per node i = 1..n for each column of data, on the
+    half-step grid psi (nodes at even entries), where
+
+        T_ik = sum_{j<i} exp(-r_k (psi_2i - psi_2j)) x_kj     (node columns),
+        T_ik = sum_{j<i} exp(-r_k (psi_2i - psi_2j+1)) y_j    (midpoint column).
+
+    x(ks) gives the node columns for rates[ks]: an array (c, len(ks), n), or
+    (c, 1, n) for data shared by every rate, at the sources j = 0..n-1. The
+    midpoint column, when y is given, comes last in the (columns, n) result.
     weights(ks) gives w (one row per rate) at nodes 1..n for rates[ks], which
     ascend; None means w = 1. Rates are taken in blocks of _BLOCK // (2n).
     Within a block the sources j split into rows of W, where W - 1 node
@@ -328,14 +353,17 @@ def _exp_sums(psi: np.ndarray, x: np.ndarray, y: np.ndarray, rates: np.ndarray,
     factors. psi is differenced before it meets r, so no far-from-zero psi
     adds roundoff.
     """
-    n = x.size - 1
-    nodes, mids = np.array(x, dtype=float), np.zeros(n + 1)
-    cols = 2 if y.any() else 1   # with y = 0 the midpoint column is left out
+    n = (psi.size - 1) // 2
+    out = None
     gap = float(np.max(psi[2::2] - psi[:-2:2]))
     block = max(1, _BLOCK // (2 * n))
     width = None
     for lo in range(0, rates.size, block):
-        r = rates[lo:lo + block, None, None]
+        ks = slice(lo, lo + block)
+        r = rates[ks, None, None]
+        data = x(ks)
+        c = data.shape[0]
+        cols = c + (y is not None)
         fastest = float(r[-1, 0, 0]) * gap
         W = n if fastest * n <= 1.0 else 1 + int(1.0 / fastest)
         if W != width:
@@ -346,12 +374,8 @@ def _exp_sums(psi: np.ndarray, x: np.ndarray, y: np.ndarray, rates: np.ndarray,
             tgt = np.append(psi[2::2], np.full(pad, psi[-1])).reshape(rows, W)
             ref = tgt[:, -1:]
             a_tgt = ref - tgt
-            if cols == 2:
+            if y is not None:
                 a_mid = ref - np.append(psi[1::2], np.full(pad, psi[-1])).reshape(rows, W)
-            data = np.zeros((cols, 1, rows * W))
-            data[0, 0, :n] = x[:-1]
-            data[1:, 0, :n] = y
-            data = data.reshape(cols, 1, rows, W)
             refs = np.append(psi[0], ref)
             steps = (refs[1:] - refs[:-1])[None]
             step_min = float(steps.min())
@@ -360,11 +384,15 @@ def _exp_sums(psi: np.ndarray, x: np.ndarray, y: np.ndarray, rates: np.ndarray,
         carry = np.exp(-r[..., 0] * steps)
         S = np.empty((cols, r.size, rows, W))
         # the node source j sits at target j-1, or at the previous reference
-        S[0, :, :, 0] = carry
-        S[0, :, :, 1:] = e_tgt[..., :-1]
-        if cols == 2:
-            np.exp(-r * a_mid, out=S[1])
-        S *= data
+        S[:c, :, :, 0] = carry
+        S[:c, :, :, 1:] = e_tgt[..., :-1]
+        if y is not None:
+            np.exp(-r * a_mid, out=S[c])
+        flat = S.reshape(cols, r.size, rows * W)
+        flat[:c, :, :n] *= data
+        if y is not None:
+            flat[c, :, :n] *= y
+        flat[..., n:] = 0.0
         np.cumsum(S, axis=-1, out=S)
         # V[..., q] = the sums at refs[q], V[..., 0] = 0 at node 0
         V = np.zeros((cols, r.size, rows + 1))
@@ -379,14 +407,84 @@ def _exp_sums(psi: np.ndarray, x: np.ndarray, y: np.ndarray, rates: np.ndarray,
         S += (carry * V[..., :-1])[..., None]
         S /= e_tgt
         S = S.reshape(cols, r.size, rows * W)[..., :n]
-        if weights is None:
-            T = S[:, 0]
+        T = S.sum(axis=1) if weights is None else np.einsum("cki,ki->ci", S, weights(ks))
+        if out is None:
+            out = T
         else:
-            T = np.einsum("cki,ki->ci", S, weights(slice(lo, lo + block)))
-        nodes[1:] += T[0]
-        if cols == 2:
-            mids[1:] += T[1]
-    return nodes, mids
+            out += T
+    return out
+
+
+def _phis(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi0(z) = int_0^1 e^(-z v) dv = -expm1(-z) / z and
+    phi1(z) = int_0^1 e^(-z v) (1/2 - v) dv = (expm1(-z) (1 + z/2) + z) / z^2,
+    for z >= 0. phi1's closed form cancels as z -> 0 (its value is about
+    z / 12), so below z = 1/2 it is summed from its series
+    sum_{p>=1} (-1)^(p+1) p z^p / (2 (p+2)!), whose tail there is below 1e-18.
+    """
+    em = np.expm1(-z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi1 = 0.5 * z
+        phi1 += 1.0
+        phi1 *= em
+        phi1 += z
+        phi1 /= z
+        phi1 /= z
+        phi0 = np.divide(em, -z, out=em)
+    phi0[z == 0.0] = 1.0
+    small = z < 0.5
+    zs = z[small]
+    acc = np.full(zs.shape, _PHI1_SERIES[-1])
+    for coef in _PHI1_SERIES[-2::-1]:
+        acc *= zs
+        acc += coef
+    acc *= zs
+    phi1[small] = acc
+    return phi0, phi1
+
+
+def _power_sums(psih: np.ndarray, g_mid: np.ndarray, slope: np.ndarray, mus: np.ndarray,
+                per_panel: bool):
+    """_product_sums on the SOE rule for s^(mu-1) (mlf._power_rule), or None
+    when some mu is outside (0, 1) or the rule is refused. mus[j] is the
+    exponent of node j+1 (per_panel False) or of panel j.
+
+    Node i's last panel keeps its exact moments. On a history panel j <= i-2,
+    with h_j its width and z = r h_j, the rate r integrates to
+    exp(-r (psi_i - psi_j+1)) h_j (g_mid_j phi0(z) + slope_j h_j phi1(z))
+    (_phis): per-rate data at the source node j+1 of _exp_sums, times the
+    rule's weight of mu_j when the exponent follows the panel, while the
+    weights of mu_i apply at the targets otherwise.
+    """
+    if not (np.all(mus > 0.0) and np.all(mus < 1.0)):
+        return None
+    psi = psih[::2]
+    n = psi.size - 1
+    hp = np.diff(psi)
+    rule = _power_rule(1.0 - mus, float(np.min(hp)), float(psi[-1] - psi[0]), n)
+    if rule is None:
+        return None
+    rates, weights = rule
+    w = weights(slice(None, -1) if per_panel else slice(None))
+    h, g_h, s_h2 = hp[:-1], (hp * g_mid)[:-1], (hp * hp * slope)[:-1]
+
+    def sources(ks):
+        phi0, phi1 = _phis(np.multiply.outer(rates[ks], h))
+        out = np.zeros((2, phi0.shape[0], n))
+        np.multiply(phi0, g_h, out=out[0, :, 1:])
+        np.multiply(phi1, s_h2, out=out[1, :, 1:])
+        if per_panel:
+            out[:, :, 1:] *= w(ks)
+        return out
+
+    hist = _exp_sums(psih, sources, rates, None if per_panel else w)
+    # the last panel: integral and first moment about its midpoint of s^(mu-1)
+    m0 = hp**mus / mus
+    m1 = hp ** (mus + 1.0) * (1.0 - mus) / (2.0 * mus * (mus + 1.0))
+    mid, corr = np.zeros(n + 1), np.zeros(n + 1)
+    mid[1:] = g_mid * m0 + hist[0]
+    corr[1:] = slope * m1 + hist[1]
+    return mid + corr, mid
 
 
 def _trap_mid(table: _KernelTable, x: np.ndarray, y: np.ndarray,
@@ -461,23 +559,28 @@ def caputo_deriv_ns(spec: KernelSpec, f: GridFunction, *,
 
 
 def _product_sums(spec: KernelSpec, grid: np.ndarray, data: np.ndarray,
-                  mu_at) -> tuple[np.ndarray, np.ndarray]:
+                  mus: np.ndarray, exponent_at: str = "t") -> tuple[np.ndarray, np.ndarray]:
     """Integrals over [psi_0, psi_i] of (psi_i - x)^(mu-1) g(x) dx, per node i.
 
-    mu = mu_at(i) is a scalar or one value per panel. Node i's table row holds
-    exact moments of the weight: entry 2j its integral over panel j, entry
-    2j+1 its first moment about the panel midpoint, entry 2i zero, so the
-    integrable singularity at x = psi_i costs no accuracy. g is interpolated
-    from data: piecewise constant at panel means for the midpoint sums,
-    piecewise linear for the trapezoid sums. On a panel the linear g is its
-    mean plus slope * (x - midpoint), so the trapezoid sum is the midpoint sum
-    plus the slopes against the first moments.
+    mu is mus[i] at node i (exponent_at="t") or mus[j] on panel j ("tau").
+    g is interpolated from data: piecewise constant at panel means for the
+    midpoint sums, piecewise linear for the trapezoid sums. On a panel the
+    linear g is its mean plus slope * (x - midpoint), so the trapezoid sum is
+    the midpoint sum plus the slopes against the first moments. The table
+    row of node i holds exact moments of the weight: entry 2j its integral
+    over panel j, entry 2j+1 its first moment about the panel midpoint,
+    entry 2i zero, so the integrable singularity at x = psi_i costs no
+    accuracy. The sums take the table's Toeplitz path at constant order on a
+    uniformly spaced psi; otherwise, when 0 < mu < 1 everywhere, the
+    sum-of-exponentials path of _power_sums, O(nK) with K about 60; rows
+    (O(n^2)) only when mu reaches 1 or the rule is refused.
     """
+    per_panel = exponent_at == "tau"
 
     def moments(i: int, dpsi: np.ndarray) -> np.ndarray:
         U = dpsi[::2].copy()  # powers of a strided view are about 20 % slower
         u0, u1 = U[:-1], U[1:]
-        mu = mu_at(i)
+        mu = mus[:i] if per_panel else float(mus[i])
         m0 = (u0**mu - u1**mu) / mu
         out = np.zeros(dpsi.size)
         out[:-1:2] = m0
@@ -488,6 +591,11 @@ def _product_sums(spec: KernelSpec, grid: np.ndarray, data: np.ndarray,
     table = _KernelTable(spec, grid, moments)
     g_mid = 0.5 * (data[:-1] + data[1:])
     slope = np.diff(data) / np.diff(table.psih[::2])
+    if not table._toeplitz:
+        sums = _power_sums(table.psih, g_mid, slope, mus if per_panel else mus[1:],
+                           per_panel)
+        if sums is not None:
+            return sums
     mid, corr = table.sums(np.append(g_mid, 0.0), slope)
     return mid + corr, mid
 
@@ -514,15 +622,8 @@ def rl_integral_varorder(spec: KernelSpec, f: GridFunction, *,
     alphas = spec.order.values(grid)
     if np.min(alphas) <= 0.0:
         raise InvalidParam("order must stay positive for the integral")
-    if exponent_at == "tau":
-        mid_alphas = spec.order.values(0.5 * (grid[:-1] + grid[1:]))
-
-        def mu_at(i):
-            return mid_alphas[:i]
-    else:
-        def mu_at(i):
-            return float(alphas[i])
-    trap, mid = _product_sums(spec, grid, f.values, mu_at)
+    mus = spec.order.values(0.5 * (grid[:-1] + grid[1:])) if exponent_at == "tau" else alphas
+    trap, mid = _product_sums(spec, grid, f.values, mus, exponent_at)
     scales = 1.0 / _gammas(alphas)
     return _finish(grid, scales * trap, scales * mid, scheme, f"I[{f.label}]")
 
@@ -540,7 +641,7 @@ def rl_deriv_classical(spec: KernelSpec, f: GridFunction, *,
         raise DegenerateGrid(f"classical derivative needs n >= 16, got {f.n}")
     grid = f.grid
     mus = 1.0 - _alphas_checked(spec, grid)
-    inner_t, inner_m = _product_sums(spec, grid, f.values, lambda i: float(mus[i]))
+    inner_t, inner_m = _product_sums(spec, grid, f.values, mus)
     factors = 1.0 / (_gammas(mus) * spec.warp.deriv_values(grid))
     trap = factors * fd_deriv(inner_t, f.h)
     mid = factors * fd_deriv(inner_m, f.h)
@@ -561,7 +662,7 @@ def caputo_deriv_classical(spec: KernelSpec, f: GridFunction, *,
     grid = f.grid
     mus = 1.0 - _alphas_checked(spec, grid)
     data = f.deriv_values() / spec.warp.deriv_values(grid)
-    trap, mid = _product_sums(spec, grid, data, lambda i: float(mus[i]))
+    trap, mid = _product_sums(spec, grid, data, mus)
     scales = 1.0 / _gammas(mus)
     return _finish(grid, scales * trap, scales * mid, scheme, f"D_c_cl[{f.label}]")
 

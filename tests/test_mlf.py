@@ -188,6 +188,13 @@ class TestSpectralDensity:
         got = spectral_density(0.01, np.array([5e-324, 1.0, math.inf]))
         assert got[0] == math.inf and 0.0 < got[1] < math.inf and got[2] == 0.0
 
+    def test_subnormal_power_taken_in_logs(self):
+        # at r = 5e-324 and gamma = 0.99, e^(gamma ln r) is subnormal; the
+        # 30-digit value of sin(gamma pi) / pi r^(gamma - 1) /
+        # (r^(2 gamma) + 2 r^gamma cos(gamma pi) + 1) there
+        assert spectral_density(0.99, 5e-324) == pytest.approx(
+            17.099787463684605570737083169, rel=1e-13, abs=0.0)
+
     def test_gamma_validation(self):
         with pytest.raises(InvalidParam):
             spectral_density(1.0, 1.0)

@@ -39,7 +39,7 @@ from fracvar.errors import (
 )
 from fracvar import mlf, operators
 from fracvar.mlf import _ml_neg_array
-from fracvar.operators import SPECIAL_CASES, _KernelTable
+from fracvar.operators import SCHEMES, SPECIAL_CASES, _KernelTable
 
 
 def cf_spec(alpha=0.5, interval=(0.0, 1.0), gamma=1.0, beta=1.0, warp=None):
@@ -519,8 +519,9 @@ def test_soe_weights_match_mittag_leffler(beta):
 
 def test_soe_routing(monkeypatch):
     # tracked and log-warp sums take the sums of exponentials and evaluate no
-    # kernel row; an order reaching beta = 0.95 needs more terms than nodes,
-    # and gamma != beta has no such sum, so both take one row per node
+    # kernel row; an order reaching beta = 0.99 needs more terms than nodes,
+    # even with the slow terms folded, and gamma != beta has no such sum, so
+    # both take one row per node
     calls = []
     real = operators._ml_kernel
 
@@ -533,7 +534,7 @@ def test_soe_routing(monkeypatch):
     for spec, rows in ((tracked_spec(), 0),
                        (cf_spec(0.4, interval=(1.0, 3.0), gamma=0.5, beta=0.5,
                                 warp=log_warp()), 0),
-                       (tracked_spec("0.75 + 0.2*t"), n + 1),
+                       (tracked_spec("0.79 + 0.2*t"), n + 1),
                        (cf_spec(0.4, interval=(1.0, 3.0), gamma=0.7, beta=0.6,
                                 warp=log_warp()), n + 1)):
         grid = uniform_grid(*spec.interval, n)
@@ -550,8 +551,8 @@ def test_soe_routing(monkeypatch):
 
 def test_singular_toeplitz_and_rows_agree():
     # the callable constant order defeats the constant-order detection, so
-    # the weakly singular operators build one moment row per node instead of
-    # convolving with the Toeplitz table
+    # the weakly singular operators take the sum-of-exponentials path instead
+    # of convolving with the Toeplitz table
     fast = cf_spec(0.6)
     slow = KernelSpec(gamma=1.0, beta=1.0,
                       order=OrderFunction.from_callable(lambda t: 0.6, 0.6, 0.6),
@@ -572,37 +573,23 @@ def test_singular_toeplitz_and_rows_agree():
 
 
 def _moment_reference(spec, f, exponent_at):
-    """O(n^2) product-integration sums of the integral, moments written out.
-
-    Over panel j the weight (psi_i - x)^(mu-1) has integral
-    m0 = (U_j^mu - U_{j+1}^mu) / mu, U_j = psi_i - psi_j, and first moment
-    about the left end psi_j m1 = U_j m0 - (U_j^(mu+1) - U_{j+1}^(mu+1)) / (mu+1).
-    """
+    """O(n^2) product-integration sums of the integral, from the exact panel
+    moments in long double (_long_double_product_sums)."""
     grid = f.grid
-    psi = spec.warp.values(grid)
     alphas = spec.order.values(grid)
-    mid_alphas = spec.order.values(0.5 * (grid[:-1] + grid[1:]))
-    data = f.values
-    slope = np.diff(data) / np.diff(psi)
-    trap = np.zeros(grid.size)
-    mid = np.zeros(grid.size)
-    for i in range(1, grid.size):
-        mu = mid_alphas[:i] if exponent_at == "tau" else alphas[i]
-        u0 = psi[i] - psi[:i]
-        u1 = psi[i] - psi[1 : i + 1]
-        u1[-1] = 0.0
-        m0 = (u0**mu - u1**mu) / mu
-        m1 = u0 * m0 - (u0 ** (mu + 1.0) - u1 ** (mu + 1.0)) / (mu + 1.0)
-        gamma = math.gamma(alphas[i])
-        trap[i] = np.sum(data[:i] * m0 + slope[:i] * m1) / gamma
-        mid[i] = np.sum(0.5 * (data[:i] + data[1 : i + 1]) * m0) / gamma
-    return trap, mid
+    per_panel = exponent_at == "tau"
+    mus = spec.order.values(0.5 * (grid[:-1] + grid[1:])) if per_panel else alphas
+    trap, mid = _long_double_product_sums(spec.warp.values(grid), f.values, mus, per_panel,
+                                          range(1, grid.size))
+    gammas = np.array([math.gamma(a) for a in alphas[1:]])
+    return np.r_[0.0, trap / gammas], np.r_[0.0, mid / gammas]
 
 
 @pytest.mark.parametrize("case", ["toeplitz", "log_warp", "variable", "tau"])
 def test_product_sums_match_direct_moments(case):
-    # the table's moment rows (convolutions on the Toeplitz path, one row per
-    # node otherwise) against a direct sum of the exact panel moments
+    # the table's moment rows (convolutions on the Toeplitz path) and the
+    # sums of exponentials (the other cases) against a direct sum of the
+    # exact panel moments
     exponent_at = "tau" if case == "tau" else "t"
     if case == "toeplitz":
         spec = cf_spec(0.6)
@@ -621,6 +608,123 @@ def test_product_sums_match_direct_moments(case):
         got = rl_integral_varorder(spec, f, exponent_at=exponent_at,
                                    scheme=scheme).values.values
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.3, 0.6, 0.95])
+def test_power_rule_matches_powers(nu):
+    # the trapezoid rule in l = ln r for s^(-nu), slow terms folded, against
+    # the closed form over the psi gaps of an n = 2048 grid on [0, 1]
+    s_min, span = 1.0 / 2048, 1.0
+    rule = mlf._power_rule(np.array([nu]), s_min, span, 2048)
+    assert rule is not None
+    rates, weights = rule
+    assert rates.size <= 80 and rates[0] == 0.0
+    s = np.geomspace(s_min, span, 200)
+    got = np.exp(-np.outer(s, rates)) @ weights([0])(slice(None))[:, 0]
+    assert np.max(np.abs(got * s**nu - 1.0)) <= mlf._SOE_TOL
+
+
+def _rows_built(monkeypatch):
+    """A list that grows by one per table row the operators build."""
+    rows = []
+    real = operators._KernelTable._row
+
+    def counted(self, i, stride):
+        rows.append(i)
+        return real(self, i, stride)
+
+    monkeypatch.setattr(operators._KernelTable, "_row", counted)
+    return rows
+
+
+def _order_spec(order, interval=(0.0, 1.0), warp=None):
+    return KernelSpec(gamma=1.0, beta=1.0,
+                      order=OrderFunction.from_expr(order, interval=interval),
+                      warp=warp or identity_warp(), norm=NormalizationFunction.one(),
+                      interval=interval)
+
+
+def test_power_soe_routing(monkeypatch):
+    # variable orders (exponent at t and at tau) and a constant order on the
+    # log warp take the sums of exponentials and build no moment row
+    rows = _rows_built(monkeypatch)
+    n = 256
+    for spec in (_order_spec("0.3 + 0.4*t"),
+                 _order_spec("0.4", interval=(1.0, 3.0), warp=log_warp())):
+        a, b = spec.interval
+        f = sampled(np.sin, a, b, n=n, deriv=np.cos)
+        for op, kwargs in ((rl_integral_varorder, {"exponent_at": "t"}),
+                           (rl_integral_varorder, {"exponent_at": "tau"}),
+                           (caputo_deriv_classical, {}), (rl_deriv_classical, {})):
+            op(spec, f, **kwargs)
+            assert rows == [], (op.__name__, kwargs)
+    # mu >= 1 has no such rule: an order reaching 1, and 1.2 in the sums
+    f = sampled(np.sin, n=n, deriv=np.cos)
+    rl_integral_varorder(_order_spec("0.5 + 0.5*t"), f)
+    assert len(rows) == n + 1
+    rows.clear()
+    spec = _order_spec("0.3 + 0.4*t")
+    operators._product_sums(spec, f.grid, f.values, np.full(n + 1, 1.2))
+    assert len(rows) == n + 1
+    # nor does a spot check that misses
+    rows.clear()
+    monkeypatch.setattr(mlf, "_SOE_TOL", 0.0)
+    caputo_deriv_classical(spec, f)
+    assert len(rows) == n + 1
+
+
+def _long_double_product_sums(psi, data, mus, per_panel, nodes):
+    """Trapezoid and midpoint product sums at the given nodes, from the exact
+    panel moments in long double: over panel j, with U_j = psi_i - psi_j,
+    m0 = (U_j^mu - U_j+1^mu) / mu and the first moment about the midpoint
+    m1 = (U_j + U_j+1) m0 / 2 - (U_j^(mu+1) - U_j+1^(mu+1)) / (mu+1)."""
+    psi, data, mus = (np.asarray(v, dtype=np.longdouble) for v in (psi, data, mus))
+    g = 0.5 * (data[:-1] + data[1:])
+    slope = np.diff(data) / np.diff(psi)
+    trap, mid = [], []
+    for i in nodes:
+        U = psi[i] - psi[: i + 1]
+        mu = mus[:i] if per_panel else mus[i]
+        p0, p1 = U[:-1] ** mu, U[1:] ** mu
+        m0 = (p0 - p1) / mu
+        m1 = 0.5 * (U[:-1] + U[1:]) * m0 - (p0 * U[:-1] - p1 * U[1:]) / (mu + 1)
+        mid.append(np.sum(g[:i] * m0))
+        trap.append(mid[-1] + np.sum(slope[:i] * m1))
+    return np.array(trap), np.array(mid)
+
+
+@pytest.mark.parametrize("case", ["variable", "tau", "log_warp"])
+def test_soe_product_sums_match_long_double_moments(case, monkeypatch):
+    # the sums of exponentials at n = 2048 (rows measure 1.5e-15 to 1.1e-14
+    # here) for the data and exponents of the integral and of both classical
+    # derivatives, in both schemes, against direct long-double moments at
+    # every node up to 32 and every 16th after it
+    rows = _rows_built(monkeypatch)
+    n = 2048
+    if case == "log_warp":
+        spec = _order_spec("0.4", interval=(1.0, 3.0), warp=log_warp())
+    else:
+        spec = _order_spec("0.3 + 0.4*t")
+    a, b = spec.interval
+    grid = uniform_grid(a, b, n)
+    psi = spec.warp.values(grid)
+    alphas = spec.order.values(grid)
+    nodes = np.unique(np.r_[1:33, 32:n:16, n])
+    f = np.sin(grid)
+    inputs = {"caputo_classical": (np.cos(grid) / spec.warp.deriv_values(grid), 1.0 - alphas),
+              "rl_classical": (f, 1.0 - alphas)}
+    if case == "tau":
+        inputs = {"integral": (f, spec.order.values(0.5 * (grid[:-1] + grid[1:])))}
+    else:
+        inputs["integral"] = (f, alphas)
+    exponent_at = "tau" if case == "tau" else "t"
+    for name, (data, mus) in inputs.items():
+        got = operators._product_sums(spec, grid, data, mus, exponent_at)
+        want = _long_double_product_sums(psi, data, mus, case == "tau", nodes)
+        for scheme, g, w in zip(SCHEMES, got, want):
+            err = np.max(np.abs(g[nodes] - w)) / np.max(np.abs(w))
+            assert err <= 1e-13, (name, scheme, float(err))
+    assert rows == []
 
 
 # --- special-case factory ---------------------------------------------------------
