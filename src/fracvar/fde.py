@@ -10,7 +10,7 @@ and the scalar equation D_h u = rhs(t_i, u_i), memory term frozen, is solved
 per node by one nodal solver (Newton, then bracket and bisection), which the
 uniqueness probe shares. The memory sum_{j<i-1} c_ij (u_j+1 - u_j) comes
 from the kernel table's march, on the path its history sums take: O(n) for
-the exponential kernel, O(nK) on the sum of exponentials (K about 320), one
+the exponential kernel, O(nK) on the sum of exponentials (K about 60), one
 dot product per node on Toeplitz rows, one kernel row per node otherwise.
 The residual certification afterwards is one history sum of that table over
 all nodes, by the table's blocked recurrences rather than the march's, so it

@@ -47,12 +47,13 @@ class OrderFunction:
     The declared bounds live in (0, 1]; the closed right endpoint admits the
     alpha == 1 classical-integral limit. Operators that divide by
     1 - alpha(t) raise SingularOrder when that quantity drops below 1e-12.
+    is_constant is derived from the declared bounds; the operators never read
+    it, and choose their paths from the sampled orders.
     """
 
     fn: Callable
     declared_min: float
     declared_max: float
-    is_constant: bool = False
     label: str = "order"
 
     def __post_init__(self):
@@ -62,6 +63,10 @@ class OrderFunction:
                 f"[{self.declared_min}, {self.declared_max}]"
             )
 
+    @property
+    def is_constant(self) -> bool:
+        return self.declared_min == self.declared_max
+
     @classmethod
     def constant(cls, value: float) -> "OrderFunction":
         value = float(value)
@@ -69,7 +74,6 @@ class OrderFunction:
             fn=lambda _t, _v=value: _v,
             declared_min=value,
             declared_max=value,
-            is_constant=True,
             label=repr(value),
         )
 

@@ -53,7 +53,10 @@ weights h nu e^(nu l) / Gamma(1 + nu): the integrand has no pole, so the
 strip is |Im l| < pi/2 for every nu and the step is that of d = pi/2. Below
 l_lo = ln(_SOE_EPS / 2) / (1 + nu_min) - ln(span), exp(-e^l s) = 1 to
 within the tolerance, so the rule's nodes below l_lo sum as a geometric
-series into the node l_lo. It is certified against s^(-nu) at the extreme nu.
+series into the node l_lo, whose weight is e^(nu l_lo) times
+h nu / (1 - e^(-h nu)) / Gamma(1 + nu). That factor is 1 at nu = 0, where
+the rule is s^0 = 1, a rate-0 term alone once folded. It is certified
+against s^(-nu) at the extreme nu.
 
 Both rules fold their slow terms (``_folded``): a rate with r span <= 1 has
 r s <= 1 on the whole range, where exp(-r s) is a polynomial of degree 13 in
@@ -387,7 +390,7 @@ def _soe_rule(betas: np.ndarray, lams: np.ndarray, s_min: float, span: float,
 
 
 def _power_rule(nus: np.ndarray, s_min: float, span: float, max_terms: int):
-    """(rates, weights) of the SOE rule for s^(-nu), 0 < nu < 1, one nu per
+    """(rates, weights) of the SOE rule for s^(-nu), 0 <= nu < 1, one nu per
     pair, on s in [s_min, span], in the form of _folded; None if it needs
     more than max_terms rates or misses the check against s^(-nu) at the
     extreme nu. Weights give one column for all pairs when every nu is the
@@ -398,18 +401,21 @@ def _power_rule(nus: np.ndarray, s_min: float, span: float, max_terms: int):
     h = math.pi ** 2 / math.log(4.0 / _SOE_EPS)
     # below l_lo, exp(-e^l s) is 1 to _SOE_EPS / 2 relative for s <= span
     l_lo = math.log(0.5 * _SOE_EPS) / (1.0 + float(np.min(nus))) - math.log(span)
-    scales = h * nus / np.array([math.gamma(1.0 + v) for v in nus.tolist()])
+    gammas = np.array([math.gamma(1.0 + v) for v in nus.tolist()])
+    hn = h * nus
+    scales = hn / gammas
+    # the factor of node l_lo, which also takes the geometric sum of the
+    # nodes below it, h nu / (1 - e^(-h nu)) / Gamma(1 + nu): 1 at nu = 0
+    lo_scales = np.divide(hn, -np.expm1(-hn), out=np.ones_like(hn), where=hn > 0.0) / gammas
 
     def unfolded(cols):
-        nu, scale = nus[cols], scales[cols]
-        tail = -np.expm1(-h * nu)
+        nu, scale, lo_scale = nus[cols], scales[cols], lo_scales[cols]
 
         def at(ell):
             w = np.multiply.outer(ell, nu)
             np.exp(w, out=w)
             w *= scale
-            # node l_lo also takes the geometric sum of the nodes below it
-            w[ell == l_lo] /= tail
+            w[ell == l_lo] = np.exp(l_lo * nu) * lo_scale
             return w
         return at
 

@@ -15,37 +15,41 @@ row builders fill the table:
   weight against piecewise-linear data (product integration), so the
   endpoint singularity costs no accuracy.
 
-The table sums by one of four paths, chosen from the spec and the warp:
+The table sums on one of four paths, which it picks once, when it is built,
+from the values it sums alone: the sampled orders (or the exponents mu of the
+weakly singular family), the spec's gamma and beta, and psi on the half-step
+grid. No declared property of the order enters.
 
-* Exponential kernel (beta = gamma = 1, constant order, any warp): H factors
-  as exp(-lam psi(t)) exp(lam psi(tau)), so both sums come from one exact
-  recurrence on the half-step grid (_exp_sums with the single rate lam),
-  O(n) with about log2 n numpy passes at most. Error: 3e-16 to 3e-15 sup
-  relative against long-double direct sums at n = 2048.
-* Otherwise, constant order on a uniformly spaced psi: the rows are Toeplitz
-  (tracked gamma/beta are then constant too), and one row and two
-  convolutions serve every node, truncated to the n + 1 outputs kept
-  (_lower_convolve).
-* Otherwise, sums of exponentials on a certified rule of mlf, with rates
-  shared by every node and the slow ones (r span <= 1) folded into 14, so
-  K is about 60 and the sums cost O(nK) (_exp_sums). Rows run when no rule
-  applies (gamma != beta, mu >= 1) or the rule is refused, as when it would
-  need more than n rates.
+* "exp", the exponential kernel (beta = gamma = 1 and every sampled alpha
+  equal, any warp): H factors as exp(-lam psi(t)) exp(lam psi(tau)), so both
+  sums come from one exact recurrence on the half-step grid (_exp_sums with
+  the one-rate rule lam, weight 1), O(n) with about log2 n numpy passes at
+  most. Error: 3e-16 to 3e-15 sup relative against long-double direct sums
+  at n = 2048.
+* Otherwise "toeplitz", every sampled exponent equal (alpha, or mu) on a
+  uniformly spaced psi: the rows are Toeplitz (tracked gamma/beta are then
+  constant too), and one row and two convolutions serve every node,
+  truncated to the n + 1 outputs kept (_lower_convolve).
+* Otherwise "soe", sums of exponentials on a certified rule of mlf, with
+  rates shared by every node and the slow ones (r span <= 1) folded into 14,
+  so K is about 60 and the sums cost O(nK) (_exp_sums).
   - gamma = beta < 1 at every node (a tracked order, variable_ml, or a
     constant order on the log, sin or expression warps): _soe_rule,
     H_i(s) ~ sum_k w_ik exp(-r_k s). Each sum is the exact diagonal (H = 1)
     plus sum_k w_ik times K decayed running sums.
-  - The weakly singular family with 0 < mu < 1 (_power_sums): _power_rule
+  - The weakly singular family with 0 < mu <= 1 (_power_sums): _power_rule
     for s^(mu-1). Each node keeps the exact moments of its last panel; the
     earlier panels enter through closed-form integrals of exp(-r (psi_i - x))
     against the linear data.
-* Otherwise one row per output node, O(n^2) kernel evaluations: each sum is
-  a dot product, as accurate as the rows.
+* Otherwise "rows", when no rule applies (gamma != beta, mu > 1) or the rule
+  is refused, as when it would need more than n rates: one row per output
+  node, O(n^2) kernel evaluations, each sum a dot product, as accurate as
+  the rows.
 
-march() gives the solver the same history node by node, on the same path:
-a running sum on floats for the exponential kernel, one dot product per node
-with a weight vector built once for Toeplitz rows, one running sum per rate
-of the sum-of-exponentials rule, or one row per node.
+march() gives the solver the history of kernel rows node by node, on the
+same path: a running sum on floats for the exponential kernel, one dot
+product per node with a weight vector built once for Toeplitz rows, one
+running sum per rate of the sum-of-exponentials rule, or one row per node.
 
 Outer d/dt steps use second-order central differences with one-sided stencils
 at the interval ends.
@@ -121,96 +125,98 @@ class _KernelTable:
     midpoint m_j of panel j), one weight row per node on it, and the history
     sums.
 
-    row_fn(i, dpsi) returns node i's weights at half-grid points 0, stride,
-    ..., 2i, given dpsi = psi(t_i) - psi at those points. The default is the
-    kernel row H(t_i, .); the weakly singular operators pass exact power
-    moments (_product_sums). When the order is constant and psi is uniformly
-    spaced the rows are Toeplitz: the last row at exact multiples of the half
-    step, reversed, serves every node. That base is built on first use, so
-    the exponential kernel's sums, which never read it, build none.
-    sums() and march() take one of the four paths in the module docstring
-    (exponential, Toeplitz, sum of exponentials, rows); the
-    sum-of-exponentials rule is built and spot-checked on first use and falls
-    back to rows when it cannot be certified. row() is the same on all of
-    them.
+    The rows are the kernel H(t_i, .) by default. Given mus, the exponents of
+    the weakly singular family (mus[i] at node i, or mus[j] on panel j when
+    per_panel), they are the exact power moments of _moments.
+
+    path, set here once from the sampled values alone, is the one way sums(),
+    march() and row() run (module docstring):
+
+    * "exp": beta = gamma = 1 and every sampled alpha equal, the rule of one
+      exact rate;
+    * "toeplitz": every sampled exponent (alpha, or mu) equal and psi
+      uniformly spaced; the last row at exact multiples of the half step,
+      reversed, serves every node;
+    * "soe": mlf's rule certified, _soe_rule for kernel rows with gamma =
+      beta at every node, _power_rule for 0 < mu <= 1;
+    * "rows": none of these, one row per node.
     """
 
-    def __init__(self, spec: KernelSpec, grid: np.ndarray, row_fn=None):
+    def __init__(self, spec: KernelSpec, grid: np.ndarray, mus: np.ndarray | None = None,
+                 per_panel: bool = False):
         self.n = grid.size - 1
         self.half = np.empty(2 * grid.size - 1)
         self.half[::2] = grid
         self.half[1::2] = 0.5 * (grid[:-1] + grid[1:])
         self.psih = spec.warp.values(self.half)
-        self._lam = self._spec = None
-        if row_fn is None:
-            self._spec = spec
-            alphas = self.alphas = _alphas_checked(spec, grid)
-            if spec.beta == spec.gamma == 1.0 and spec.order.is_constant:
-                self._lam = float(alphas[0]) / (1.0 - float(alphas[0]))
-
-            def row_fn(i, dpsi):
-                return _ml_kernel(spec, float(alphas[i]), dpsi)
-        self._row_fn = row_fn
+        self._mus, self._per_panel = None, per_panel
+        if mus is None:
+            alphas = exponents = self.alphas = _alphas_checked(spec, grid)
+            self._row_fn = lambda i, dpsi: _ml_kernel(spec, float(alphas[i]), dpsi)
+        else:
+            exponents = mus
+            self._row_fn = functools.partial(_moments, mus, per_panel)
+        same = bool(np.all(exponents == exponents[0]))
+        if mus is None and spec.beta == spec.gamma == 1.0 and same:
+            self.path, self._rule = "exp", (alphas[:1] / (1.0 - alphas[:1]), None)
+            return
         steps = np.diff(self.psih)
-        uniform = steps.size > 0 and np.max(np.abs(steps - steps[0])) <= 1e-12 * max(
-            1.0, abs(steps[0])
-        )
-        self._toeplitz = bool(uniform and spec.order.is_constant)
-
-    @functools.cached_property
-    def _base(self) -> np.ndarray | None:
-        """The Toeplitz base row, or None off the Toeplitz path."""
-        if not self._toeplitz:
-            return None
-        half_step = 0.5 * float(self.psih[2] - self.psih[0])
-        k = np.arange(self.half.size - 1, -1, -1, dtype=float)
-        return self._row_fn(self.n, k * half_step)[::-1]
+        if same and np.max(np.abs(steps - steps[0])) <= 1e-12 * max(1.0, abs(steps[0])):
+            self.path = "toeplitz"
+            k = np.arange(self.half.size - 1, -1, -1, dtype=float)
+            self._base = self._row_fn(self.n, k * (0.5 * float(self.psih[2] - self.psih[0])))[::-1]
+            return
+        span = float(self.psih[-1] - self.psih[0])
+        if mus is None:
+            betas = alphas if spec.beta is None else np.full(alphas.size, float(spec.beta))
+            gammas = alphas if spec.gamma is None else np.full(alphas.size, float(spec.gamma))
+            self._rule = _soe_rule(betas, alphas / (1.0 - alphas), float(np.min(steps)), span,
+                                   self.n) if np.array_equal(betas, gammas) else None
+        else:
+            # the exponent of panel j, or of node j + 1
+            self._mus = mus = mus if per_panel else mus[1:]
+            self._rule = _power_rule(1.0 - mus, float(np.min(np.diff(self.psih[::2]))), span,
+                                     self.n) if np.all(mus > 0.0) and np.all(mus <= 1.0) else None
+        self.path = "rows" if self._rule is None else "soe"
 
     def _row(self, i: int, stride: int) -> np.ndarray:
         """Node i's weights at half-grid points 0, stride, ..., 2i."""
-        if self._base is not None:
+        if self.path == "toeplitz":
             return self._base[2 * i :: -stride]
         dpsi = np.maximum(self.psih[2 * i] - self.psih[: 2 * i + 1 : stride], 0.0)
         return self._row_fn(i, dpsi)
 
     def row(self, i: int) -> np.ndarray:
-        """H(t_i, tau_j) for j = 0..i (kernel rows, the default row_fn)."""
+        """H(t_i, tau_j) for j = 0..i (kernel rows)."""
         return self._row(i, 2)
-
-    @functools.cached_property
-    def _soe(self):
-        """(rates, weights) of mlf's sum-of-exponentials rule for the kernel
-        rows, or None (rows): None unless gamma = beta at every node and the
-        rule holds with at most n rates."""
-        spec = self._spec
-        if spec is None:
-            return None
-        alphas = self.alphas
-        betas = alphas if spec.beta is None else np.full(alphas.size, float(spec.beta))
-        gammas = alphas if spec.gamma is None else np.full(alphas.size, float(spec.gamma))
-        if not np.array_equal(betas, gammas):
-            return None
-        return _soe_rule(betas, alphas / (1.0 - alphas), float(np.min(np.diff(self.psih))),
-                         float(self.psih[-1] - self.psih[0]), self.n)
 
     def sums(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sum_{j<=i} w_i(tau_j) x_j and sum_{j<i} w_i(m_j) y_j, per node i."""
-        if self._lam is not None:
-            return _diagonal_sums(self.psih, x, y, np.array([self._lam]))
         n = self.n
         mids = np.zeros(n + 1)
-        if self._base is not None:
+        if self.path == "toeplitz":
             mids[1:] = _lower_convolve(self._base[1::2], y)
             return _lower_convolve(self._base[::2], x), mids
-        if self._soe is not None:
-            rates, weights = self._soe
-            return _diagonal_sums(self.psih, x, y, rates, weights(slice(1, None)))
-        nodes = np.zeros(n + 1)
-        data = np.zeros((2, 2 * n + 1))
-        data[0, ::2] = x
-        data[1, 1::2] = y
-        for i in range(n + 1):
-            nodes[i], mids[i] = data[:, : 2 * i + 1] @ self._row(i, 1)
+        if self.path == "rows":
+            nodes = np.zeros(n + 1)
+            data = np.zeros((2, 2 * n + 1))
+            data[0, ::2] = x
+            data[1, 1::2] = y
+            for i in range(n + 1):
+                nodes[i], mids[i] = data[:, : 2 * i + 1] @ self._row(i, 1)
+            return nodes, mids
+        rates, weights = self._rule
+        if self._mus is not None:
+            return _power_sums(self.psih, x[:-1], y, self._mus, rates, weights, self._per_panel)
+        # kernel rows: x_i (H = 1 on the diagonal) plus the node column of
+        # _exp_sums, and its midpoint column, which is left out when y = 0
+        sums = _exp_sums(self.psih, lambda ks: x[None, None, :-1], rates,
+                         None if weights is None else weights(slice(1, None)),
+                         y if y.any() else None)
+        nodes = np.array(x, dtype=float)
+        nodes[1:] += sums[0]
+        if sums.shape[0] == 2:
+            mids[1:] += sums[1]
         return nodes, mids
 
     def march(self):
@@ -221,12 +227,12 @@ class _KernelTable:
         H(t_i, t_{j+1})) / 2, then takes du_{i-1} = u_i - u_{i-1} by send().
         """
         psi = self.psih[::2]
-        if self._lam is not None:
-            return _exp_march(psi, self._lam)
-        if self._base is not None:
+        if self.path == "exp":
+            return _exp_march(psi, float(self._rule[0][0]))
+        if self.path == "toeplitz":
             return _toeplitz_march(self._base[::2])
-        if self._soe is not None:
-            return _soe_march(psi, *self._soe)
+        if self.path == "soe":
+            return _soe_march(psi, *self._rule)
         return self._rows_march()
 
     def _rows_march(self):
@@ -313,20 +319,6 @@ def _lower_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[h:] = np.convolve(a[1:], b[:h], "valid")
     out[h:] += _lower_convolve(a[: m - h], b[h:])
     return out
-
-
-def _diagonal_sums(psi: np.ndarray, x: np.ndarray, y: np.ndarray, rates: np.ndarray,
-                   weights=None) -> tuple[np.ndarray, np.ndarray]:
-    """sums() of kernel rows on the exponential sums: x_i (H = 1 on the
-    diagonal) plus the node column of _exp_sums, and its midpoint column,
-    which is left out when y = 0."""
-    sums = _exp_sums(psi, lambda ks: x[None, None, :-1], rates, weights,
-                     y if y.any() else None)
-    nodes, mids = np.array(x, dtype=float), np.zeros(x.size)
-    nodes[1:] += sums[0]
-    if sums.shape[0] == 2:
-        mids[1:] += sums[1]
-    return nodes, mids
 
 
 def _exp_sums(psi: np.ndarray, x, rates: np.ndarray, weights=None,
@@ -444,10 +436,11 @@ def _phis(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _power_sums(psih: np.ndarray, g_mid: np.ndarray, slope: np.ndarray, mus: np.ndarray,
-                per_panel: bool):
-    """_product_sums on the SOE rule for s^(mu-1) (mlf._power_rule), or None
-    when some mu is outside (0, 1) or the rule is refused. mus[j] is the
-    exponent of node j+1 (per_panel False) or of panel j.
+                rates: np.ndarray, weights, per_panel: bool) -> tuple[np.ndarray, np.ndarray]:
+    """sums() of the power moments on the SOE rule (rates, weights) for
+    s^(mu-1) (mlf._power_rule): the sums against g_mid and against slope, as
+    in _product_sums. mus[j] is the exponent of node j+1 (per_panel False) or
+    of panel j.
 
     Node i's last panel keeps its exact moments. On a history panel j <= i-2,
     with h_j its width and z = r h_j, the rate r integrates to
@@ -456,15 +449,9 @@ def _power_sums(psih: np.ndarray, g_mid: np.ndarray, slope: np.ndarray, mus: np.
     rule's weight of mu_j when the exponent follows the panel, while the
     weights of mu_i apply at the targets otherwise.
     """
-    if not (np.all(mus > 0.0) and np.all(mus < 1.0)):
-        return None
     psi = psih[::2]
     n = psi.size - 1
     hp = np.diff(psi)
-    rule = _power_rule(1.0 - mus, float(np.min(hp)), float(psi[-1] - psi[0]), n)
-    if rule is None:
-        return None
-    rates, weights = rule
     w = weights(slice(None, -1) if per_panel else slice(None))
     h, g_h, s_h2 = hp[:-1], (hp * g_mid)[:-1], (hp * hp * slope)[:-1]
 
@@ -484,7 +471,7 @@ def _power_sums(psih: np.ndarray, g_mid: np.ndarray, slope: np.ndarray, mus: np.
     mid, corr = np.zeros(n + 1), np.zeros(n + 1)
     mid[1:] = g_mid * m0 + hist[0]
     corr[1:] = slope * m1 + hist[1]
-    return mid + corr, mid
+    return mid, corr
 
 
 def _trap_mid(table: _KernelTable, x: np.ndarray, y: np.ndarray,
@@ -558,6 +545,22 @@ def caputo_deriv_ns(spec: KernelSpec, f: GridFunction, *,
 # --- weakly singular family ---------------------------------------------------
 
 
+def _moments(mus: np.ndarray, per_panel: bool, i: int, dpsi: np.ndarray) -> np.ndarray:
+    """Node i's row of _product_sums, given dpsi = psi_i - psi at half-grid
+    points 0, 2, ..., 2i: entry 2j the integral of (psi_i - x)^(mu-1) over
+    panel j, entry 2j+1 its first moment about the panel midpoint, entry 2i
+    zero. mu is mus[i], or mus[j] on panel j when per_panel."""
+    U = dpsi[::2].copy()  # powers of a strided view are about 20 % slower
+    u0, u1 = U[:-1], U[1:]
+    mu = mus[:i] if per_panel else float(mus[i])
+    m0 = (u0**mu - u1**mu) / mu
+    out = np.zeros(dpsi.size)
+    out[:-1:2] = m0
+    q = (u0 ** (mu + 1.0) - u1 ** (mu + 1.0)) / (mu + 1.0)
+    out[1::2] = 0.5 * (u0 + u1) * m0 - q
+    return out
+
+
 def _product_sums(spec: KernelSpec, grid: np.ndarray, data: np.ndarray,
                   mus: np.ndarray, exponent_at: str = "t") -> tuple[np.ndarray, np.ndarray]:
     """Integrals over [psi_0, psi_i] of (psi_i - x)^(mu-1) g(x) dx, per node i.
@@ -566,36 +569,16 @@ def _product_sums(spec: KernelSpec, grid: np.ndarray, data: np.ndarray,
     g is interpolated from data: piecewise constant at panel means for the
     midpoint sums, piecewise linear for the trapezoid sums. On a panel the
     linear g is its mean plus slope * (x - midpoint), so the trapezoid sum is
-    the midpoint sum plus the slopes against the first moments. The table
-    row of node i holds exact moments of the weight: entry 2j its integral
-    over panel j, entry 2j+1 its first moment about the panel midpoint,
-    entry 2i zero, so the integrable singularity at x = psi_i costs no
-    accuracy. The sums take the table's Toeplitz path at constant order on a
-    uniformly spaced psi; otherwise, when 0 < mu < 1 everywhere, the
-    sum-of-exponentials path of _power_sums, O(nK) with K about 60; rows
-    (O(n^2)) only when mu reaches 1 or the rule is refused.
+    the midpoint sum plus the slopes against the first moments (_moments),
+    exact, so the integrable singularity at x = psi_i costs no accuracy. The
+    table's path follows the sampled exponents: Toeplitz when every mu is
+    equal on a uniformly spaced psi, else the sums of exponentials of
+    _power_sums (O(nK), K about 60) when 0 < mu <= 1 and the rule is
+    certified, else rows (O(n^2)).
     """
-    per_panel = exponent_at == "tau"
-
-    def moments(i: int, dpsi: np.ndarray) -> np.ndarray:
-        U = dpsi[::2].copy()  # powers of a strided view are about 20 % slower
-        u0, u1 = U[:-1], U[1:]
-        mu = mus[:i] if per_panel else float(mus[i])
-        m0 = (u0**mu - u1**mu) / mu
-        out = np.zeros(dpsi.size)
-        out[:-1:2] = m0
-        q = (u0 ** (mu + 1.0) - u1 ** (mu + 1.0)) / (mu + 1.0)
-        out[1::2] = 0.5 * (u0 + u1) * m0 - q
-        return out
-
-    table = _KernelTable(spec, grid, moments)
+    table = _KernelTable(spec, grid, mus, exponent_at == "tau")
     g_mid = 0.5 * (data[:-1] + data[1:])
     slope = np.diff(data) / np.diff(table.psih[::2])
-    if not table._toeplitz:
-        sums = _power_sums(table.psih, g_mid, slope, mus if per_panel else mus[1:],
-                           per_panel)
-        if sums is not None:
-            return sums
     mid, corr = table.sums(np.append(g_mid, 0.0), slope)
     return mid + corr, mid
 

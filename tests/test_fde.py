@@ -87,12 +87,7 @@ SOE_SPEC = make_special_case("log_warp", alpha=0.4, interval=(1.0, 2.0), gamma=0
 
 def _march_route(spec, n):
     """The path of the solver's kernel table: exp, toeplitz, soe or rows."""
-    table = _KernelTable(spec, uniform_grid(*spec.interval, n))
-    if table._lam is not None:
-        return "exp"
-    if table._base is not None:
-        return "toeplitz"
-    return "rows" if table._soe is None else "soe"
+    return _KernelTable(spec, uniform_grid(*spec.interval, n)).path
 
 
 @pytest.mark.parametrize("spec, n, route", [

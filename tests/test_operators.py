@@ -318,19 +318,15 @@ class TestClassicalDerivatives:
 
 
 def test_toeplitz_and_fresh_rows_agree():
-    # a callable order with constant value defeats the constant-order
-    # detection, forcing per-row kernel evaluation; results must match the
-    # Toeplitz table bit-for-bit within roundoff
-    fast = cf_spec(0.6, gamma=0.5, beta=0.5)
-    slow = KernelSpec(gamma=0.5, beta=0.5,
-                      order=OrderFunction.from_callable(lambda t: 0.6, 0.6, 0.6),
-                      warp=identity_warp(), norm=NormalizationFunction.one(),
-                      interval=(0.0, 1.0))
-    f = sampled(np.sin, n=96)
-    for op in (aux_integral_1, aux_integral_2):
-        a = op(fast, f).values.values
-        b = op(slow, f).values.values
-        assert np.max(np.abs(a - b)) < 1e-12
+    # the Toeplitz table's convolutions against the same table summing one
+    # freshly evaluated kernel row per node
+    grid = uniform_grid(0.0, 1.0, 96)
+    fast, slow = (_KernelTable(cf_spec(0.6, gamma=0.5, beta=0.5), grid) for _ in range(2))
+    assert fast.path == "toeplitz"
+    slow.path = "rows"
+    x, y = np.sin(grid), np.cos(grid[1:])
+    for a, b in zip(fast.sums(x, y), slow.sums(x, y)):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("beta", [0.6, None])
@@ -397,7 +393,7 @@ def test_history_sums_match_direct_kernel_rows(case):
     else:
         spec = tracked_spec()
     if case.startswith("soe"):
-        assert _KernelTable(spec, uniform_grid(*spec.interval, n))._soe is not None
+        assert _KernelTable(spec, uniform_grid(*spec.interval, n)).path == "soe"
     a, b = spec.interval
     f = sampled(np.sin, a, b, n=n, deriv=np.cos)
     mids = 0.5 * (f.grid[:-1] + f.grid[1:])
@@ -450,9 +446,9 @@ def test_exponential_caputo_starts_at_exact_zero():
             assert caputo_deriv_ns(spec, f, scheme=scheme).values.values[0] == 0.0
 
 
-def test_exponential_table_builds_its_toeplitz_base_on_first_row(monkeypatch):
-    # the exponential kernel's sums and march take the recurrence and never
-    # read the Toeplitz base, so only a first row() call evaluates it
+def test_exponential_table_sums_and_marches_without_kernel_rows(monkeypatch):
+    # the exponential kernel's sums and march take the recurrence, so neither
+    # evaluates a kernel row; row() still gives the kernel values
     calls = []
     real = operators._ml_kernel
 
@@ -463,12 +459,15 @@ def test_exponential_table_builds_its_toeplitz_base_on_first_row(monkeypatch):
     monkeypatch.setattr(operators, "_ml_kernel", counted)
     grid = uniform_grid(0.0, 1.0, 64)
     table = _KernelTable(cf_spec(0.6), grid)
+    assert table.path == "exp"
     table.sums(np.sin(grid), np.cos(grid[1:]))
+    march = table.march()
+    next(march)
+    for du in np.diff(np.sin(grid))[:-1]:
+        march.send(float(du))
     assert calls == []
-    rows = [table.row(i) for i in (10, 40)]
-    assert len(calls) == 1
-    for i, row in zip((10, 40), rows):
-        assert np.array_equal(row, kernel_values(cf_spec(0.6), grid[i], grid[: i + 1]))
+    for i in (10, 40):
+        assert np.array_equal(table.row(i), kernel_values(cf_spec(0.6), grid[i], grid[: i + 1]))
 
 
 @pytest.mark.parametrize("m", [1025, 2048, 2113, 4097])
@@ -550,26 +549,20 @@ def test_soe_routing(monkeypatch):
 
 
 def test_singular_toeplitz_and_rows_agree():
-    # the callable constant order defeats the constant-order detection, so
-    # the weakly singular operators take the sum-of-exponentials path instead
-    # of convolving with the Toeplitz table
-    fast = cf_spec(0.6)
-    slow = KernelSpec(gamma=1.0, beta=1.0,
-                      order=OrderFunction.from_callable(lambda t: 0.6, 0.6, 0.6),
-                      warp=identity_warp(), norm=NormalizationFunction.one(),
-                      interval=(0.0, 1.0))
-    f = sampled(np.sin, n=96, deriv=np.cos)
-    ops = {
-        "caputo_classical": (caputo_deriv_classical, {}, 1e-12),
-        "rl_classical": (rl_deriv_classical, {}, 1e-11),
-        "integral_t": (rl_integral_varorder, {"exponent_at": "t"}, 1e-12),
-        "integral_tau": (rl_integral_varorder, {"exponent_at": "tau"}, 1e-12),
-    }
-    for name, (op, kwargs, rel) in ops.items():
-        for scheme in ("product_trapezoid", "product_midpoint"):
-            a = op(fast, f, scheme=scheme, **kwargs).values.values
-            b = op(slow, f, scheme=scheme, **kwargs).values.values
-            assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(a)), (name, scheme)
+    # the weakly singular Toeplitz table (constant order on psi = t) against
+    # the same table summing one freshly built moment row per node, for the
+    # exponents of the classical derivatives and of the integral at t and tau
+    n = 96
+    grid = uniform_grid(0.0, 1.0, n)
+    x, y = np.sin(grid), np.cos(grid[1:])
+    for name, mus, per_panel in (("classical", np.full(n + 1, 0.4), False),
+                                 ("integral_t", np.full(n + 1, 0.6), False),
+                                 ("integral_tau", np.full(n, 0.6), True)):
+        fast, slow = (_KernelTable(cf_spec(0.6), grid, mus, per_panel) for _ in range(2))
+        assert fast.path == "toeplitz", name
+        slow.path = "rows"
+        for a, b in zip(fast.sums(x, y), slow.sums(x, y)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
 
 
 def _moment_reference(spec, f, exponent_at):
@@ -610,7 +603,7 @@ def test_product_sums_match_direct_moments(case):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("nu", [0.05, 0.3, 0.6, 0.95])
+@pytest.mark.parametrize("nu", [0.0, 0.05, 0.3, 0.6, 0.95])
 def test_power_rule_matches_powers(nu):
     # the trapezoid rule in l = ln r for s^(-nu), slow terms folded, against
     # the closed form over the psi gaps of an n = 2048 grid on [0, 1]
@@ -658,13 +651,13 @@ def test_power_soe_routing(monkeypatch):
                            (caputo_deriv_classical, {}), (rl_deriv_classical, {})):
             op(spec, f, **kwargs)
             assert rows == [], (op.__name__, kwargs)
-    # mu >= 1 has no such rule: an order reaching 1, and 1.2 in the sums
+    # so does an order reaching 1 (mu = 1 is the rule's rate-0 term), while
+    # mu > 1 has no such rule
     f = sampled(np.sin, n=n, deriv=np.cos)
     rl_integral_varorder(_order_spec("0.5 + 0.5*t"), f)
-    assert len(rows) == n + 1
-    rows.clear()
+    assert rows == []
     spec = _order_spec("0.3 + 0.4*t")
-    operators._product_sums(spec, f.grid, f.values, np.full(n + 1, 1.2))
+    operators._product_sums(spec, f.grid, f.values, np.linspace(1.1, 1.3, n + 1))
     assert len(rows) == n + 1
     # nor does a spot check that misses
     rows.clear()
@@ -693,7 +686,7 @@ def _long_double_product_sums(psi, data, mus, per_panel, nodes):
     return np.array(trap), np.array(mid)
 
 
-@pytest.mark.parametrize("case", ["variable", "tau", "log_warp"])
+@pytest.mark.parametrize("case", ["variable", "tau", "log_warp", "reaching_one"])
 def test_soe_product_sums_match_long_double_moments(case, monkeypatch):
     # the sums of exponentials at n = 2048 (rows measure 1.5e-15 to 1.1e-14
     # here) for the data and exponents of the integral and of both classical
@@ -703,6 +696,8 @@ def test_soe_product_sums_match_long_double_moments(case, monkeypatch):
     n = 2048
     if case == "log_warp":
         spec = _order_spec("0.4", interval=(1.0, 3.0), warp=log_warp())
+    elif case == "reaching_one":
+        spec = _order_spec("0.5 + 0.5*t")
     else:
         spec = _order_spec("0.3 + 0.4*t")
     a, b = spec.interval
@@ -715,6 +710,9 @@ def test_soe_product_sums_match_long_double_moments(case, monkeypatch):
               "rl_classical": (f, 1.0 - alphas)}
     if case == "tau":
         inputs = {"integral": (f, spec.order.values(0.5 * (grid[:-1] + grid[1:])))}
+    elif case == "reaching_one":
+        # the integral's exponent reaches mu = 1 at t = 1
+        inputs = {"integral": (f, alphas)}
     else:
         inputs["integral"] = (f, alphas)
     exponent_at = "tau" if case == "tau" else "t"
@@ -725,6 +723,34 @@ def test_soe_product_sums_match_long_double_moments(case, monkeypatch):
             err = np.max(np.abs(g[nodes] - w)) / np.max(np.abs(w))
             assert err <= 1e-13, (name, scheme, float(err))
     assert rows == []
+
+
+@pytest.mark.parametrize("kernel", [1.0, 0.5], ids=["exp", "toeplitz"])
+@pytest.mark.parametrize("order", [
+    OrderFunction.from_callable(lambda t: 0.6, 0.6, 0.6),
+    OrderFunction.from_expr("0.6 + 0*t", interval=(0.0, 1.0)),
+], ids=["callable", "expr"])
+def test_constant_valued_orders_match_the_constant_order(order, kernel):
+    # the tables route on the sampled orders, so an order that is 0.6 at
+    # every node takes the constant order's path, whatever its form, and
+    # gives the same bits
+    def spec(o):
+        return KernelSpec(gamma=kernel, beta=kernel, order=o, warp=identity_warp(),
+                          norm=NormalizationFunction.one(), interval=(0.0, 1.0))
+
+    got, want = spec(order), spec(OrderFunction.constant(0.6))
+    f = sampled(np.sin, n=128, deriv=np.cos)
+    for op, kwargs in ((aux_integral_1, {}), (aux_integral_2, {}), (rl_deriv_ns, {}),
+                       (caputo_deriv_ns, {}), (rl_deriv_classical, {}),
+                       (caputo_deriv_classical, {}), (rl_integral_varorder, {}),
+                       (rl_integral_varorder, {"exponent_at": "tau"})):
+        for scheme in SCHEMES:
+            assert np.array_equal(op(got, f, scheme=scheme, **kwargs).values.values,
+                                  op(want, f, scheme=scheme, **kwargs).values.values), (
+                op.__name__, kwargs, scheme)
+    solutions = [solve_fde(FdeProblem(spec=s, rhs=lambda t, u: -u, initial=1.0,
+                                      grid_n=128)).solution.values for s in (got, want)]
+    assert np.array_equal(*solutions)
 
 
 # --- special-case factory ---------------------------------------------------------
