@@ -5,6 +5,11 @@ Operators consume a GridFunction: samples of f on a uniform grid over
 samples. When derivatives are not supplied, second-order finite differences
 stand in (central in the interior, one-sided second order at the ends).
 
+A GridFunction may also hold a stack of m functions on its one grid: values
+(and derivs) of shape (m, n + 1), one function per row. Every operation here
+and in the operators acts along the last axis, so each row of a stacked
+result equals, bit for bit, the result for that row alone.
+
 Callables that produce samples (here and for the kernel ingredients) take a
 float or an ndarray and act elementwise; each is called once per array of
 points, and a constant result is broadcast to the array's shape.
@@ -35,22 +40,24 @@ def _sample(fn, xs) -> np.ndarray:
 
 
 def fd_deriv(values: np.ndarray, h: float) -> np.ndarray:
-    """Second-order finite differences on a uniform grid."""
+    """Second-order finite differences on a uniform grid, along the last axis."""
     values = np.asarray(values, dtype=float)
     out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    np.subtract(values[..., 2:], values[..., :-2], out=out[..., 1:-1])
+    out[..., 1:-1] /= 2.0 * h
+    out[..., 0] = (-3.0 * values[..., 0] + 4.0 * values[..., 1] - values[..., 2]) / (2.0 * h)
+    out[..., -1] = (3.0 * values[..., -1] - 4.0 * values[..., -2] + values[..., -3]) / (2.0 * h)
     return out
 
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Samples of a function on a uniform grid.
+    """Samples of a function, or of a stack of functions, on a uniform grid.
 
-    ``derivs`` is optional; when present it must be plausibly the derivative
-    of ``values`` (a crude eyeball check rejects gross mismatches like passing
-    f itself as f').
+    ``values`` has shape (n + 1,), or (m, n + 1) for a stack of m functions.
+    ``derivs`` is optional; when present it has the shape of ``values`` and
+    must be plausibly the derivative of each row (a crude eyeball check
+    rejects gross mismatches like passing f itself as f').
     """
 
     grid: np.ndarray
@@ -69,7 +76,7 @@ class GridFunction:
         h = steps[0]
         if h <= 0 or np.max(np.abs(steps - h)) > 1e-9 * max(1.0, abs(h)):
             raise InvalidGrid("grid must be uniform and increasing")
-        if values.shape != grid.shape:
+        if values.ndim not in (1, 2) or values.shape[-1] != grid.size:
             raise InvalidGrid(
                 f"values shape {values.shape} does not match grid {grid.shape}"
             )
@@ -78,8 +85,8 @@ class GridFunction:
         if self.derivs is not None:
             derivs = np.asarray(self.derivs, dtype=float)
             object.__setattr__(self, "derivs", derivs)
-            if derivs.shape != grid.shape:
-                raise InvalidGrid("derivs shape does not match grid")
+            if derivs.shape != values.shape:
+                raise InvalidGrid("derivs shape does not match values")
             if not np.all(np.isfinite(derivs)):
                 raise InvalidGrid("derivs contain non-finite entries")
             self._check_deriv_consistency()
@@ -88,18 +95,22 @@ class GridFunction:
         # Compare supplied derivatives against interior central differences.
         # The FD truncation scale is estimated from third differences of the
         # values themselves, so smooth data with genuinely large f'' is not
-        # rejected; only order-of-magnitude mismatches are.
-        fd = fd_deriv(self.values, self.h)[1:-1]
-        supplied = np.asarray(self.derivs)[1:-1]
-        third = np.diff(self.values, 3)
-        trunc = np.max(np.abs(third)) / (6.0 * self.h) if third.size else 0.0
-        scale = max(np.max(np.abs(fd)), np.max(np.abs(supplied)), 1.0)
-        tol = 10.0 * trunc + 1e-6 * scale
-        worst = np.max(np.abs(fd - supplied))
-        if worst > max(tol, 0.5 * scale):
+        # rejected; only order-of-magnitude mismatches are. Each row of a
+        # stack takes its own maxima.
+        values = self.values.reshape(-1, self.grid.size)
+        fd = fd_deriv(values, self.h)[:, 1:-1]
+        supplied = self.derivs.reshape(values.shape)[:, 1:-1]
+        trunc = np.max(np.abs(np.diff(values, 3)), axis=1) / (6.0 * self.h)
+        scale = np.maximum(np.maximum(np.max(np.abs(fd), axis=1),
+                                      np.max(np.abs(supplied), axis=1)), 1.0)
+        limit = np.maximum(10.0 * trunc + 1e-6 * scale, 0.5 * scale)
+        worst = np.max(np.abs(fd - supplied), axis=1)
+        if np.any(worst > limit):
+            k = int(np.argmax(worst > limit))
+            where = f" in row {k}" if self.values.ndim == 2 else ""
             raise InvalidGrid(
-                f"supplied derivatives disagree with the sampled values "
-                f"(max gap {worst:.3g} vs tolerance {max(tol, 0.5 * scale):.3g})"
+                f"supplied derivatives disagree with the sampled values{where} "
+                f"(max gap {worst[k]:.3g} vs tolerance {limit[k]:.3g})"
             )
 
     @property

@@ -268,9 +268,26 @@ def _check_point(spec: KernelSpec, name: str, value: float) -> None:
         raise DomainError(f"{name} = {value} outside interval [{a}, {b}]")
 
 
-def _alphas_checked(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
-    """alpha over ts; raises SingularOrder where 1 - alpha drops below 1e-12."""
+def _orders(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
+    """alpha over ts; raises InvalidParam where it is not positive.
+
+    The declared bounds come from a 1024-panel sample, so an order that
+    oscillates between its samples can leave (0, 1] on a finer grid: the
+    values are checked on the points in use, not against those bounds.
+    """
     alphas = spec.order.values(ts)
+    bad = int(np.argmin(alphas))
+    if not alphas[bad] > 0.0:
+        raise InvalidParam(
+            f"order must stay positive; alpha(t) = {alphas[bad]:.6g} at t = {ts[bad]:.6g}"
+        )
+    return alphas
+
+
+def _alphas_checked(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
+    """alpha over ts; raises InvalidParam where it is not positive and
+    SingularOrder where 1 - alpha drops below 1e-12."""
+    alphas = _orders(spec, ts)
     one_minus = 1.0 - alphas
     bad = int(np.argmin(one_minus))
     if one_minus[bad] < SINGULAR_ORDER_EPS:

@@ -401,7 +401,7 @@ def _power_rule(nus: np.ndarray, s_min: float, span: float, max_terms: int):
     h = math.pi ** 2 / math.log(4.0 / _SOE_EPS)
     # below l_lo, exp(-e^l s) is 1 to _SOE_EPS / 2 relative for s <= span
     l_lo = math.log(0.5 * _SOE_EPS) / (1.0 + float(np.min(nus))) - math.log(span)
-    gammas = np.array([math.gamma(1.0 + v) for v in nus.tolist()])
+    gammas = np.array(list(map(math.gamma, (1.0 + nus).tolist())))
     hn = h * nus
     scales = hn / gammas
     # the factor of node l_lo, which also takes the geometric sum of the
@@ -415,7 +415,9 @@ def _power_rule(nus: np.ndarray, s_min: float, span: float, max_terms: int):
             w = np.multiply.outer(ell, nu)
             np.exp(w, out=w)
             w *= scale
-            w[ell == l_lo] = np.exp(l_lo * nu) * lo_scale
+            lowest = ell == l_lo
+            if lowest.any():
+                w[lowest] = np.exp(l_lo * nu) * lo_scale
             return w
         return at
 

@@ -46,6 +46,15 @@ grid. No declared property of the order enters.
   node, O(n^2) kernel evaluations, each sum a dot product, as accurate as
   the rows.
 
+Every operator takes one function or a stack of m functions on one grid
+(a GridFunction with values of shape (m, n + 1)) and returns values and
+cross-scheme estimates of the same shape. One table serves the whole stack,
+and each row of the result is, bit for bit, what that function gives alone:
+sums() keeps the stack as further data columns of _exp_sums on the "exp" and
+"soe" paths (cut into chunks that bound its temporaries, with a partition of
+the rates that does not depend on m), runs one convolution per row on
+"toeplitz" and one batched matrix product per node on "rows".
+
 march() gives the solver the history of kernel rows node by node, on the
 same path: a running sum on floats for the exponential kernel, one dot
 product per node with a weight vector built once for Toeplitz rows, one
@@ -72,6 +81,7 @@ from .kernel import (
     WarpFunction,
     _alphas_checked,
     _ml_kernel,
+    _orders,
     _prefactors,
     identity_warp,
     log_warp,
@@ -80,7 +90,8 @@ from .kernel import (
 from .mlf import _power_rule, _soe_rule
 
 SCHEMES = ("product_trapezoid", "product_midpoint")
-_BLOCK = 1 << 15     # rate-source pairs per temporary of _exp_sums
+_BLOCK = 1 << 15     # doubles for a rate block of _exp_sums, and for a chunk of its sums
+_FACTOR_TEMPS = 4    # temporaries of _power_sums' factors, per rate and source
 _MARCH_BLOCK = 256   # nodes per block of the exponential kernel's march
 # Taylor coefficients of _phis' phi1, z^1 to z^15
 _PHI1_SERIES = [(-1) ** (p + 1) * p / (2.0 * math.factorial(p + 2)) for p in range(1, 16)]
@@ -191,33 +202,39 @@ class _KernelTable:
         return self._row(i, 2)
 
     def sums(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sum_{j<=i} w_i(tau_j) x_j and sum_{j<i} w_i(m_j) y_j, per node i."""
+        """sum_{j<=i} w_i(tau_j) x_j and sum_{j<i} w_i(m_j) y_j, per node i,
+        for x of shape (n + 1,) and y of shape (n,), or for each row of a
+        stack, x (m, n + 1) and y (m, n)."""
         n = self.n
-        mids = np.zeros(n + 1)
+        shape = x.shape
+        x, y = x.reshape(-1, n + 1), y.reshape(-1, n)
+        mids = np.zeros(x.shape)
         if self.path == "toeplitz":
-            mids[1:] = _lower_convolve(self._base[1::2], y)
-            return _lower_convolve(self._base[::2], x), mids
-        if self.path == "rows":
-            nodes = np.zeros(n + 1)
-            data = np.zeros((2, 2 * n + 1))
-            data[0, ::2] = x
-            data[1, 1::2] = y
+            nodes = np.array([_lower_convolve(self._base[::2], row) for row in x])
+            for row, data in zip(mids, y):
+                row[1:] = _lower_convolve(self._base[1::2], data)
+        elif self.path == "rows":
+            nodes = np.zeros(x.shape)
+            data = np.zeros((x.shape[0], 2, 2 * n + 1))
+            data[:, 0, ::2] = x
+            data[:, 1, 1::2] = y
             for i in range(n + 1):
-                nodes[i], mids[i] = data[:, : 2 * i + 1] @ self._row(i, 1)
-            return nodes, mids
-        rates, weights = self._rule
-        if self._mus is not None:
-            return _power_sums(self.psih, x[:-1], y, self._mus, rates, weights, self._per_panel)
-        # kernel rows: x_i (H = 1 on the diagonal) plus the node column of
-        # _exp_sums, and its midpoint column, which is left out when y = 0
-        sums = _exp_sums(self.psih, lambda ks: x[None, None, :-1], rates,
-                         None if weights is None else weights(slice(1, None)),
-                         y if y.any() else None)
-        nodes = np.array(x, dtype=float)
-        nodes[1:] += sums[0]
-        if sums.shape[0] == 2:
-            mids[1:] += sums[1]
-        return nodes, mids
+                nodes[:, i], mids[:, i] = (data[..., : 2 * i + 1] @ self._row(i, 1)).T
+        elif self._mus is not None:
+            rates, weights = self._rule
+            nodes, mids = _power_sums(self.psih, x[:, :-1], y, self._mus, rates, weights,
+                                      self._per_panel)
+        else:
+            # kernel rows: x_i (H = 1 on the diagonal) plus the node column of
+            # _exp_sums, and its midpoint column, which is left out when y = 0
+            rates, weights = self._rule
+            sums = _exp_sums(self.psih, rates, None if weights is None else weights(slice(1, None)),
+                             x[None, :, :-1], y=y if y.any() else None)
+            nodes = x.copy()
+            nodes[:, 1:] += sums[0]
+            if sums.shape[0] == 2:
+                mids[:, 1:] += sums[1]
+        return nodes.reshape(shape), mids.reshape(shape)
 
     def march(self):
         """The solver march's memory, node by node, on the path of sums().
@@ -321,7 +338,7 @@ def _lower_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exp_sums(psi: np.ndarray, x, rates: np.ndarray, weights=None,
+def _exp_sums(psi: np.ndarray, rates: np.ndarray, weights, x: np.ndarray, factors=None,
               y: np.ndarray | None = None) -> np.ndarray:
     """sum_k w_ik T_ik per node i = 1..n for each column of data, on the
     half-step grid psi (nodes at even entries), where
@@ -329,11 +346,21 @@ def _exp_sums(psi: np.ndarray, x, rates: np.ndarray, weights=None,
         T_ik = sum_{j<i} exp(-r_k (psi_2i - psi_2j)) x_kj     (node columns),
         T_ik = sum_{j<i} exp(-r_k (psi_2i - psi_2j+1)) y_j    (midpoint column).
 
-    x(ks) gives the node columns for rates[ks]: an array (c, len(ks), n), or
-    (c, 1, n) for data shared by every rate, at the sources j = 0..n-1. The
-    midpoint column, when y is given, comes last in the (columns, n) result.
+    x (g, m, n) holds g node columns for each of the m rows of a stack, at
+    the sources j = 0..n-1, shared by every rate, or times factors(ks), of
+    shape (g, len(ks), n), for the rates rates[ks] (made per chunk of the
+    stack, so that they live no longer than its sums). y (m, n), when given,
+    is one midpoint column per row; it comes last in the (columns, m, n)
+    result.
     weights(ks) gives w (one row per rate) at nodes 1..n for rates[ks], which
-    ascend; None means w = 1. Rates are taken in blocks of _BLOCK // (2n).
+    ascend; None means w = 1.
+
+    Rates are taken in blocks sized from n and the per-rate arrays of one
+    row of the stack, so that a block's temporaries for one row stay within
+    _BLOCK doubles; the stack is then cut into chunks whose sums stay within
+    _BLOCK doubles too. The partition of the rates does not depend on m, so
+    each row of a stack gets the sums it gets alone, bit for bit.
+
     Within a block the sources j split into rows of W, where W - 1 node
     steps decay by no more than 1/e at the fastest rate. In a row ending at
     reference R, with e(p) = exp(-r (R - psi_p)), T at node j+1 is a
@@ -345,107 +372,129 @@ def _exp_sums(psi: np.ndarray, x, rates: np.ndarray, weights=None,
     factors. psi is differenced before it meets r, so no far-from-zero psi
     adds roundoff.
     """
-    n = (psi.size - 1) // 2
-    out = None
+    g, m, n = x.shape
+    cols = g + (y is not None)  # columns per row of the stack
+    # rates per block: the node and midpoint columns of one row (a midpoint
+    # column counted whether or not y is given), and per-rate factors with
+    # the temporaries that form them
+    block = max(1, _BLOCK // (n * (g + 1 + (0 if factors is None else g + _FACTOR_TEMPS))))
+    out = np.empty((cols, m, n))
     gap = float(np.max(psi[2::2] - psi[:-2:2]))
-    block = max(1, _BLOCK // (2 * n))
+    # psi_0, then the targets (the nodes 1..n) and the midpoints, each padded
+    # with psi_n for the last row
+    nodes = np.concatenate((psi[::2], np.full(n, psi[-1])))
+    middles = np.concatenate((psi[1::2], np.full(n, psi[-1])))
     width = None
     for lo in range(0, rates.size, block):
         ks = slice(lo, lo + block)
         r = rates[ks, None, None]
-        data = x(ks)
-        c = data.shape[0]
-        cols = c + (y is not None)
         fastest = float(r[-1, 0, 0]) * gap
         W = n if fastest * n <= 1.0 else 1 + int(1.0 / fastest)
         if W != width:
             width, rows = W, -(-n // W)
-            pad = rows * W - n
             # row q: sources j = qW..qW+W-1 (node j and midpoint j), targets
             # the nodes j+1, reference the row's last target
-            tgt = np.append(psi[2::2], np.full(pad, psi[-1])).reshape(rows, W)
-            ref = tgt[:, -1:]
-            a_tgt = ref - tgt
+            refs = nodes[: rows * W + 1 : W]
+            a_tgt = refs[1:, None] - nodes[1 : rows * W + 1].reshape(rows, W)
             if y is not None:
-                a_mid = ref - np.append(psi[1::2], np.full(pad, psi[-1])).reshape(rows, W)
-            refs = np.append(psi[0], ref)
+                a_mid = refs[1:, None] - middles[: rows * W].reshape(rows, W)
             steps = (refs[1:] - refs[:-1])[None]
             step_min = float(steps.min())
-        # axes: column (node data, midpoint data), rate, row, source in row
-        e_tgt = np.exp(-r * a_tgt)
+        e_tgt = -r * a_tgt
+        np.exp(e_tgt, out=e_tgt)
         carry = np.exp(-r[..., 0] * steps)
-        S = np.empty((cols, r.size, rows, W))
-        # the node source j sits at target j-1, or at the previous reference
-        S[:c, :, :, 0] = carry
-        S[:c, :, :, 1:] = e_tgt[..., :-1]
-        if y is not None:
-            np.exp(-r * a_mid, out=S[c])
-        flat = S.reshape(cols, r.size, rows * W)
-        flat[:c, :, :n] *= data
-        if y is not None:
-            flat[c, :, :n] *= y
-        flat[..., n:] = 0.0
-        np.cumsum(S, axis=-1, out=S)
-        # V[..., q] = the sums at refs[q], V[..., 0] = 0 at node 0
-        V = np.zeros((cols, r.size, rows + 1))
-        V[..., 1:] = S[..., -1]
-        V[..., 1:] += carry * V[..., :-1]
-        span = 2
-        while span <= rows:
-            if float(r[0, 0, 0]) * span * step_min > 746.0:
-                break  # every decay underflows to 0, and so on every longer span
-            V[..., span:] += np.exp(-r[..., 0] * (refs[span:] - refs[:-span])) * V[..., :-span]
-            span *= 2
-        S += (carry * V[..., :-1])[..., None]
-        S /= e_tgt
-        S = S.reshape(cols, r.size, rows * W)[..., :n]
-        T = S.sum(axis=1) if weights is None else np.einsum("cki,ki->ci", S, weights(ks))
-        if out is None:
-            out = T
-        else:
-            out += T
+        w = None if weights is None else weights(ks)
+        chunk = max(1, _BLOCK // (cols * r.size * n))  # stack rows per S
+        for fs in (slice(f0, f0 + chunk) for f0 in range(0, m, chunk)):
+            # axes: column (node data, midpoint data), stack row, rate, row,
+            # source in row
+            S = np.empty((cols, x[:, fs].shape[1], r.size, rows, W))
+            # the node source j sits at target j-1, or at the previous reference
+            S[:g, ..., 0] = carry
+            S[:g, ..., 1:] = e_tgt[..., :-1]
+            flat = S.reshape(S.shape[:3] + (rows * W,))
+            flat[:g, ..., :n] *= x[:, fs, None]
+            if factors is not None:
+                flat[:g, ..., :n] *= factors(ks)[:, None]
+            if y is not None:
+                np.exp(-r * a_mid, out=S[g, 0])
+                S[g, 1:] = S[g, 0]
+                flat[g, ..., :n] *= y[fs, None]
+            flat[..., n:] = 0.0
+            np.cumsum(S, axis=-1, out=S)
+            # V[..., q] = the sums at refs[q], V[..., 0] = 0 at node 0
+            V = np.zeros(S.shape[:3] + (rows + 1,))
+            V[..., 1:] = S[..., -1]
+            V[..., 1:] += carry * V[..., :-1]
+            span = 2
+            while span <= rows:
+                if float(r[0, 0, 0]) * span * step_min > 746.0:
+                    break  # every decay underflows to 0, and so on every longer span
+                V[..., span:] += np.exp(-r[..., 0] * (refs[span:] - refs[:-span])) * V[..., :-span]
+                span *= 2
+            V[..., :-1] *= carry
+            S += V[..., :-1, None]
+            S /= e_tgt
+            terms = flat[..., :n]
+            # the first block writes its sums in place
+            T = out[:, fs] if lo == 0 else None
+            T = terms.sum(axis=2, out=T) if w is None else np.einsum("cfki,ki->cfi", terms, w,
+                                                                     out=T)
+            if lo > 0:
+                out[:, fs] += T
+            # free the sums before the next ones are made
+            del S, flat, V, terms, T
     return out
 
 
-def _phis(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _phis(z: np.ndarray) -> np.ndarray:
     """phi0(z) = int_0^1 e^(-z v) dv = -expm1(-z) / z and
     phi1(z) = int_0^1 e^(-z v) (1/2 - v) dv = (expm1(-z) (1 + z/2) + z) / z^2,
-    for z >= 0. phi1's closed form cancels as z -> 0 (its value is about
-    z / 12), so below z = 1/2 it is summed from its series
-    sum_{p>=1} (-1)^(p+1) p z^p / (2 (p+2)!), whose tail there is below 1e-18.
+    for z >= 0, stacked on a leading axis. phi1's closed form cancels as
+    z -> 0 (its value is about z / 12), so below z = 1/2 it is summed from its
+    series sum_{p>=1} (-1)^(p+1) p z^p / (2 (p+2)!), up to the last term above
+    1e-17 of the first at the largest such z (the tail is below 1e-18 at
+    z = 1/2 with all 15 terms).
     """
-    em = np.expm1(-z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi1 = 0.5 * z
-        phi1 += 1.0
-        phi1 *= em
-        phi1 += z
-        phi1 /= z
-        phi1 /= z
-        phi0 = np.divide(em, -z, out=em)
-    phi0[z == 0.0] = 1.0
+    phis = np.empty((2,) + z.shape)
+    phi0, phi1 = phis
+    np.expm1(-z, out=phi0)
     small = z < 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not small.all():
+            np.multiply(z, 0.5, out=phi1)
+            phi1 += 1.0
+            phi1 *= phi0
+            phi1 += z
+            phi1 /= z
+            phi1 /= z
+        phi0 /= -z
+    phi0[z == 0.0] = 1.0
     zs = z[small]
-    acc = np.full(zs.shape, _PHI1_SERIES[-1])
-    for coef in _PHI1_SERIES[-2::-1]:
+    if zs.size:
+        top = float(zs.max())
+        terms = [c for p, c in enumerate(_PHI1_SERIES)
+                 if abs(c) * top**p >= 1e-17 * _PHI1_SERIES[0]]
+        acc = np.full(zs.shape, terms[-1])
+        for coef in terms[-2::-1]:
+            acc *= zs
+            acc += coef
         acc *= zs
-        acc += coef
-    acc *= zs
-    phi1[small] = acc
-    return phi0, phi1
+        phi1[small] = acc
+    return phis
 
 
 def _power_sums(psih: np.ndarray, g_mid: np.ndarray, slope: np.ndarray, mus: np.ndarray,
                 rates: np.ndarray, weights, per_panel: bool) -> tuple[np.ndarray, np.ndarray]:
     """sums() of the power moments on the SOE rule (rates, weights) for
     s^(mu-1) (mlf._power_rule): the sums against g_mid and against slope, as
-    in _product_sums. mus[j] is the exponent of node j+1 (per_panel False) or
-    of panel j.
+    in _product_sums, one row per row of the stacks g_mid and slope (m, n).
+    mus[j] is the exponent of node j+1 (per_panel False) or of panel j.
 
     Node i's last panel keeps its exact moments. On a history panel j <= i-2,
     with h_j its width and z = r h_j, the rate r integrates to
     exp(-r (psi_i - psi_j+1)) h_j (g_mid_j phi0(z) + slope_j h_j phi1(z))
-    (_phis): per-rate data at the source node j+1 of _exp_sums, times the
+    (_phis): per-rate factors at the source node j+1 of _exp_sums, times the
     rule's weight of mu_j when the exponent follows the panel, while the
     weights of mu_i apply at the targets otherwise.
     """
@@ -453,38 +502,45 @@ def _power_sums(psih: np.ndarray, g_mid: np.ndarray, slope: np.ndarray, mus: np.
     n = psi.size - 1
     hp = np.diff(psi)
     w = weights(slice(None, -1) if per_panel else slice(None))
-    h, g_h, s_h2 = hp[:-1], (hp * g_mid)[:-1], (hp * hp * slope)[:-1]
+    # source j takes panel j - 1; source 0 has no panel, and its data is 0
+    widths = np.append(0.0, hp[:-1])
+    data = np.zeros((2,) + g_mid.shape)
+    data[0, :, 1:] = (hp * g_mid)[:, :-1]
+    data[1, :, 1:] = (hp * hp * slope)[:, :-1]
 
-    def sources(ks):
-        phi0, phi1 = _phis(np.multiply.outer(rates[ks], h))
-        out = np.zeros((2, phi0.shape[0], n))
-        np.multiply(phi0, g_h, out=out[0, :, 1:])
-        np.multiply(phi1, s_h2, out=out[1, :, 1:])
+    def factors(ks):
+        phis = _phis(np.multiply.outer(rates[ks], widths))
         if per_panel:
-            out[:, :, 1:] *= w(ks)
-        return out
+            phis[:, :, 1:] *= w(ks)
+        return phis
 
-    hist = _exp_sums(psih, sources, rates, None if per_panel else w)
+    hist = _exp_sums(psih, rates, None if per_panel else w, data, factors)
     # the last panel: integral and first moment about its midpoint of s^(mu-1)
     m0 = hp**mus / mus
     m1 = hp ** (mus + 1.0) * (1.0 - mus) / (2.0 * mus * (mus + 1.0))
-    mid, corr = np.zeros(n + 1), np.zeros(n + 1)
-    mid[1:] = g_mid * m0 + hist[0]
-    corr[1:] = slope * m1 + hist[1]
+    mid, corr = np.zeros((2, g_mid.shape[0], n + 1))
+    mid[:, 1:] = g_mid * m0 + hist[0]
+    corr[:, 1:] = slope * m1 + hist[1]
     return mid, corr
 
 
 def _trap_mid(table: _KernelTable, x: np.ndarray, y: np.ndarray,
               h: float) -> tuple[np.ndarray, np.ndarray]:
     """Composite trapezoid sums of H * x and midpoint sums of H * y."""
-    nodes, mids = table.sums(np.concatenate(([0.5 * x[0]], x[1:])), y)
+    ends = x.copy()
+    ends[..., 0] *= 0.5
+    nodes, mids = table.sums(ends, y)
     # H(t_i, t_i) = 1: the weight-1/2 end at tau_i takes off x_i / 2
-    return h * (nodes - 0.5 * x), h * mids
+    nodes -= 0.5 * x
+    nodes *= h
+    mids *= h
+    return nodes, mids
 
 
 def _finish(grid: np.ndarray, trap: np.ndarray, mid: np.ndarray,
             scheme: str, label: str) -> OperatorResult:
-    cross = np.abs(trap - mid)
+    cross = trap - mid
+    np.abs(cross, out=cross)
     chosen = trap if scheme == "product_trapezoid" else mid
     out = GridFunction(grid=grid, values=chosen, label=label)
     return OperatorResult(values=out, cross_scheme=cross, scheme=scheme)
@@ -493,14 +549,17 @@ def _finish(grid: np.ndarray, trap: np.ndarray, mid: np.ndarray,
 def _aux1_both(spec: KernelSpec, f: GridFunction,
                table: _KernelTable) -> tuple[np.ndarray, np.ndarray]:
     dpsih = spec.warp.deriv_values(table.half)
-    f_mid = 0.5 * (f.values[:-1] + f.values[1:])
-    return _trap_mid(table, dpsih[::2] * f.values, dpsih[1::2] * f_mid, f.h)
+    y = f.values[..., :-1] + f.values[..., 1:]
+    y *= 0.5
+    y *= dpsih[1::2]
+    return _trap_mid(table, dpsih[::2] * f.values, y, f.h)
 
 
 def _aux2_both(spec: KernelSpec, f: GridFunction,
                table: _KernelTable) -> tuple[np.ndarray, np.ndarray]:
     fp = f.deriv_values()
-    fp_mid = 0.5 * (fp[:-1] + fp[1:])
+    fp_mid = fp[..., :-1] + fp[..., 1:]
+    fp_mid *= 0.5
     return _trap_mid(table, fp, fp_mid, f.h)
 
 
@@ -527,8 +586,10 @@ def rl_deriv_ns(spec: KernelSpec, f: GridFunction, *,
     table = _KernelTable(spec, f.grid)
     inner_t, inner_m = _aux1_both(spec, f, table)
     factors = _prefactors(spec, table.alphas) / spec.warp.deriv_values(f.grid)
-    trap = factors * fd_deriv(inner_t, f.h)
-    mid = factors * fd_deriv(inner_m, f.h)
+    trap = fd_deriv(inner_t, f.h)
+    trap *= factors
+    mid = fd_deriv(inner_m, f.h)
+    mid *= factors
     return _finish(f.grid, trap, mid, scheme, f"D_rl[{f.label}]")
 
 
@@ -539,7 +600,9 @@ def caputo_deriv_ns(spec: KernelSpec, f: GridFunction, *,
     table = _KernelTable(spec, f.grid)
     trap, mid = _aux2_both(spec, f, table)
     factors = _prefactors(spec, table.alphas)
-    return _finish(f.grid, factors * trap, factors * mid, scheme, f"D_c[{f.label}]")
+    trap *= factors
+    mid *= factors
+    return _finish(f.grid, trap, mid, scheme, f"D_c[{f.label}]")
 
 
 # --- weakly singular family ---------------------------------------------------
@@ -577,14 +640,15 @@ def _product_sums(spec: KernelSpec, grid: np.ndarray, data: np.ndarray,
     certified, else rows (O(n^2)).
     """
     table = _KernelTable(spec, grid, mus, exponent_at == "tau")
-    g_mid = 0.5 * (data[:-1] + data[1:])
+    g_mid = 0.5 * (data[..., :-1] + data[..., 1:])
     slope = np.diff(data) / np.diff(table.psih[::2])
-    mid, corr = table.sums(np.append(g_mid, 0.0), slope)
+    # x is g_mid and a zero for the last node, which has no panel to open
+    mid, corr = table.sums(np.concatenate((g_mid, np.zeros_like(data[..., :1])), axis=-1), slope)
     return mid + corr, mid
 
 
 def _gammas(xs: np.ndarray) -> np.ndarray:
-    return np.array([math.gamma(float(x)) for x in xs])
+    return np.array(list(map(math.gamma, xs.tolist())))
 
 
 def rl_integral_varorder(spec: KernelSpec, f: GridFunction, *,
@@ -602,10 +666,8 @@ def rl_integral_varorder(spec: KernelSpec, f: GridFunction, *,
     if exponent_at not in ("t", "tau"):
         raise InvalidParam(f"exponent_at must be 't' or 'tau', got {exponent_at!r}")
     grid = f.grid
-    alphas = spec.order.values(grid)
-    if np.min(alphas) <= 0.0:
-        raise InvalidParam("order must stay positive for the integral")
-    mus = spec.order.values(0.5 * (grid[:-1] + grid[1:])) if exponent_at == "tau" else alphas
+    alphas = _orders(spec, grid)
+    mus = _orders(spec, 0.5 * (grid[:-1] + grid[1:])) if exponent_at == "tau" else alphas
     trap, mid = _product_sums(spec, grid, f.values, mus, exponent_at)
     scales = 1.0 / _gammas(alphas)
     return _finish(grid, scales * trap, scales * mid, scheme, f"I[{f.label}]")

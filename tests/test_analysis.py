@@ -13,6 +13,7 @@ from fracvar import (
     identity_warp,
     standard_corpus,
 )
+from fracvar import analysis
 from fracvar.analysis import (
     check_axiom_limits,
     check_boundedness,
@@ -59,6 +60,23 @@ def test_corpus_array_calls_match_float_calls(seed):
             whole = np.broadcast_to(np.asarray(fn(ts), dtype=float), ts.shape)
             single = np.array([fn(float(t)) for t in ts])
             assert np.all(np.abs(whole - single) <= 1e-15 * np.abs(single)), tf.label
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_corpus_stacks_match_each_function_alone(n):
+    # the suites sample the corpus in stacks, the trigonometric polynomials
+    # from one table of harmonics per grid; each row is what fn and deriv
+    # give alone, bit for bit, and every stack stays within the budget
+    tfs = standard_corpus(seed=9, random_count=20)
+    rows = 0
+    for lo, f in analysis._corpus_stacks(tfs, 0.0, 1.0, n):
+        assert f.values.size <= max(analysis._STACK, n + 1)
+        for k in range(f.values.shape[0]):
+            alone = tfs[lo + k].on(0.0, 1.0, n)
+            assert np.array_equal(f.values[k], alone.values), tfs[lo + k].label
+            assert np.array_equal(f.derivs[k], alone.derivs), tfs[lo + k].label
+        rows += f.values.shape[0]
+    assert rows == len(tfs)
 
 
 def test_corpus_derivatives_are_consistent():

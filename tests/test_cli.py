@@ -242,6 +242,22 @@ class TestExitCodes:
         assert run(["deriv", "--op", "rl_classical", "--f", "t"] + common) == 1
         assert run(["solve", "--rhs", "-u", "--u0", "1"] + common) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["deriv", "--op", "caputo_ns", "--f", "sin(t)"],
+        ["deriv", "--op", "rl_ns", "--f", "sin(t)"],
+        ["deriv", "--op", "caputo_classical", "--f", "sin(t)"],
+        ["deriv", "--op", "rl_classical", "--f", "sin(t)"],
+        ["integral", "--f", "sin(t)"],
+        ["solve", "--rhs", "-u", "--u0", "1"],
+    ])
+    def test_order_below_zero_on_the_grid_is_config_error(self, command, capsys):
+        # the 1024-panel sample that sets the declared bounds sees
+        # [0.2996, 0.3004]; on the 2000-panel grid 592 nodes have alpha <= 0
+        order = ["--alpha", "0.3 + 0.5*sin(3216.99*t)", "--a", "0", "--b", "1",
+                 "--n", "2000"]
+        assert run(command + order) == 1
+        assert "order must stay positive" in capsys.readouterr().err
+
     def test_singular_order_is_numerical_error(self):
         assert run(["deriv", "--op", "caputo_ns", "--alpha", "1",
                     "--f", "t", "--a", "0", "--b", "1", "--n", "64"]) == 2

@@ -34,6 +34,7 @@ from fracvar.errors import (
     InvalidParam,
     NewtonDivergence,
 )
+from fracvar import fde
 from fracvar.fde import MAX_NEWTON, NEWTON_TOL, _solve_node
 from fracvar.operators import _KernelTable
 
@@ -280,6 +281,49 @@ class TestComparison:
                                                                seed=11)]
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("draws", [1, 5])
+    def test_stacked_draws_yield_the_cases_of_single_draws(self, draws, monkeypatch):
+        # the candidates of a block of draws go through one stacked Caputo
+        # call and are accepted in draw order: the cases do not depend on
+        # the block size, down to one draw per call
+        want = [(u.values.copy(), q.values.copy())
+                for u, q in comparison_cases(CF, n=128, count=30, seed=4)]
+        monkeypatch.setattr(fde, "_DRAWS", draws)
+        got = list(comparison_cases(CF, n=128, count=30, seed=4))
+        assert len(got) == len(want) == 30
+        for (u, q), (wu, wq) in zip(got, want):
+            assert u.values.ndim == 1
+            assert np.array_equal(u.values, wu) and np.array_equal(q.values, wq)
+
+    def test_stall_guard_counts_single_candidates(self, monkeypatch):
+        # only the k-th candidate that reaches the operator is admitted;
+        # count = 1 allows 50 draws, whatever the block size
+        real = fde.caputo_deriv_ns
+
+        def outcome(k, draws):
+            seen = [0]
+
+            def one_admitted(spec, u):
+                result = real(spec, u)
+                rows = result.values.values.reshape(-1, u.grid.size)
+                rows[:] = 1e300
+                if seen[0] < k <= seen[0] + rows.shape[0]:
+                    rows[k - 1 - seen[0]] = -1e300
+                seen[0] += rows.shape[0]
+                return result
+
+            monkeypatch.setattr(fde, "caputo_deriv_ns", one_admitted)
+            monkeypatch.setattr(fde, "_DRAWS", draws)
+            try:
+                return len(list(comparison_cases(CF, n=64, count=1, seed=0)))
+            except InvalidParam:
+                return "stalled"
+
+        single = {k: outcome(k, 1) for k in range(40, 56)}
+        assert set(single.values()) == {1, "stalled"}
+        for k, want in single.items():
+            assert outcome(k, 16) == want, k
 
 
 class TestUniqueness:

@@ -87,3 +87,42 @@ class TestGridFunction:
         g = uniform_grid(0.0, 1.0, 64)
         f = GridFunction(grid=g, values=np.sin(g), derivs=np.cos(g))
         assert f.a == 0.0 and f.b == 1.0
+
+
+class TestStacks:
+    def test_fd_deriv_acts_along_the_last_axis(self):
+        g = uniform_grid(0.0, 1.0, 64)
+        h = float(g[1] - g[0])
+        rows = np.array([np.sin(g), g**3, np.exp(g)])
+        whole = fd_deriv(rows, h)
+        for k in range(3):
+            assert np.array_equal(whole[k], fd_deriv(rows[k], h))
+
+    def test_accepts_a_stack_with_consistent_rows(self):
+        g = uniform_grid(0.0, 1.0, 64)
+        f = GridFunction(grid=g, values=np.array([np.sin(g), 1e6 * np.cos(g)]),
+                         derivs=np.array([np.cos(g), -1e6 * np.sin(g)]))
+        assert f.n == 64 and f.values.shape == (2, 65)
+        assert np.array_equal(f.deriv_values(), f.derivs)
+
+    def test_rejects_a_stack_row_whose_derivs_disagree(self):
+        # f itself passed as f' in row 1; with maxima over the whole stack,
+        # row 0's scale of 1e6 would hide the gap of about 1 in row 1
+        g = uniform_grid(0.0, 1.0, 64)
+        values = np.array([1e6 * np.sin(g), np.sin(g) + 2.0])
+        derivs = np.array([1e6 * np.cos(g), np.sin(g) + 2.0])
+        with pytest.raises(InvalidGrid, match="row 1"):
+            GridFunction(grid=g, values=values, derivs=derivs)
+        # each row alone: the first passes, the second fails
+        GridFunction(grid=g, values=values[0], derivs=derivs[0])
+        with pytest.raises(InvalidGrid):
+            GridFunction(grid=g, values=values[1], derivs=derivs[1])
+
+    def test_rejects_stacks_of_the_wrong_shape(self):
+        g = uniform_grid(0.0, 1.0, 16)
+        with pytest.raises(InvalidGrid):
+            GridFunction(grid=g, values=np.zeros((2, 16)))
+        with pytest.raises(InvalidGrid):
+            GridFunction(grid=g, values=np.zeros((2, 2, 17)))
+        with pytest.raises(InvalidGrid):
+            GridFunction(grid=g, values=np.zeros((2, 17)), derivs=np.zeros(17))

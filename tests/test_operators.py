@@ -829,3 +829,87 @@ class TestSpecialCases:
         spec = make_special_case("caputo_fabrizio", alpha=0.25)
         assert spec.order.is_constant
         assert spec.alpha_at(0.5) == 0.25
+
+
+# --- stacks of functions --------------------------------------------------------
+
+
+ALL_OPERATORS = (aux_integral_1, aux_integral_2, rl_deriv_ns, caputo_deriv_ns,
+                 rl_integral_varorder, rl_deriv_classical, caputo_deriv_classical)
+
+
+def _stack_case(path):
+    """(spec, n, paths of the bounded and the weakly singular tables)."""
+    log = dict(interval=(1.0, 3.0), warp=log_warp())
+    if path == "exp":
+        return cf_spec(0.6), 96, ("exp", "toeplitz")
+    if path == "toeplitz":
+        return cf_spec(0.6, gamma=0.5, beta=0.5), 96, ("toeplitz", "toeplitz")
+    if path == "soe":
+        return cf_spec(0.4, gamma=0.5, beta=0.5, **log), 512, ("soe", "soe")
+    if path == "rows":
+        return cf_spec(0.4, gamma=0.7, beta=0.6, **log), 96, ("rows", "soe")
+    # the power SOE of a variable order on psi = t (tracked gamma = beta for
+    # the bounded kernel)
+    return tracked_spec(), 512, ("soe", "soe")
+
+
+@pytest.mark.parametrize("block", [None, 512])
+@pytest.mark.parametrize("path", ["exp", "toeplitz", "soe", "rows", "power_soe"])
+def test_stacked_rows_equal_single_calls_bit_for_bit(path, block, monkeypatch):
+    # every operator on a stack of functions gives, in each row, exactly what
+    # it gives that function alone; a small _BLOCK cuts the stack into
+    # several chunks of _exp_sums and its rates into more blocks
+    if block is not None:
+        monkeypatch.setattr(operators, "_BLOCK", block)
+    spec, n, (bounded, singular) = _stack_case(path)
+    a, b = spec.interval
+    grid = uniform_grid(a, b, n)
+    assert _KernelTable(spec, grid).path == bounded
+    mus = np.full(n + 1, 0.5) if path != "power_soe" else 1.0 - spec.order.values(grid)
+    assert _KernelTable(spec, grid, mus).path == singular
+    fns = ((np.sin, np.cos), (np.exp, np.exp), (lambda t: t * t, lambda t: 2.0 * t),
+           (lambda t: np.cos(3.0 * t), lambda t: -3.0 * np.sin(3.0 * t)),
+           (lambda t: 1e3 * np.sin(t + 1.0), lambda t: 1e3 * np.cos(t + 1.0)))
+    singles = [sampled(fn, a, b, n, deriv=deriv) for fn, deriv in fns]
+    stack = GridFunction(grid=grid, values=np.array([f.values for f in singles]),
+                         derivs=np.array([f.derivs for f in singles]))
+    for op in ALL_OPERATORS:
+        for scheme in SCHEMES:
+            whole = op(spec, stack, scheme=scheme)
+            assert whole.values.values.shape == stack.values.shape
+            for k, f in enumerate(singles):
+                alone = op(spec, f, scheme=scheme)
+                assert np.array_equal(whole.values.values[k], alone.values.values), (op, k)
+                assert np.array_equal(whole.cross_scheme[k], alone.cross_scheme), (op, k)
+
+
+def test_stacked_rows_equal_single_calls_on_rows_after_a_refused_rule(monkeypatch):
+    # a spot check that misses sends both families to rows; stacked rows
+    # still match single calls
+    monkeypatch.setattr(mlf, "_SOE_TOL", 0.0)
+    spec = tracked_spec()
+    grid = uniform_grid(0.0, 1.0, 64)
+    assert _KernelTable(spec, grid).path == "rows"
+    assert _KernelTable(spec, grid, 1.0 - spec.order.values(grid)).path == "rows"
+    singles = [sampled(fn, n=64) for fn in (np.sin, np.exp, np.cos)]
+    stack = GridFunction(grid=grid, values=np.array([f.values for f in singles]))
+    for op in ALL_OPERATORS:
+        whole = op(spec, stack).values.values
+        for k, f in enumerate(singles):
+            assert np.array_equal(whole[k], op(spec, f).values.values), (op, k)
+
+
+def test_stacked_table_sums_match_row_by_row():
+    # _KernelTable.sums takes x (m, n + 1) and y (m, n), a zero midpoint
+    # row included
+    spec = cf_spec(0.4, interval=(1.0, 3.0), gamma=0.5, beta=0.5, warp=log_warp())
+    grid = uniform_grid(1.0, 3.0, 512)
+    table = _KernelTable(spec, grid)
+    x = np.array([np.sin(grid), np.cos(3.0 * grid), grid])
+    y = np.array([np.cos(grid[1:]), np.zeros(512), np.sqrt(grid[1:])])
+    nodes, mids = table.sums(x, y)
+    for k in range(3):
+        one_nodes, one_mids = table.sums(x[k], y[k])
+        assert np.array_equal(nodes[k], one_nodes)
+        assert np.array_equal(mids[k], one_mids)
