@@ -17,6 +17,7 @@ true/false) can preload any subcommand's flags; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -92,7 +93,10 @@ def _add_output_flags(p: argparse.ArgumentParser, formats=("csv", "json")) -> No
                    help="key=value file preloading flags for this subcommand")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged."""
     parser = _Parser(prog="fracvar")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -10,11 +10,12 @@ and the scalar equation D_h u = rhs(t_i, u_i), memory term frozen, is solved
 per node by one nodal solver (Newton, then bracket and bisection), which the
 uniqueness probe shares. The memory sum_{j<i-1} c_ij (u_j+1 - u_j) comes
 from the kernel table's march, on the path its history sums take: O(n) for
-the exponential kernel, O(nK) on the sum of exponentials (K about 60), one
-dot product per node on Toeplitz rows, one kernel row per node otherwise.
+the exponential kernel, O(nK) on the sum of exponentials (K about 60),
+O(n log^2 n) on Toeplitz rows (near-field dots and FFT products on dyadic
+blocks, the exact weights), one kernel row per node otherwise.
 The residual certification afterwards is one history sum of that table over
-all nodes, by the table's blocked recurrences rather than the march's, so it
-checks the march.
+all nodes, by the table's blocked recurrences or FFT products rather than the
+march's, so it checks the march.
 
 Initial-condition compatibility: the continuous equation at t = a forces
 f(a, u0) = 0; incompatible data make the exact solution jump at a. By default
@@ -223,30 +224,41 @@ class ComparisonReport:
 
 
 def check_comparison(spec: KernelSpec, u: GridFunction,
-                     q: GridFunction) -> ComparisonReport:
+                     q: GridFunction) -> ComparisonReport | list[ComparisonReport]:
     """Test the comparison principle on sampled data.
 
     Hypotheses: q >= 0 with q(a) > 0, and D_c u + q u <= 0 on the grid.
     Conclusion checked: u <= 0 within slack 1e-7 * max(1, sup |u|). When the
     inequality hypothesis fails the case is reported as not applicable rather
     than as a violation.
+
+    u and q may also hold stacks of m cases on one grid (values of shape
+    (m, n + 1)): one stacked Caputo call serves them all, and the list of m
+    reports holds, case by case, what that pair gives alone.
     """
     qv = q.values
     if np.min(qv) < 0.0:
         raise HypothesisViolation("q must be nonnegative")
-    if qv[0] <= 0.0:
+    if np.min(qv[..., 0]) <= 0.0:
         raise HypothesisViolation("q(a) must be positive")
-    if u.grid.shape != q.grid.shape or np.max(np.abs(u.grid - q.grid)) > 1e-12:
+    if (u.grid.shape != q.grid.shape or u.values.shape != qv.shape
+            or np.max(np.abs(u.grid - q.grid)) > 1e-12):
         raise InvalidParam("u and q must share one grid")
-    tol = 1e-7 * max(1.0, float(np.max(np.abs(u.values))))
-    deriv = caputo_deriv_ns(spec, u).values.values
-    Q = deriv + qv * u.values
+    Q = caputo_deriv_ns(spec, u).values.values
+    Q += qv * u.values
+    reports = [_comparison_report(uv, row)
+               for uv, row in zip(u.values.reshape(-1, u.grid.size), Q.reshape(-1, u.grid.size))]
+    return reports if qv.ndim == 2 else reports[0]
+
+
+def _comparison_report(uv: np.ndarray, Q: np.ndarray) -> ComparisonReport:
+    tol = 1e-7 * max(1.0, float(np.max(np.abs(uv))))
     max_q = float(np.max(Q))
     if max_q > tol:
         return ComparisonReport(applicable=False, max_inequality=max_q,
                                 violations=0, worst_node=None, tol=tol)
-    bad = np.nonzero(u.values > tol)[0]
-    worst = int(bad[np.argmax(u.values[bad])]) if bad.size else None
+    bad = np.nonzero(uv > tol)[0]
+    worst = int(bad[np.argmax(uv[bad])]) if bad.size else None
     return ComparisonReport(applicable=True, max_inequality=max_q,
                             violations=int(bad.size), worst_node=worst, tol=tol)
 

@@ -320,6 +320,35 @@ def test_reruns_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_calls_in_one_process_print_what_fresh_processes_print(capsys):
+    # the parser is built once per process; a flag error (exit 1) and other
+    # subcommands before a call leave its output as a fresh process gives it
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        ["deriv", "--op", "nope", "--alpha", "0.5", "--f", "t", "--a", "0", "--b", "1",
+         "--n", "16"],
+        DERIV_EXAMPLE[:-2] + ["--n", "32", "--estimate-error"],
+        SOLVE_EXAMPLE,
+        ["solve", "--alpha", "0.5", "--rhs", "-u", "--u0", "1", "--a", "0", "--b", "1",
+         "--n", "8"],
+        ["integral", "--alpha", "0.5", "--exponent-at", "tau", "--f", "exp(t)", "--a", "0",
+         "--b", "1", "--n", "32", "--format", "json"],
+        DERIV_EXAMPLE[:-2] + ["--n", "32", "--estimate-error"],
+    ]
+    codes = []
+    for argv in calls:
+        try:
+            codes.append(run(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "fracvar", *argv],
+                               capture_output=True, text=True, timeout=120)
+        assert (codes[-1], got.out, got.err) == (fresh.returncode, fresh.stdout,
+                                                  fresh.stderr), argv
+    assert codes == [1, 0, 0, 1, 0, 0]
+
+
 def test_config_file_preloads_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("op = caputo_ns\nalpha = 0.5\nf = t\na = 0\nb = 1\nn = 64\n"

@@ -34,8 +34,9 @@ from fracvar.errors import (
     InvalidParam,
     NewtonDivergence,
 )
-from fracvar import fde
+from fracvar import fde, operators
 from fracvar.fde import MAX_NEWTON, NEWTON_TOL, _solve_node
+from fracvar.kernel import KernelSpec, NormalizationFunction, identity_warp
 from fracvar.operators import _KernelTable
 
 CF = make_special_case("caputo_fabrizio", alpha=0.5, interval=(0.0, 1.0))
@@ -167,6 +168,46 @@ def test_march_matches_rows_march(spec, route, monkeypatch):
     assert np.max(np.abs(fast - rows)) <= 1e-11 * np.max(np.abs(rows))
 
 
+def _direct_dot_march(g):
+    """The Toeplitz march as one O(i) dot per node: the reference for the
+    blocked march, with c_ij = (g[i-j-1] + g[i-j]) / 2."""
+    n = g.size - 1
+    c = 0.5 * (g[1:] + g[:-1])
+    steps = np.zeros(n)
+    for i in range(1, n + 1):
+        steps[i - 1] = yield float(g[i]), float(g[1]), float(c[i - 1 : 0 : -1] @ steps[: i - 1])
+
+
+@pytest.mark.parametrize("n", [40, 1000, 4099, 8192])
+@pytest.mark.parametrize("gamma, beta", [(0.5, 0.5), (0.7, 0.6)])
+def test_blocked_toeplitz_march_matches_direct_dots(gamma, beta, n, monkeypatch):
+    # the blocked march (aligned near-field blocks of 64 nodes, far-field
+    # products on dyadic blocks) against one dot per node: the memories for
+    # one random sequence of steps, then the solutions; n = 40 is near field
+    # only, and 4099 leaves a partial last block
+    spec = KernelSpec(gamma=gamma, beta=beta, order=OrderFunction.constant(0.4),
+                      warp=identity_warp(), norm=NormalizationFunction.one(),
+                      interval=(0.0, 1.0))
+    table = _KernelTable(spec, uniform_grid(0.0, 1.0, n))
+    assert table.path == "toeplitz"
+    steps = np.random.default_rng(n).standard_normal(n).tolist()
+    memories = []
+    for march in (table.march(), _direct_dot_march(table._base[::2])):
+        out = [march.send(None)]
+        out += [march.send(du) for du in steps[:-1]]
+        memories.append(np.array(out))
+    blocked, direct = memories
+    assert np.array_equal(blocked[:, :2], direct[:, :2])
+    assert np.max(np.abs(blocked[:, 2] - direct[:, 2])) <= 1e-13 * np.max(np.abs(direct[:, 2]))
+
+    problem = FdeProblem(spec=spec, rhs=lambda t, u: -u ** 3 - u + math.sin(math.pi * t),
+                         initial=1.0, grid_n=n)
+    fast = solve_fde(problem, newton_tol=1e-13).solution.values
+    monkeypatch.setattr(operators, "_toeplitz_march", _direct_dot_march)
+    slow = solve_fde(problem, newton_tol=1e-13).solution.values
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+
 class TestCompatibilityCorrection:
     def test_raw_mode_jumps_on_incompatible_data(self):
         # f(a, u0) = -1 != 0: the discrete equation as written forces an
@@ -273,6 +314,18 @@ class TestComparison:
             assert report.violations == 0
             clean += 1
         assert clean == 25
+
+    def test_stacked_check_gives_the_reports_of_single_checks(self):
+        # one stacked Caputo call serves every case, applicable or not
+        grid = uniform_grid(0.0, 1.0, 128)
+        pairs = [(u.values, q.values) for u, q in comparison_cases(CF, n=128, count=5, seed=2)]
+        pairs.append((np.ones(grid.size), np.ones(grid.size)))
+        us, qs = (GridFunction(grid=grid, values=np.array(column)) for column in zip(*pairs))
+        stacked = check_comparison(CF, us, qs)
+        assert [rep.applicable for rep in stacked] == [True] * 5 + [False]
+        assert stacked == [check_comparison(CF, GridFunction(grid=grid, values=uv),
+                                            GridFunction(grid=grid, values=qv))
+                           for uv, qv in pairs]
 
     def test_generator_is_deterministic(self):
         first = [u.values.copy() for u, _ in comparison_cases(CF, n=128, count=3,

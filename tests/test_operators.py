@@ -470,19 +470,21 @@ def test_exponential_table_sums_and_marches_without_kernel_rows(monkeypatch):
         assert np.array_equal(table.row(i), kernel_values(cf_spec(0.6), grid[i], grid[: i + 1]))
 
 
-@pytest.mark.parametrize("m", [1025, 2048, 2113, 4097])
+@pytest.mark.parametrize("m", [97, 257, 1025, 2048, 2113, 4097, 8193, 32769])
 def test_lower_convolve_matches_long_double(m):
-    # the Toeplitz path's truncated product (halved recursively above 1024
-    # points) against direct long-double sums, on a kernel-like row and
-    # signed data
+    # the Toeplitz path's truncated product (real FFTs against a spectrum
+    # made once) against direct long-double sums, on a kernel-like row and
+    # signed data; above 8193 points every 16th output and the last one are
+    # checked, to keep the O(m^2) reference short
     rng = np.random.default_rng(m)
     a = np.exp(-np.linspace(0.0, 3.0, m)) * (1.0 + 0.1 * rng.random(m))
     b = rng.standard_normal(m)
-    got = operators._lower_convolve(a, b)
-    al, bl = a.astype(np.longdouble), b.astype(np.longdouble)
-    want = np.array([al[i::-1] @ bl[: i + 1] for i in range(m)])
+    got = operators._lower_product(a)(b)
     assert got.shape == (m,)
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    al, bl = a.astype(np.longdouble), b.astype(np.longdouble)
+    outputs = np.arange(m) if m <= 8193 else np.append(np.arange(0, m, 16), m - 1)
+    want = np.array([al[i::-1] @ bl[: i + 1] for i in outputs])
+    assert np.max(np.abs(got[outputs] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _soe_cutoff(n=1024):
