@@ -1,7 +1,9 @@
 """Implicit solver for u under the bounded-kernel Caputo-type derivative,
 plus the comparison principle, uniqueness probing, and sandwich bounds.
 
-Discretization: product-trapezoid collocation. At node t_i the derivative is
+Discretization: trapezoid weights on the kernel values at the nodes, against
+the piecewise-linear u (H is sampled, not integrated exactly). At node t_i
+the derivative is
 
     D_h u(t_i) = P_i * sum_j c_ij (u_j - u_{j-1}),
     c_ij = (H(t_i, t_{j-1}) + H(t_i, t_j)) / 2,
@@ -158,9 +160,8 @@ def _solve_node(rhs: Callable[[float, float], float], t: float, scale: float,
     raise NewtonDivergence("bisection stalled on the nodal equation", node=node)
 
 
-def solve_fde(problem: FdeProblem, *, compat_correction: bool = True,
-              newton_tol: float = NEWTON_TOL) -> SolveReport:
-    """March the implicit collocation scheme across the grid."""
+def solve_fde(problem: FdeProblem, *, compat_correction: bool = True) -> SolveReport:
+    """March the implicit scheme across the grid to Newton tolerance NEWTON_TOL."""
     grid = problem.grid()
     n = grid.size - 1
     table = _KernelTable(problem.spec, grid)
@@ -186,7 +187,7 @@ def solve_fde(problem: FdeProblem, *, compat_correction: bool = True,
         start = x if i == 1 else 2.0 * x - last
         last = x
         x, iters[i - 1] = _solve_node(rhs, float(grid[i]), scale, last, p * memory + shift,
-                                      start, newton_tol * max(1.0, scale), i)
+                                      start, NEWTON_TOL * max(1.0, scale), i)
         u[i] = x
         du = x - last
 
@@ -200,7 +201,7 @@ def solve_fde(problem: FdeProblem, *, compat_correction: bool = True,
     scaled = np.abs(dh - targets) / np.maximum(np.maximum(1.0, np.abs(targets)), P[1:])
     worst = int(np.argmax(scaled)) + 1
     residual = float(scaled[worst - 1])
-    if residual > 10.0 * newton_tol:
+    if residual > 10.0 * NEWTON_TOL:
         raise NewtonDivergence(
             f"residual certification failed ({residual:.3e} at node {worst})",
             node=worst,

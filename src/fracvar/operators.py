@@ -60,9 +60,9 @@ batched matrix product per node on "rows".
 
 march() gives the solver the history of kernel rows node by node, on the
 same path: a running sum on floats for the exponential kernel, a blocked
-march for Toeplitz rows (direct dots near the diagonal, FFT products on
-dyadic blocks further back, O(n log^2 n)), one running sum per rate of the
-sum-of-exponentials rule, or one row per node.
+march for Toeplitz rows (direct dots near the diagonal, real FFT products of
+length 2h for each dyadic block of h sources further back, O(n log^2 n)), one
+running sum per rate of the sum-of-exponentials rule, or one row per node.
 
 Outer d/dt steps use second-order central differences with one-sided stencils
 at the interval ends.
@@ -98,7 +98,6 @@ _BLOCK = 1 << 15     # doubles for a rate block of _exp_sums, and for a chunk of
 _FACTOR_TEMPS = 4    # temporaries of _power_sums' factors, per rate and source
 _MARCH_BLOCK = 256   # nodes per block of the exponential kernel's march
 _NEAR = 64           # nodes per aligned near-field block of the Toeplitz march
-_FFT_FROM = 256      # far-field products of the Toeplitz march from this size take FFTs
 # Taylor coefficients of _phis' phi1, z^1 to z^15
 _PHI1_SERIES = [(-1) ** (p + 1) * p / (2.0 * math.factorial(p + 2)) for p in range(1, 16)]
 
@@ -138,13 +137,14 @@ def _check_inputs(spec: KernelSpec, f: GridFunction, scheme: str) -> None:
 
 
 class _KernelTable:
-    """psi on the half-step grid (entry 2j is the node tau_j, entry 2j+1 the
-    midpoint m_j of panel j), one weight row per node on it, and the history
-    sums.
+    """For spec on the nodes grid: psi on the half-step grid (entry 2j is the
+    node tau_j, entry 2j+1 the midpoint m_j of panel j), one weight row per
+    node on it, and the history sums.
 
     The rows are the kernel H(t_i, .) by default. Given mus, the exponents of
-    the weakly singular family (mus[i] at node i, or mus[j] on panel j when
-    per_panel), they are the exact power moments of _moments.
+    the weakly singular family, they are the exact power moments of
+    _moments, and the size of mus says where each exponent sits: mus[i] at
+    node i (n + 1 values) or mus[j] on panel j (n values).
 
     path, set here once from the sampled values alone, is the one way sums(),
     march() and row() run (module docstring):
@@ -159,19 +159,19 @@ class _KernelTable:
     * "rows": none of these, one row per node.
     """
 
-    def __init__(self, spec: KernelSpec, grid: np.ndarray, mus: np.ndarray | None = None,
-                 per_panel: bool = False):
+    def __init__(self, spec: KernelSpec, grid: np.ndarray, mus: np.ndarray | None = None):
         self.n = grid.size - 1
         self.half = np.empty(2 * grid.size - 1)
         self.half[::2] = grid
         self.half[1::2] = 0.5 * (grid[:-1] + grid[1:])
         self.psih = spec.warp.values(self.half)
-        self._mus, self._per_panel = None, per_panel
+        self._mus = None
         if mus is None:
             alphas = exponents = self.alphas = _alphas_checked(spec, grid)
             self._row_fn = lambda i, dpsi: _ml_kernel(spec, float(alphas[i]), dpsi)
         else:
             exponents = mus
+            self._per_panel = per_panel = mus.size == self.n
             self._row_fn = functools.partial(_moments, mus, per_panel)
         same = bool(np.all(exponents == exponents[0]))
         if mus is None and spec.beta == spec.gamma == 1.0 and same:
@@ -324,11 +324,9 @@ def _toeplitz_march(g: np.ndarray):
 
 
 def _far_product(block: np.ndarray, c: np.ndarray, h: int, spectra: dict) -> np.ndarray:
-    """Outputs h..2h-1 of np.convolve(block, c[:2h]), block of size h: by
-    np.convolve below _FFT_FROM, else by real FFTs of length 2h (the outputs
-    kept do not wrap), with c's spectrum kept in spectra per h."""
-    if h < _FFT_FROM:
-        return np.convolve(block, c[: 2 * h])[h : 2 * h]
+    """Outputs h..2h-1 of np.convolve(block, c[:2h]), block of size h, by
+    real FFTs of length 2h (the outputs kept do not wrap), with c's spectrum
+    kept in spectra per h."""
     if h not in spectra:
         spectra[h] = np.fft.rfft(c[: 2 * h], 2 * h)
     return np.fft.irfft(np.fft.rfft(block, 2 * h) * spectra[h], 2 * h)[h:]
@@ -648,7 +646,7 @@ def caputo_deriv_ns(spec: KernelSpec, f: GridFunction, *,
 
 def _moments(mus: np.ndarray, per_panel: bool, i: int, dpsi: np.ndarray) -> np.ndarray:
     """Node i's row of _product_sums, given dpsi = psi_i - psi at half-grid
-    points 0, 2, ..., 2i: entry 2j the integral of (psi_i - x)^(mu-1) over
+    points 0, 1, ..., 2i: entry 2j the integral of (psi_i - x)^(mu-1) over
     panel j, entry 2j+1 its first moment about the panel midpoint, entry 2i
     zero. mu is mus[i], or mus[j] on panel j when per_panel."""
     U = dpsi[::2].copy()  # powers of a strided view are about 20 % slower
@@ -663,10 +661,10 @@ def _moments(mus: np.ndarray, per_panel: bool, i: int, dpsi: np.ndarray) -> np.n
 
 
 def _product_sums(spec: KernelSpec, grid: np.ndarray, data: np.ndarray,
-                  mus: np.ndarray, exponent_at: str = "t") -> tuple[np.ndarray, np.ndarray]:
+                  mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integrals over [psi_0, psi_i] of (psi_i - x)^(mu-1) g(x) dx, per node i.
 
-    mu is mus[i] at node i (exponent_at="t") or mus[j] on panel j ("tau").
+    mu is mus[i] at node i (mus of size n + 1) or mus[j] on panel j (size n).
     g is interpolated from data: piecewise constant at panel means for the
     midpoint sums, piecewise linear for the trapezoid sums. On a panel the
     linear g is its mean plus slope * (x - midpoint), so the trapezoid sum is
@@ -677,7 +675,7 @@ def _product_sums(spec: KernelSpec, grid: np.ndarray, data: np.ndarray,
     _power_sums (O(nK), K about 60) when 0 < mu <= 1 and the rule is
     certified, else rows (O(n^2)).
     """
-    table = _KernelTable(spec, grid, mus, exponent_at == "tau")
+    table = _KernelTable(spec, grid, mus)
     g_mid = 0.5 * (data[..., :-1] + data[..., 1:])
     slope = np.diff(data) / np.diff(table.psih[::2])
     # x is g_mid and a zero for the last node, which has no panel to open
@@ -706,7 +704,7 @@ def rl_integral_varorder(spec: KernelSpec, f: GridFunction, *,
     grid = f.grid
     alphas = _orders(spec, grid)
     mus = _orders(spec, 0.5 * (grid[:-1] + grid[1:])) if exponent_at == "tau" else alphas
-    trap, mid = _product_sums(spec, grid, f.values, mus, exponent_at)
+    trap, mid = _product_sums(spec, grid, f.values, mus)
     scales = 1.0 / _gammas(alphas)
     return _finish(grid, scales * trap, scales * mid, scheme, f"I[{f.label}]")
 

@@ -24,6 +24,9 @@ from fracvar.analysis import (
     check_vanish_at_a,
 )
 from fracvar.errors import InvalidParam
+from fracvar.grids import uniform_grid
+from fracvar.kernel import _ml_kernel
+from fracvar.operators import _KernelTable, make_special_case
 
 
 def spec_for(alpha, gamma=1.0, beta=1.0):
@@ -138,6 +141,50 @@ class TestIndividualChecks:
         report = check_comparison_suite(spec_for(0.5), n=128, count=10, seed=0)
         assert report.passed
         assert report.cases_run == 10
+
+
+def _batched_kernel_deviation(spec, eps, n):
+    """max |H(t_i, t_j) - 1| over j <= i at every (n // 128)-th node, the
+    rows laid end to end in batches of about 3072 values, one _ml_kernel
+    call per batch: the reference for the axiom suite's table rows."""
+    psi = spec.warp.values(np.linspace(*spec.interval, n + 1))
+    batches, size = [[]], 0
+    for i in range(0, n + 1, max(1, n // 128)):
+        if size > 3072:
+            batches.append([])
+            size = 0
+        batches[-1].append(i)
+        size += i + 1
+    return max(float(np.max(np.abs(_ml_kernel(spec, eps, np.concatenate(
+        [np.maximum(psi[i] - psi[: i + 1], 0.0) for i in batch])) - 1.0)))
+        for batch in batches)
+
+
+@pytest.mark.parametrize("gamma, beta, path", [(0.5, 0.5, "soe"), (0.7, 0.6, "rows")])
+def test_axiom_kernel_deviations_match_batched_kernel_calls(gamma, beta, path, monkeypatch):
+    # on the log warp the kernel table is not Toeplitz, and its rows are
+    # fresh kernel evaluations: each deviation the suite reports is the one
+    # the batched kernel calls give
+    n = 256
+    spec = make_special_case("log_warp", 0.5, interval=(1.0, 2.0), gamma=gamma, beta=beta)
+    seen = []
+    deviation = analysis._kernel_deviation
+
+    def recorded(spec_eps, m):
+        assert _KernelTable(spec_eps, uniform_grid(1.0, 2.0, m)).path == path
+        seen.append((spec_eps, deviation(spec_eps, m)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(analysis, "_kernel_deviation", recorded)
+    cfg = SuiteConfig(spec=spec, test_functions=standard_corpus(seed=0, random_count=0), n=n)
+    report = check_axiom_limits(cfg)
+    assert len(seen) == len(analysis._EPSILONS)
+    for eps, (spec_eps, dev) in zip(analysis._EPSILONS, seen):
+        want = _batched_kernel_deviation(spec_eps, eps, n)
+        assert abs(dev - want) <= 1e-15 * want, (eps, dev, want)
+    note = next(note for note in report.notes if note.startswith("kernel |H-1|"))
+    assert note == "kernel |H-1|: " + ", ".join(
+        f"{eps:g}->{dev:.3e}" for eps, (_, dev) in zip(analysis._EPSILONS, seen))
 
 
 def test_default_run_unknown_suite():

@@ -101,7 +101,7 @@ def _march_route(spec, n):
     (SOE_SPEC, 512, "soe"),
 ], ids=["toeplitz", "log_warp", "exp_log_warp", "soe_log_warp"])
 @pytest.mark.parametrize("corrected", [True, False])
-def test_residual_matches_direct_collocation(spec, n, route, corrected):
+def test_residual_matches_direct_collocation(spec, n, route, corrected, monkeypatch):
     # D_h u(t_i) = P_i sum_j c_ij (u_j - u_{j-1}) recomputed node by node from
     # public kernel rows, independent of the solver's history sums
     def rhs(t, u):
@@ -123,12 +123,13 @@ def test_residual_matches_direct_collocation(spec, n, route, corrected):
 
     assert _march_route(spec, n) == route
     problem = FdeProblem(spec=spec, rhs=rhs, initial=1.0, grid_n=n)
-    # Newton stops at a scaled residual of newton_tol, so the reported norm
+    # Newton stops at a scaled residual of NEWTON_TOL, so the reported norm
     # sits near 1e-10 by default and must be the same maximum
     report = solve_fde(problem, compat_correction=corrected)
     assert report.residual_norm < 10.0 * NEWTON_TOL
     assert abs(direct(report)[1] - report.residual_norm) < 1e-12
-    tight = solve_fde(problem, compat_correction=corrected, newton_tol=1e-13)
+    monkeypatch.setattr(fde, "NEWTON_TOL", 1e-13)
+    tight = solve_fde(problem, compat_correction=corrected)
     assert direct(tight)[0] < 1e-12
 
 
@@ -178,13 +179,14 @@ def _direct_dot_march(g):
         steps[i - 1] = yield float(g[i]), float(g[1]), float(c[i - 1 : 0 : -1] @ steps[: i - 1])
 
 
-@pytest.mark.parametrize("n", [40, 1000, 4099, 8192])
+@pytest.mark.parametrize("n", [40, 130, 1000, 4099, 8192])
 @pytest.mark.parametrize("gamma, beta", [(0.5, 0.5), (0.7, 0.6)])
 def test_blocked_toeplitz_march_matches_direct_dots(gamma, beta, n, monkeypatch):
     # the blocked march (aligned near-field blocks of 64 nodes, far-field
     # products on dyadic blocks) against one dot per node: the memories for
     # one random sequence of steps, then the solutions; n = 40 is near field
-    # only, and 4099 leaves a partial last block
+    # only, 130 has only far-field products of h = 64 and 128, and 4099
+    # leaves a partial last block
     spec = KernelSpec(gamma=gamma, beta=beta, order=OrderFunction.constant(0.4),
                       warp=identity_warp(), norm=NormalizationFunction.one(),
                       interval=(0.0, 1.0))
@@ -202,9 +204,10 @@ def test_blocked_toeplitz_march_matches_direct_dots(gamma, beta, n, monkeypatch)
 
     problem = FdeProblem(spec=spec, rhs=lambda t, u: -u ** 3 - u + math.sin(math.pi * t),
                          initial=1.0, grid_n=n)
-    fast = solve_fde(problem, newton_tol=1e-13).solution.values
+    monkeypatch.setattr(fde, "NEWTON_TOL", 1e-13)
+    fast = solve_fde(problem).solution.values
     monkeypatch.setattr(operators, "_toeplitz_march", _direct_dot_march)
-    slow = solve_fde(problem, newton_tol=1e-13).solution.values
+    slow = solve_fde(problem).solution.values
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
 

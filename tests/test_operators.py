@@ -557,10 +557,10 @@ def test_singular_toeplitz_and_rows_agree():
     n = 96
     grid = uniform_grid(0.0, 1.0, n)
     x, y = np.sin(grid), np.cos(grid[1:])
-    for name, mus, per_panel in (("classical", np.full(n + 1, 0.4), False),
-                                 ("integral_t", np.full(n + 1, 0.6), False),
-                                 ("integral_tau", np.full(n, 0.6), True)):
-        fast, slow = (_KernelTable(cf_spec(0.6), grid, mus, per_panel) for _ in range(2))
+    for name, mus in (("classical", np.full(n + 1, 0.4)),
+                      ("integral_t", np.full(n + 1, 0.6)),
+                      ("integral_tau", np.full(n, 0.6))):
+        fast, slow = (_KernelTable(cf_spec(0.6), grid, mus) for _ in range(2))
         assert fast.path == "toeplitz", name
         slow.path = "rows"
         for a, b in zip(fast.sums(x, y), slow.sums(x, y)):
@@ -717,9 +717,8 @@ def test_soe_product_sums_match_long_double_moments(case, monkeypatch):
         inputs = {"integral": (f, alphas)}
     else:
         inputs["integral"] = (f, alphas)
-    exponent_at = "tau" if case == "tau" else "t"
     for name, (data, mus) in inputs.items():
-        got = operators._product_sums(spec, grid, data, mus, exponent_at)
+        got = operators._product_sums(spec, grid, data, mus)
         want = _long_double_product_sums(psi, data, mus, case == "tau", nodes)
         for scheme, g, w in zip(SCHEMES, got, want):
             err = np.max(np.abs(g[nodes] - w)) / np.max(np.abs(w))
