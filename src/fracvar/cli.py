@@ -189,7 +189,7 @@ def _merge_expr_values(argv: list[str]) -> list[str]:
 
 
 def _parse_track(text: str, flag: str) -> float | None:
-    if text.strip().lower() in ("track", "alpha"):
+    if text.strip().lower() == "track":
         return None
     try:
         return float(text)

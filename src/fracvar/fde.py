@@ -11,10 +11,11 @@ the derivative is
 and the scalar equation D_h u = rhs(t_i, u_i), memory term frozen, is solved
 per node by one nodal solver (Newton, then bracket and bisection), which the
 uniqueness probe shares. The memory sum_{j<i-1} c_ij (u_j+1 - u_j) comes
-from the kernel table's march, on the path its history sums take: O(n) for
-the exponential kernel, O(nK) on the sum of exponentials (K about 60),
-O(n log^2 n) on Toeplitz rows (near-field dots and FFT products on dyadic
-blocks, the exact weights), one kernel row per node otherwise.
+from the kernel table's march, on the path its history sums take: O(nK) on
+the sum of exponentials (K = 1, so O(n), on the exponential kernel's exact
+rule; K about 60 on a certified one), O(n log^2 n) on Toeplitz rows
+(near-field dots and FFT products on dyadic blocks, the exact weights), one
+kernel row per node otherwise.
 The residual certification afterwards is one history sum of that table over
 all nodes, by the table's blocked recurrences or FFT products rather than the
 march's, so it checks the march.

@@ -269,7 +269,7 @@ def _check_point(spec: KernelSpec, name: str, value: float) -> None:
 
 
 def _orders(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
-    """alpha over ts; raises InvalidParam where it is not positive.
+    """alpha over ts; raises InvalidParam where it is not in (0, 1].
 
     The declared bounds come from a 1024-panel sample, so an order that
     oscillates between its samples can leave (0, 1] on a finer grid: the
@@ -277,15 +277,16 @@ def _orders(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
     """
     alphas = spec.order.values(ts)
     bad = int(np.argmin(alphas))
-    if not alphas[bad] > 0.0:
-        raise InvalidParam(
-            f"order must stay positive; alpha(t) = {alphas[bad]:.6g} at t = {ts[bad]:.6g}"
-        )
+    if alphas[bad] > 0.0:
+        bad = int(np.argmax(alphas))
+    if not 0.0 < alphas[bad] <= 1.0:
+        raise InvalidParam(f"order must stay positive and at most 1; alpha(t) = "
+                           f"{alphas[bad]:.6g} at t = {ts[bad]:.6g}")
     return alphas
 
 
 def _alphas_checked(spec: KernelSpec, ts: np.ndarray) -> np.ndarray:
-    """alpha over ts; raises InvalidParam where it is not positive and
+    """alpha over ts; raises InvalidParam where it is not in (0, 1] and
     SingularOrder where 1 - alpha drops below 1e-12."""
     alphas = _orders(spec, ts)
     one_minus = 1.0 - alphas

@@ -15,54 +15,56 @@ row builders fill the table:
   weight against piecewise-linear data (product integration), so the
   endpoint singularity costs no accuracy.
 
-The table sums on one of four paths, which it picks once, when it is built,
+The table sums on one of three paths, which it picks once, when it is built,
 from the values it sums alone: the sampled orders (or the exponents mu of the
 weakly singular family), the spec's gamma and beta, and psi on the half-step
 grid. No declared property of the order enters.
 
-* "exp", the exponential kernel (beta = gamma = 1 and every sampled alpha
-  equal, any warp): H factors as exp(-lam psi(t)) exp(lam psi(tau)), so both
-  sums come from one exact recurrence on the half-step grid (_exp_sums with
-  the one-rate rule lam, weight 1), O(n) with about log2 n numpy passes at
-  most. Error: 3e-16 to 3e-15 sup relative against long-double direct sums
-  at n = 2048.
+* "soe" first for the exponential kernel (beta = gamma = 1 and every sampled
+  alpha equal, any warp): H = exp(-lam (psi(t) - psi(tau))) is its own sum of
+  exponentials, the exact rule of one rate lam with weight 1 (weights None),
+  so both sums come from one exact recurrence on the half-step grid
+  (_exp_sums), O(n) with about log2 n numpy passes at most. Error: 3e-16 to
+  3e-15 sup relative against long-double direct sums at n = 2048.
 * Otherwise "toeplitz", every sampled exponent equal (alpha, or mu) on a
   uniformly spaced psi: the rows are Toeplitz (tracked gamma/beta are then
   constant too), and one row and two convolutions serve every node,
   truncated to the n + 1 outputs kept: real FFTs against the row's spectra,
   made once per table (_lower_product), O(n log n). Error: within 1e-14 of
   long-double direct sums, relative to the largest sum.
-* Otherwise "soe", sums of exponentials on a certified rule of mlf, with
-  rates shared by every node and the slow ones (r span <= 1) folded into 14,
-  so K is about 60 and the sums cost O(nK) (_exp_sums).
+* Otherwise "soe" on a certified rule of mlf, with rates shared by every node
+  and the slow ones (r span <= 1) folded into 14, so K is about 60 and the
+  sums cost O(nK) (_exp_sums).
   - gamma = beta < 1 at every node (a tracked order, variable_ml, or a
     constant order on the log, sin or expression warps): _soe_rule,
     H_i(s) ~ sum_k w_ik exp(-r_k s). Each sum is the exact diagonal (H = 1)
     plus sum_k w_ik times K decayed running sums.
-  - The weakly singular family with 0 < mu <= 1 (_power_sums): _power_rule
-    for s^(mu-1). Each node keeps the exact moments of its last panel; the
-    earlier panels enter through closed-form integrals of exp(-r (psi_i - x))
-    against the linear data.
-* Otherwise "rows", when no rule applies (gamma != beta, mu > 1) or the rule
-  is refused, as when it would need more than n rates: one row per output
-  node, O(n^2) kernel evaluations, each sum a dot product, as accurate as
-  the rows.
+  - The weakly singular family (_power_sums): _power_rule for s^(mu-1),
+    where every mu lies in (0, 1] (alpha for the integral, 1 - alpha >= 1e-12
+    for the classical derivatives). Each node keeps the exact moments of its
+    last panel; the earlier panels enter through closed-form integrals of
+    exp(-r (psi_i - x)) against the linear data.
+* Otherwise "rows", when no rule applies (gamma != beta) or the rule is
+  refused, as when it would need more than n rates: one row per output node,
+  O(n^2) kernel evaluations, each sum a dot product, as accurate as the rows.
 
 Every operator takes one function or a stack of m functions on one grid
 (a GridFunction with values of shape (m, n + 1)) and returns values and
 cross-scheme estimates of the same shape. One table serves the whole stack,
 and each row of the result is, bit for bit, what that function gives alone:
-sums() keeps the stack as further data columns of _exp_sums on the "exp" and
-"soe" paths (cut into chunks that bound its temporaries, with a partition of
-the rates that does not depend on m), transforms the stack in one FFT call on
-"toeplitz" (numpy's FFT takes each row alone, bit for bit) and makes one
-batched matrix product per node on "rows".
+sums() keeps the stack as further data columns of _exp_sums on "soe" (cut
+into chunks that bound its temporaries, with a partition of the rates that
+does not depend on m), transforms the stack in one FFT call on "toeplitz"
+(numpy's FFT takes each row alone, bit for bit) and makes one batched matrix
+product per node on "rows".
 
 march() gives the solver the history of kernel rows node by node, on the
-same path: a running sum on floats for the exponential kernel, a blocked
-march for Toeplitz rows (direct dots near the diagonal, real FFT products of
-length 2h for each dyadic block of h sources further back, O(n log^2 n)), one
-running sum per rate of the sum-of-exponentials rule, or one row per node.
+same path: one running sum per rate of the sum-of-exponentials rule (on
+Python floats for the exact one-rate rule), a blocked march for Toeplitz rows
+(direct dots near the diagonal, real FFT products of length 2h for each
+dyadic block of h sources further back, O(n log^2 n)), or one row per node.
+Both FFT products, the sums' truncated one and the march's, are _circular
+products against a spectrum made once.
 
 Outer d/dt steps use second-order central differences with one-sided stencils
 at the interval ends.
@@ -96,7 +98,6 @@ from .mlf import _power_rule, _soe_rule
 SCHEMES = ("product_trapezoid", "product_midpoint")
 _BLOCK = 1 << 15     # doubles for a rate block of _exp_sums, and for a chunk of its sums
 _FACTOR_TEMPS = 4    # temporaries of _power_sums' factors, per rate and source
-_MARCH_BLOCK = 256   # nodes per block of the exponential kernel's march
 _NEAR = 64           # nodes per aligned near-field block of the Toeplitz march
 # Taylor coefficients of _phis' phi1, z^1 to z^15
 _PHI1_SERIES = [(-1) ** (p + 1) * p / (2.0 * math.factorial(p + 2)) for p in range(1, 16)]
@@ -147,15 +148,15 @@ class _KernelTable:
     node i (n + 1 values) or mus[j] on panel j (n values).
 
     path, set here once from the sampled values alone, is the one way sums(),
-    march() and row() run (module docstring):
+    march() and row() run (module docstring), and _rule is the rule of "soe":
 
-    * "exp": beta = gamma = 1 and every sampled alpha equal, the rule of one
-      exact rate;
+    * "soe", first, for beta = gamma = 1 and every sampled alpha equal: the
+      exact rule (rates [lam], weights None), whatever the warp;
     * "toeplitz": every sampled exponent (alpha, or mu) equal and psi
       uniformly spaced; the last row at exact multiples of the half step,
       reversed, serves every node;
     * "soe": mlf's rule certified, _soe_rule for kernel rows with gamma =
-      beta at every node, _power_rule for 0 < mu <= 1;
+      beta at every node, _power_rule for mu, which lies in (0, 1];
     * "rows": none of these, one row per node.
     """
 
@@ -175,7 +176,7 @@ class _KernelTable:
             self._row_fn = functools.partial(_moments, mus, per_panel)
         same = bool(np.all(exponents == exponents[0]))
         if mus is None and spec.beta == spec.gamma == 1.0 and same:
-            self.path, self._rule = "exp", (alphas[:1] / (1.0 - alphas[:1]), None)
+            self.path, self._rule = "soe", (alphas[:1] / (1.0 - alphas[:1]), None)
             return
         steps = np.diff(self.psih)
         if same and np.max(np.abs(steps - steps[0])) <= 1e-12 * max(1.0, abs(steps[0])):
@@ -194,8 +195,8 @@ class _KernelTable:
         else:
             # the exponent of panel j, or of node j + 1
             self._mus = mus = mus if per_panel else mus[1:]
-            self._rule = _power_rule(1.0 - mus, float(np.min(np.diff(self.psih[::2]))), span,
-                                     self.n) if np.all(mus > 0.0) and np.all(mus <= 1.0) else None
+            self._rule = _power_rule(1.0 - mus, float(np.min(np.diff(self.psih[::2]))),
+                                     span, self.n)
         self.path = "rows" if self._rule is None else "soe"
 
     def _row(self, i: int, stride: int) -> np.ndarray:
@@ -245,19 +246,18 @@ class _KernelTable:
         return nodes.reshape(shape), mids.reshape(shape)
 
     def march(self):
-        """The solver march's memory, node by node, on the path of sums().
+        """The solver march's memory, node by node, on the path of sums():
+        _soe_march on the rule, exact or certified, _toeplitz_march on the
+        Toeplitz row, or one kernel row per node.
 
         A generator: for node i = 1..n it yields the Python floats H(t_i, a),
         H(t_i, t_{i-1}) and sum_{j<i-1} c_ij du_j, c_ij = (H(t_i, t_j) +
         H(t_i, t_{j+1})) / 2, then takes du_{i-1} = u_i - u_{i-1} by send().
         """
-        psi = self.psih[::2]
-        if self.path == "exp":
-            return _exp_march(psi, float(self._rule[0][0]))
         if self.path == "toeplitz":
             return _toeplitz_march(self._base[::2])
         if self.path == "soe":
-            return _soe_march(psi, *self._rule)
+            return _soe_march(self.psih[::2], *self._rule)
         return self._rows_march()
 
     def _rows_march(self):
@@ -269,30 +269,6 @@ class _KernelTable:
                                   float(c[: i - 1] @ steps[: i - 1]))
 
 
-# The state of node i's memory, at one rate r, is
-#     E(i) = sum_{j<i-1} du_j (exp(-r (psi_i - psi_j)) + exp(-r (psi_i - psi_j+1))) / 2,
-# so E(i) = D1 E(i-1) + du_{i-2} (D1 + D2) / 2, with D1 = exp(-r (psi_i - psi_i-1))
-# and D2 = exp(-r (psi_i - psi_i-2)); at i = 1 du_{-1} = 0 and psi_0 stands in
-# for psi_{-1}. Every weight of the memory spans at least one node step,
-# inside the range of the sum-of-exponentials rule.
-
-
-def _exp_march(psi: np.ndarray, lam: float):
-    """march() of the exponential kernel: one rate lam, weight 1, on floats,
-    with the decays taken in blocks of _MARCH_BLOCK nodes."""
-    n = psi.size - 1
-    back2 = np.append(psi[0], psi[:-2])
-    memory = du = 0.0
-    for lo in range(1, n + 1, _MARCH_BLOCK):
-        hi = min(lo + _MARCH_BLOCK, n + 1)
-        now = psi[lo:hi]
-        for head, d1, d2 in zip(np.exp(lam * (psi[0] - now)).tolist(),
-                                np.exp(lam * (psi[lo - 1 : hi - 1] - now)).tolist(),
-                                np.exp(lam * (back2[lo - 1 : hi - 1] - now)).tolist()):
-            memory = d1 * memory + du * 0.5 * (d1 + d2)
-            du = yield head, d1, memory
-
-
 def _toeplitz_march(g: np.ndarray):
     """march() of Toeplitz rows, g[m] = H at m node steps, blocked as in
     Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6(3), 1985).
@@ -302,16 +278,16 @@ def _toeplitz_march(g: np.ndarray):
     aligned block of _NEAR nodes meet in one dot at the target. Once q
     sources are known, q a multiple of _NEAR and h = q & -q its lowest set
     bit, the sources [q-h, q) are convolved with c[:2h] into the targets
-    [q, q+h) (_far_product). Every pair j < p in different blocks meets in
-    exactly one such product, so the march costs O(n log^2 n) on the exact
-    Toeplitz weights.
+    [q, q+h) (a _circular product of length 2h, made once per h). Every
+    pair j < p in different blocks meets in exactly one such product, so the
+    march costs O(n log^2 n) on the exact Toeplitz weights.
     """
     n = g.size - 1
     c = 0.5 * (g[1:] + g[:-1])
     cr = c[::-1].copy()
     steps = np.zeros(n)
     far = np.zeros(n)  # the part of M_p from earlier blocks
-    spectra = {}
+    products = {}
     sub = float(g[1])
     for p in range(n):
         lo = p - p % _NEAR
@@ -320,26 +296,31 @@ def _toeplitz_march(g: np.ndarray):
         q = p + 1
         if q % _NEAR == 0:
             h = q & -q
-            far[q : q + h] += _far_product(steps[q - h : q], c, h, spectra)[: n - q]
+            if h not in products:
+                products[h] = _circular(c[: 2 * h], 2 * h)
+            # outputs h..2h-1 of the product of length 2h do not wrap
+            far[q : q + h] += products[h](steps[q - h : q])[h : h + n - q]
 
 
-def _far_product(block: np.ndarray, c: np.ndarray, h: int, spectra: dict) -> np.ndarray:
-    """Outputs h..2h-1 of np.convolve(block, c[:2h]), block of size h, by
-    real FFTs of length 2h (the outputs kept do not wrap), with c's spectrum
-    kept in spectra per h."""
-    if h not in spectra:
-        spectra[h] = np.fft.rfft(c[: 2 * h], 2 * h)
-    return np.fft.irfft(np.fft.rfft(block, 2 * h) * spectra[h], 2 * h)[h:]
+# The state of node i's memory, at one rate r, is
+#     E(i) = sum_{j<i-1} du_j (exp(-r (psi_i - psi_j)) + exp(-r (psi_i - psi_j+1))) / 2,
+# so E(i) = D1 E(i-1) + du_{i-2} (D1 + D2) / 2, with D1 = exp(-r (psi_i - psi_i-1))
+# and D2 = exp(-r (psi_i - psi_i-2)); at i = 1 du_{-1} = 0 and psi_0 stands in
+# for psi_{-1}. Every weight of the memory spans at least one node step,
+# inside the range of the sum-of-exponentials rule.
 
 
 def _soe_march(psi: np.ndarray, rates: np.ndarray, weights):
     """march() on the sum-of-exponentials rule: a state of one entry per rate.
-    Decays, weights and H(t_i, a) are taken in blocks of _BLOCK // K nodes."""
+    Decays, weights and H(t_i, a) are taken in blocks of _BLOCK // K nodes.
+    The exact rule of the exponential kernel (one rate, weights None for
+    w = 1) keeps its state on Python floats, about ten times faster per node
+    than a numpy state of one entry, with the same memories bit for bit."""
     n = psi.size - 1
     block = max(1, _BLOCK // rates.size)
     back2 = np.append(psi[0], psi[:-2])
     state = np.zeros(rates.size)
-    du = 0.0
+    memory = du = 0.0
     for lo in range(1, n + 1, block):
         hi = min(lo + block, n + 1)
         now = psi[lo:hi]
@@ -347,8 +328,15 @@ def _soe_march(psi: np.ndarray, rates: np.ndarray, weights):
         half = np.exp(np.multiply.outer(back2[lo - 1 : hi - 1] - now, rates))
         half += d1
         half *= 0.5
+        heads = np.exp(np.multiply.outer(psi[0] - now, rates))
+        if weights is None:
+            for head, d1i, ci in zip(heads[:, 0].tolist(), d1[:, 0].tolist(),
+                                     half[:, 0].tolist()):
+                memory = d1i * memory + du * ci
+                du = yield head, d1i, memory
+            continue
         W = np.broadcast_to(np.ascontiguousarray(weights(slice(lo, hi))(slice(None)).T), d1.shape)
-        heads = np.einsum("bk,bk->b", W, np.exp(np.multiply.outer(psi[0] - now, rates)))
+        heads = np.einsum("bk,bk->b", W, heads)
         subs = np.einsum("bk,bk->b", W, d1)
         for wi, d1i, ci, head, sub in zip(W, d1, half, heads.tolist(), subs.tolist()):
             state *= d1i
@@ -356,18 +344,25 @@ def _soe_march(psi: np.ndarray, rates: np.ndarray, weights):
             du = yield head, sub, float(wi.dot(state))
 
 
+def _circular(a: np.ndarray, size: int):
+    """b -> the circular convolution of length size of a and b, both
+    zero-padded to size, along b's last axis, by real FFTs against a's
+    spectrum, made once."""
+    spectrum = np.fft.rfft(a, size)
+    return lambda b: np.fft.irfft(np.fft.rfft(b, size) * spectrum, size)
+
+
 def _lower_product(a: np.ndarray):
     """b -> the first a.size outputs of np.convolve(a, b) along b's last
-    axis, b.shape[-1] == a.size, by real FFTs of length L, the least power of
-    two at or above 2 (a.size - 1), against a's spectrum, made once. Only
-    output 2 (a.size - 1) of the full product can wrap, onto output 0, which
-    is therefore set to a[0] b[0]."""
+    axis, b.shape[-1] == a.size: the _circular product of length L, the least
+    power of two at or above 2 (a.size - 1), truncated. Only output
+    2 (a.size - 1) of the full product can wrap, onto output 0, which is
+    therefore set to a[0] b[0]."""
     m = a.size
-    size = 1 << (2 * m - 3).bit_length()
-    spectrum = np.fft.rfft(a, size)
+    circular = _circular(a, 1 << (2 * m - 3).bit_length())
 
     def product(b: np.ndarray) -> np.ndarray:
-        out = np.fft.irfft(np.fft.rfft(b, size) * spectrum, size)[..., :m]
+        out = circular(b)[..., :m]
         out[..., 0] = a[0] * b[..., 0]
         return out
 
@@ -672,8 +667,9 @@ def _product_sums(spec: KernelSpec, grid: np.ndarray, data: np.ndarray,
     exact, so the integrable singularity at x = psi_i costs no accuracy. The
     table's path follows the sampled exponents: Toeplitz when every mu is
     equal on a uniformly spaced psi, else the sums of exponentials of
-    _power_sums (O(nK), K about 60) when 0 < mu <= 1 and the rule is
-    certified, else rows (O(n^2)).
+    _power_sums (O(nK), K about 60) when the rule is certified, else rows
+    (O(n^2)). Every mu lies in (0, 1]: alpha or 1 - alpha, with alpha
+    checked on the grid.
     """
     table = _KernelTable(spec, grid, mus)
     g_mid = 0.5 * (data[..., :-1] + data[..., 1:])

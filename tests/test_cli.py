@@ -258,6 +258,28 @@ class TestExitCodes:
         assert run(command + order) == 1
         assert "order must stay positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["deriv", "--op", "caputo_ns", "--f", "sin(t)"],
+        ["deriv", "--op", "rl_ns", "--f", "sin(t)"],
+        ["deriv", "--op", "caputo_classical", "--f", "sin(t)"],
+        ["deriv", "--op", "rl_classical", "--f", "sin(t)"],
+        ["integral", "--f", "sin(t)"],
+        ["solve", "--rhs", "-u", "--u0", "1"],
+    ])
+    def test_order_above_one_on_the_grid_is_config_error(self, command, capsys):
+        # the 1024-panel sample that sets the declared bounds sees
+        # [0.6996, 0.7004]; on the 2000-panel grid alpha reaches 1.2
+        order = ["--alpha", "0.7 + 0.5*sin(3216.99*t)", "--a", "0", "--b", "1",
+                 "--n", "2000"]
+        assert run(command + order) == 1
+        assert "at most 1; alpha(t) = 1.19996" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--beta"])
+    def test_tracked_exponent_is_spelled_track(self, flag, capsys):
+        assert run(["deriv", "--op", "caputo_ns", "--alpha", "0.5", flag, "alpha",
+                    "--f", "t", "--a", "0", "--b", "1", "--n", "64"]) == 1
+        assert "must be a number or 'track'" in capsys.readouterr().err
+
     def test_singular_order_is_numerical_error(self):
         assert run(["deriv", "--op", "caputo_ns", "--alpha", "1",
                     "--f", "t", "--a", "0", "--b", "1", "--n", "64"]) == 2

@@ -88,15 +88,21 @@ SOE_SPEC = make_special_case("log_warp", alpha=0.4, interval=(1.0, 2.0), gamma=0
 
 
 def _march_route(spec, n):
-    """The path of the solver's kernel table: exp, toeplitz, soe or rows."""
-    return _KernelTable(spec, uniform_grid(*spec.interval, n)).path
+    """The path of the solver's kernel table: toeplitz, soe or rows, and
+    "soe exact" for soe on the exponential kernel's exact rule (one rate,
+    weights None for w = 1)."""
+    table = _KernelTable(spec, uniform_grid(*spec.interval, n))
+    if table.path == "soe" and table._rule[1] is None:
+        assert table._rule[0].size == 1
+        return "soe exact"
+    return table.path
 
 
 @pytest.mark.parametrize("spec, n, route", [
     (make_special_case("atangana", alpha=0.5, interval=(0.0, 1.0)), 128, "toeplitz"),
     (make_special_case("log_warp", alpha=0.4, interval=(1.0, 2.0), gamma=0.7, beta=0.6),
      128, "rows"),
-    (make_special_case("log_warp", alpha=0.4, interval=(1.0, 2.0)), 128, "exp"),
+    (make_special_case("log_warp", alpha=0.4, interval=(1.0, 2.0)), 128, "soe exact"),
     # at n = 128 this rule would need more rates than nodes and take rows
     (SOE_SPEC, 512, "soe"),
 ], ids=["toeplitz", "log_warp", "exp_log_warp", "soe_log_warp"])
@@ -150,7 +156,7 @@ def test_march_passes_rhs_python_floats():
 
 
 @pytest.mark.parametrize("spec, route", [
-    (make_special_case("log_warp", alpha=0.6, interval=(1.0, 3.0)), "exp"),
+    (make_special_case("log_warp", alpha=0.6, interval=(1.0, 3.0)), "soe exact"),
     (make_special_case("log_warp", alpha=0.5, interval=(1.0, 2.0), gamma=0.5, beta=0.5), "soe"),
     (make_special_case("variable_ml", alpha=OrderFunction.from_expr("0.5 + 0.2*t",
                                                                     interval=(0.0, 1.0))),
@@ -262,6 +268,14 @@ class TestValidationAndFailure:
                                   0.0, tol, 1)
         assert abs(root - 1.0) <= tol
         assert iters > MAX_NEWTON
+
+    def test_nodal_solver_without_a_bracket_diverges(self):
+        # x = x^2 + x + 1 has no real root: g = -(x^2 + 1) < 0 everywhere, so
+        # Newton stops on its zero slope at 0 and the bracket grows 64 times
+        # without a sign change
+        with pytest.raises(NewtonDivergence, match="no bracket") as exc:
+            _solve_node(lambda t, x: x * x + x + 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1e-10, 3)
+        assert exc.value.node == 3
 
     def test_nodal_solver_leaves_newton_after_a_useless_step(self):
         # the same equation: the first Newton step lands near 1e14 and raises
@@ -449,6 +463,27 @@ class TestSandwich:
                              initial=0.0, grid_n=64)
         with pytest.raises(HypothesisViolation):
             sandwich_check(problem, LinearBound(-1.0, lo), LinearBound(-1.0, up))
+
+    def test_rhs_below_the_lower_bound_is_a_hypothesis_violation(self):
+        grid = uniform_grid(0.0, 1.0, 64)
+        up = GridFunction(grid=grid, values=np.zeros(grid.size))
+        lo = GridFunction(grid=grid, values=np.ones(grid.size))
+        problem = FdeProblem(spec=CF, rhs=lambda t, u: -u, initial=0.0, grid_n=64)
+        with pytest.raises(HypothesisViolation, match="undercuts the lower"):
+            sandwich_check(problem, LinearBound(-1.0, lo), LinearBound(-1.0, up))
+
+    def test_enclosure_failure_is_a_bound_violation(self):
+        # a kick of 5 at node 130 only: the hypotheses are sampled at every
+        # 4th node and hold there, but u leaves the corridor v = 0 at 130
+        n = 256
+        grid = uniform_grid(0.0, 1.0, n)
+        zero = GridFunction(grid=grid, values=np.zeros(grid.size))
+        problem = FdeProblem(spec=CF,
+                             rhs=lambda t, u: -u + (5.0 if round(t * n) == 130 else 0.0),
+                             initial=0.0, grid_n=n)
+        with pytest.raises(BoundViolation) as exc:
+            sandwich_check(problem, LinearBound(-1.0, zero), LinearBound(-1.0, zero))
+        assert exc.value.node == 130
 
     def test_lam_must_be_negative(self):
         grid = uniform_grid(0.0, 1.0, 64)

@@ -35,6 +35,7 @@ from fracvar import (
 from fracvar.errors import (
     DegenerateGrid,
     InvalidParam,
+    NonConvergent,
     SingularOrder,
 )
 from fracvar import mlf, operators
@@ -447,8 +448,9 @@ def test_exponential_caputo_starts_at_exact_zero():
 
 
 def test_exponential_table_sums_and_marches_without_kernel_rows(monkeypatch):
-    # the exponential kernel's sums and march take the recurrence, so neither
-    # evaluates a kernel row; row() still gives the kernel values
+    # the exponential kernel's sums and march take the recurrence of its
+    # exact rule (one rate lam, weights None for w = 1), so neither evaluates
+    # a kernel row; row() still gives the kernel values
     calls = []
     real = operators._ml_kernel
 
@@ -459,7 +461,8 @@ def test_exponential_table_sums_and_marches_without_kernel_rows(monkeypatch):
     monkeypatch.setattr(operators, "_ml_kernel", counted)
     grid = uniform_grid(0.0, 1.0, 64)
     table = _KernelTable(cf_spec(0.6), grid)
-    assert table.path == "exp"
+    rates, weights = table._rule
+    assert table.path == "soe" and rates.tolist() == [0.6 / (1.0 - 0.6)] and weights is None
     table.sums(np.sin(grid), np.cos(grid[1:]))
     march = table.march()
     next(march)
@@ -468,6 +471,26 @@ def test_exponential_table_sums_and_marches_without_kernel_rows(monkeypatch):
     assert calls == []
     for i in (10, 40):
         assert np.array_equal(table.row(i), kernel_values(cf_spec(0.6), grid[i], grid[: i + 1]))
+
+
+def test_exact_rule_marches_on_floats_as_its_vector_state(monkeypatch):
+    # the exponential kernel's march keeps its one rate on Python floats; the
+    # same rule given as unit weights runs the vector state of certified
+    # rules, and both yield the same floats, over several blocks of nodes
+    monkeypatch.setattr(operators, "_BLOCK", 100)
+    n = 512
+    table = _KernelTable(cf_spec(0.7, interval=(1.0, 3.0), warp=log_warp()),
+                         uniform_grid(1.0, 3.0, n))
+    rates, weights = table._rule
+    assert table.path == "soe" and rates.size == 1 and weights is None
+    psi = table.psih[::2]
+    steps = np.random.default_rng(1).standard_normal(n).tolist()
+    yields = []
+    for march in (table.march(),
+                  operators._soe_march(psi, rates, lambda nodes: lambda ks: np.ones(
+                      (1, np.arange(n + 1)[nodes].size)))):
+        yields.append([march.send(None)] + [march.send(du) for du in steps[:-1]])
+    assert yields[0] == yields[1]
 
 
 @pytest.mark.parametrize("m", [97, 257, 1025, 2048, 2113, 4097, 8193, 32769])
@@ -548,6 +571,18 @@ def test_soe_routing(monkeypatch):
     calls.clear()
     _KernelTable(tracked_spec(), grid).sums(np.sin(grid), np.cos(grid[1:]))
     assert len(calls) == n + 1
+
+
+def test_soe_rule_refused_when_its_reference_does_not_converge(monkeypatch):
+    # the spot check's reference raising NonConvergent refuses the rule, so
+    # a tracked order takes one row per node
+    def refuse(beta, z, tol=1e-12):
+        raise NonConvergent("reference refused")
+
+    grid = uniform_grid(0.0, 1.0, 512)
+    assert _KernelTable(tracked_spec(), grid).path == "soe"
+    monkeypatch.setattr(mlf, "_ml_neg_array", refuse)
+    assert _KernelTable(tracked_spec(), grid).path == "rows"
 
 
 def test_singular_toeplitz_and_rows_agree():
@@ -843,7 +878,8 @@ def _stack_case(path):
     """(spec, n, paths of the bounded and the weakly singular tables)."""
     log = dict(interval=(1.0, 3.0), warp=log_warp())
     if path == "exp":
-        return cf_spec(0.6), 96, ("exp", "toeplitz")
+        # soe on the exponential kernel's exact rule
+        return cf_spec(0.6), 96, ("soe", "toeplitz")
     if path == "toeplitz":
         return cf_spec(0.6, gamma=0.5, beta=0.5), 96, ("toeplitz", "toeplitz")
     if path == "soe":
@@ -866,7 +902,10 @@ def test_stacked_rows_equal_single_calls_bit_for_bit(path, block, monkeypatch):
     spec, n, (bounded, singular) = _stack_case(path)
     a, b = spec.interval
     grid = uniform_grid(a, b, n)
-    assert _KernelTable(spec, grid).path == bounded
+    table = _KernelTable(spec, grid)
+    assert table.path == bounded
+    if path == "exp":
+        assert table._rule[0].size == 1 and table._rule[1] is None
     mus = np.full(n + 1, 0.5) if path != "power_soe" else 1.0 - spec.order.values(grid)
     assert _KernelTable(spec, grid, mus).path == singular
     fns = ((np.sin, np.cos), (np.exp, np.exp), (lambda t: t * t, lambda t: 2.0 * t),
