@@ -9,8 +9,9 @@ the derivative is
     c_ij = (H(t_i, t_{j-1}) + H(t_i, t_j)) / 2,
 
 and the scalar equation D_h u = rhs(t_i, u_i), memory term frozen, is solved
-per node by one nodal solver (Newton, then bracket and bisection), which the
-uniqueness probe shares. The memory sum_{j<i-1} c_ij (u_j+1 - u_j) comes
+per node by one nodal solver (secant steps on the rhs slope of the previous
+node, then bracket and bisection), which the uniqueness probe shares: about
+two rhs calls per node. The memory sum_{j<i-1} c_ij (u_j+1 - u_j) comes
 from the kernel table's march, on the path its history sums take: O(nK) on
 the sum of exponentials (K = 1, so O(n), on the exponential kernel's exact
 rule; K about 60 on a certified one), O(n log^2 n) on Toeplitz rows
@@ -111,34 +112,46 @@ class SolveReport:
 
 def _solve_node(rhs: Callable[[float, float], float], t: float, scale: float,
                 anchor: float, offset: float, start: float, tol: float,
-                node: int) -> tuple[float, int]:
-    """Root x of scale * (x - anchor) + offset = rhs(t, x), and its iterations.
+                node: int, dr: float | None = None) -> tuple[float, int, float | None]:
+    """Root x of scale * (x - anchor) + offset = rhs(t, x), its iterations and
+    the rhs slope dr = d rhs / du there.
 
-    Newton with a central-difference slope; when a step fails or does not
-    reduce |g|, bisection on a bracket grown geometrically around start. k
-    bisection steps count as MAX_NEWTON + k, so counts above MAX_NEWTON mark
-    the fallback.
+    Secant steps on dr: warm-started by the caller (the march passes the last
+    node's slope), else one central difference at start, and updated by every
+    step that reduces |g| from its two iterates, at no rhs call. A step that
+    fails or does not reduce |g| on a warm slope takes one fresh central
+    difference at the best iterate; on a fresh slope it falls back to
+    bisection on a bracket grown geometrically around start. The converged
+    iterate takes one free secant correction when scale - dr >= scale / 2, so
+    that it cannot amplify the residual. k bisection steps count as
+    MAX_NEWTON + k, so counts above MAX_NEWTON mark the fallback, and leave no
+    slope (None).
     """
 
     def g(x: float) -> float:
         return scale * (x - anchor) + offset - rhs(t, x)
 
-    x, g_last = start, math.inf
-    for it in range(1, MAX_NEWTON + 1):
-        gx = g(x)
-        if abs(gx) <= tol:
-            return x, it
-        if not abs(gx) < g_last:  # the last step gained nothing (or g is NaN)
-            break
-        g_last = abs(gx)
+    def central(x: float) -> float:
         delta = 1e-7 * max(1.0, abs(x))
-        slope = scale - (rhs(t, x + delta) - rhs(t, x - delta)) / (2 * delta)
-        if slope != 0.0 and math.isfinite(slope):
-            trial = x - gx / slope
-            if math.isfinite(trial):
-                x = trial
-                continue
-        break
+        return (rhs(t, x + delta) - rhs(t, x - delta)) / (2 * delta)
+
+    x, gx, fresh = start, g(start), dr is None
+    if fresh:
+        dr = central(x)
+    for it in range(1, MAX_NEWTON + 1):
+        if abs(gx) <= tol:
+            if scale - dr >= 0.5 * scale:
+                x -= gx / (scale - dr)
+            return x, it, dr
+        trial = x - gx / (scale - dr) if scale != dr else math.inf
+        g_trial = g(trial) if math.isfinite(trial) else math.nan
+        if abs(g_trial) < abs(gx):  # the step gained (and g is not NaN)
+            dr = scale - (g_trial - gx) / (trial - x)
+            x, gx = trial, g_trial
+        elif fresh:
+            break
+        else:
+            fresh, dr = True, central(x)
     width = max(1.0, abs(start))
     lo, hi = start - width, start + width
     for _ in range(64):
@@ -153,7 +166,7 @@ def _solve_node(rhs: Callable[[float, float], float], t: float, scale: float,
         mid = 0.5 * (lo + hi)
         gm = g(mid)
         if abs(gm) <= tol or hi - lo <= 1e-15 * max(1.0, abs(mid)):
-            return mid, MAX_NEWTON + k
+            return mid, MAX_NEWTON + k, None
         if glo * gm <= 0.0:
             hi = mid
         else:
@@ -177,18 +190,17 @@ def solve_fde(problem: FdeProblem, *, compat_correction: bool = True) -> SolveRe
     u[0] = x = last = u0
     shifts = np.empty(n)
 
-    # Python floats, not numpy scalars: the Newton iterates inherit the type
+    # Python floats, not numpy scalars: the secant iterates inherit the type
     march = table.march()
-    du = None
-    for i in range(1, n + 1):
+    du = dr = None
+    for i, t, p in zip(range(1, n + 1), grid[1:].tolist(), P[1:].tolist()):
         head, sub, memory = march.send(du)
-        p = float(P[i])
         shifts[i - 1] = shift = head * f_shift
         scale = p * (0.5 * (sub + 1.0))
         start = x if i == 1 else 2.0 * x - last
         last = x
-        x, iters[i - 1] = _solve_node(rhs, float(grid[i]), scale, last, p * memory + shift,
-                                      start, NEWTON_TOL * max(1.0, scale), i)
+        x, iters[i - 1], dr = _solve_node(rhs, t, scale, last, p * memory + shift, start,
+                                          NEWTON_TOL * max(1.0, scale), i, dr)
         u[i] = x
         du = x - last
 
@@ -369,8 +381,8 @@ def uniqueness_probe(problem: FdeProblem, perturbations: int, *,
         for k in range(perturbations):
             rng = np.random.default_rng([seed + 1 + k, i])
             start = ui + 0.5 * (1.0 + abs(ui)) * float(rng.standard_normal())
-            root, _ = _solve_node(problem.rhs, t, scale, ui, offset, start,
-                                  NEWTON_TOL * max(1.0, scale), i)
+            root = _solve_node(problem.rhs, t, scale, ui, offset, start,
+                               NEWTON_TOL * max(1.0, scale), i)[0]
             divergence = max(divergence, abs(root - ui))
     return UniquenessReport(runs=perturbations + 1, max_divergence=divergence,
                             max_slope=max_slope)

@@ -155,6 +155,45 @@ def test_march_passes_rhs_python_floats():
     assert seen == {(float, float)}
 
 
+@pytest.mark.parametrize("rhs", [
+    lambda t, u: -1.3 * u,
+    lambda t, u: -u ** 3 - u + math.sin(math.pi * t),
+], ids=["linear", "cubic"])
+def test_solve_makes_three_rhs_calls_per_node(rhs):
+    # on the warm secant slope each node costs two calls in the nodal solve
+    # and one in the residual certification; f(a, u0) and node 1's central
+    # difference add three (a central-difference slope per step made five)
+    n = 4096
+    calls = []
+
+    def counted(t, u):
+        calls.append(u)
+        return rhs(t, u)
+
+    problem = FdeProblem(spec=CF, rhs=counted, initial=1.0, grid_n=n)
+    calls.clear()  # the problem's own finiteness check samples rhs too
+    solve_fde(problem)
+    assert len(calls) <= 3 * n + 3
+
+
+def test_stale_slope_takes_a_fresh_one(monkeypatch):
+    # the u-slope of rhs jumps from -1 to -40 at t = 0.5: the previous node's
+    # slope overshoots there, and the solver must recover without bisection
+    # and land where a tight Newton tolerance does
+    def rhs(t, u):
+        return -u if t < 0.5 else -40.0 * u
+
+    problem = FdeProblem(spec=CF, rhs=rhs, initial=1.0, grid_n=4096)
+    report = solve_fde(problem)
+    jump = int(np.searchsorted(problem.grid(), 0.5))  # node index of t >= 0.5
+    assert int(np.max(report.newton_iters)) <= MAX_NEWTON
+    assert report.newton_iters[jump - 1] > 2  # the warm step failed there
+    monkeypatch.setattr(fde, "NEWTON_TOL", 1e-13)
+    tight = solve_fde(problem).solution.values
+    u = report.solution.values
+    assert np.max(np.abs(u - tight)) <= 1e-12 * np.max(np.abs(tight))
+
+
 @pytest.mark.parametrize("spec, route", [
     (make_special_case("log_warp", alpha=0.6, interval=(1.0, 3.0)), "soe exact"),
     (make_special_case("log_warp", alpha=0.5, interval=(1.0, 2.0), gamma=0.5, beta=0.5), "soe"),
@@ -260,14 +299,15 @@ class TestValidationAndFailure:
 
     def test_nodal_solver_falls_back_to_bisection(self):
         # x + 1 = x^3 + x: at the start 0 the slope 1 - (3x^2 + 1) vanishes
-        # (its central difference is about -1e-14), so Newton is thrown to
-        # |x| ~ 1e14 and does not return within MAX_NEWTON steps; the root
-        # x = 1 must come from the bracket search
+        # (its central difference is about -1e-14), so the step on that fresh
+        # slope is thrown to |x| ~ 1e14; the root x = 1 must come from the
+        # bracket search, which leaves no slope
         tol = 1e-12
-        root, iters = _solve_node(lambda t, x: x ** 3 + x, 0.0, 1.0, 0.0, 1.0,
-                                  0.0, tol, 1)
+        root, iters, dr = _solve_node(lambda t, x: x ** 3 + x, 0.0, 1.0, 0.0, 1.0,
+                                      0.0, tol, 1)
         assert abs(root - 1.0) <= tol
         assert iters > MAX_NEWTON
+        assert dr is None
 
     def test_nodal_solver_without_a_bracket_diverges(self):
         # x = x^2 + x + 1 has no real root: g = -(x^2 + 1) < 0 everywhere, so
@@ -278,16 +318,16 @@ class TestValidationAndFailure:
         assert exc.value.node == 3
 
     def test_nodal_solver_leaves_newton_after_a_useless_step(self):
-        # the same equation: the first Newton step lands near 1e14 and raises
-        # |g| from 1 to 1e42, so the bracket search starts at once instead of
-        # after all MAX_NEWTON steps (3 rhs calls each)
+        # the same equation: the first step lands near 1e14 and raises |g|
+        # from 1 to 1e42, so the bracket search starts at once instead of
+        # after all MAX_NEWTON steps
         calls = []
 
         def rhs(t, x):
             calls.append(x)
             return x ** 3 + x
 
-        root, iters = _solve_node(rhs, 0.0, 1.0, 0.0, 1.0, 0.0, 1e-12, 1)
+        root, iters, _ = _solve_node(rhs, 0.0, 1.0, 0.0, 1.0, 0.0, 1e-12, 1)
         assert abs(root - 1.0) <= 1e-12
         assert iters > MAX_NEWTON
         assert len(calls) < 100
