@@ -48,7 +48,7 @@ from .errors import (
     NewtonDivergence,
 )
 from .grids import GridFunction, uniform_grid
-from .kernel import KernelSpec, _prefactors, kernel_prefactor, kernel_values
+from .kernel import KernelSpec, _alphas_checked, _ml_kernel, _prefactors
 from .operators import _KernelTable, caputo_deriv_ns
 
 NEWTON_TOL = 1e-10
@@ -372,11 +372,16 @@ def uniqueness_probe(problem: FdeProblem, perturbations: int, *,
         raise HypothesisViolation(
             f"rhs slope in u reaches {max_slope:.3e} > 0 on the envelope"
         )
+    # every scale_i at once: H(t_i, t_{i-1}) by one kernel call per distinct order
+    alphas = _alphas_checked(problem.spec, grid[1:])
+    dpsi = np.maximum(np.diff(problem.spec.warp.values(grid)), 0.0)
+    h_prev = np.empty(alphas.size)
+    for alpha in np.unique(alphas):
+        h_prev[alphas == alpha] = _ml_kernel(problem.spec, float(alpha), dpsi[alphas == alpha])
+    scales = _prefactors(problem.spec, alphas) * 0.5 * (1.0 + h_prev)
     divergence = 0.0
-    for i in range(1, grid.size):
-        t, ui = float(grid[i]), float(uv[i])
-        h_prev = float(kernel_values(problem.spec, t, grid[i - 1 : i])[0])
-        scale = kernel_prefactor(problem.spec, t) * 0.5 * (1.0 + h_prev)
+    for i, t, ui, scale in zip(range(1, grid.size), grid[1:].tolist(), uv[1:].tolist(),
+                               scales.tolist()):
         offset = problem.rhs(t, ui)
         for k in range(perturbations):
             rng = np.random.default_rng([seed + 1 + k, i])

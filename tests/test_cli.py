@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracvar import (
     FdeProblem,
@@ -132,6 +133,84 @@ def test_csv_bytes_pinned(capsys):
     cli._emit(args, ["t", "value"], np.array([[-0.0, 5e-324], [1e308, 0.1]]))
     assert capsys.readouterr().out == (
         "t,value\n-0,4.9406564584124654e-324\n1e+308,0.10000000000000001\n")
+
+
+def percent_g(columns, table):
+    """The CSV as one Python '%.17g' format per value writes it."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    return ",".join(columns) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
+
+
+def assert_csv_is_percent_g(values, cols=1):
+    table = np.asarray(values, dtype=np.float64).reshape(-1, cols)
+    columns = ["t", "value", "estimate_error"][:cols]
+    assert cli._csv(columns, table) == percent_g(columns, table)
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_csv_is_percent_g_on_any_float(values, cols):
+    assert_csv_is_percent_g(values * cols, cols)  # repeated: the rows fill evenly
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_csv_is_percent_g_on_any_bit_pattern(bits):
+    assert_csv_is_percent_g(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def test_csv_is_percent_g_on_edge_values():
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    ints = np.concatenate([np.arange(-50, 51) + 1e16, np.arange(-50, 51) * 8 + 1e17,
+                           np.arange(-50, 51) * 16 + 9.999999999999998e16])
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+               2.225073858507201e-308, 1e-310, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.5, 1200.0, 2.5e-5, 0.1, 1e-5, 12345.0, 1e16, 1e17]
+    for values in (near, -near, ints, -ints, special):
+        assert_csv_is_percent_g(values)
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3])
+def test_csv_is_percent_g_across_block_boundaries(cols):
+    rng = np.random.default_rng(cols)
+    rows = cli._CSV_BLOCK // cols
+    for n in (rows - 1, rows, rows + 1, 2 * rows + 3):
+        values = rng.standard_normal(n * cols) * 10.0 ** rng.integers(-8, 20, n * cols)
+        values[::97] = np.round(values[::97], 3)
+        assert_csv_is_percent_g(values, cols)
+
+
+def test_cli_csv_is_percent_g_of_the_results(capsys):
+    # one deriv_toeplitz benchmark call at full size and one solve: stdout is
+    # the '%.17g' rendering of the arrays the library returns, on every run
+    deriv = ["deriv", "--op", "caputo_ns", "--alpha", "0.5", "--psi", "t", "--beta", "1",
+             "--gamma", "1", "--f", "1.37*t", "--a", "0.0", "--b", "1.0", "--n", "8192",
+             "--estimate-error"]
+    solve = ["solve", "--alpha", "0.5", "--beta", "0.5", "--gamma", "0.5",
+             "--rhs", "-u^3 - 1.5*u + (-0.75)*sin(pi*t)", "--u0", "1", "--a", "0",
+             "--b", "1", "--n", "2048"]
+    for argv in (deriv, solve):
+        outs = []
+        for _ in range(2):
+            assert run(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        args = cli.build_parser().parse_args(cli._merge_expr_values(argv))
+        spec = cli._kernel_from_args(args)
+        if args.command == "deriv":
+            result = cli._DERIV_OPS[args.op](spec, cli._grid_function(
+                args.f, args.a, args.b, args.n))
+            columns = ["t", "value", "estimate_error"]
+            table = np.column_stack((result.values.grid, result.values.values,
+                                     result.cross_scheme))
+        else:
+            rhs = expr.to_function(expr.parse(args.rhs, allowed_vars={"t", "u"}), ("t", "u"))
+            report = solve_fde(FdeProblem(spec=spec, rhs=rhs, initial=args.u0,
+                                          grid_n=args.n))
+            columns = ["t", "value"]
+            table = np.column_stack((report.solution.grid, report.solution.values))
+        assert outs[0] == percent_g(columns, table), argv
 
 
 SOLVE_EXAMPLE = ["solve", "--rhs", "-u", "--u0", "1", "--alpha", "0.5",
