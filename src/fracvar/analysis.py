@@ -8,8 +8,8 @@ command; the tolerances are module constants.
 
 The test-function corpus is fixed: {1, t, t^2, sin(pi t), cos t, e^t} plus
 seeded random trigonometric polynomials of degree <= 6 whose coefficients
-decay like 1/j^2. The decay keeps derivative norms moderate, which is what
-the sup-norm estimate needs; see the boundedness notes below.
+decay like 1/j^2. The decay keeps derivative norms moderate, so the
+factor-1 boundedness ratio stays near 1; see the notes below.
 
 The suites hand their functions to the operators as stacks (one operator
 call per stack of _STACK doubles, not one per function): the corpus, the
@@ -19,14 +19,13 @@ every reported number are those of one call per function.
 
 Two estimates need calibrated context:
 
-* The sup-norm bound (prefactor at b times the sup of f) is not a theorem
-  for arbitrary data: the Caputo-type operator applied to strongly
-  oscillatory f can exceed it (f = -cos(pi t) under the exponential kernel
-  at order 0.5 reaches about 1.24x the bound). The canonical boundedness
-  run therefore uses order 0.9 on [0,1] with the identity warp, where the
-  memory kernel is short-ranged and the corpus satisfies the bound with
-  real margin; other warps run informationally and their failures are
-  reported, not asserted away.
+* The sup-norm estimate (prefactor P times the sup of f) is not a theorem:
+  a steep f near b drives the derivatives to nearly 2 P sup|f|. The
+  boundedness suite asserts the bounds that are, 2 P sup|f| for the
+  Caputo-type derivative and (2 - H(b, a)) P sup|f| for the RL-type one
+  (check_boundedness has the proof), and reports the factor-1 ratio. The
+  canonical run uses order 0.9 on [0,1] with the identity warp; the log and
+  sin warps run informationally.
 
 * The Lipschitz constant contains an unspecified factor; the suite
   calibrates it empirically from the observed worst ratio and asserts the
@@ -221,26 +220,50 @@ def _failure(case: str, observed: float, bound: float) -> dict:
 
 
 def check_boundedness(cfg: SuiteConfig) -> SuiteReport:
+    """sup |D f| against the bounds proven for a constant order and any
+    increasing psi, with P = M(alpha) / (1 - alpha) and ||f|| = sup |f|:
+
+        |D_c f| <= 2 P ||f||,   |D_rl f| <= (2 - H(b, a)) P ||f||.
+
+    Proof: H(t, tau) = E_beta(-lam (psi(t) - psi(tau))^gamma) decreases in
+    psi(t) - psi(tau), since E_beta(-x) is completely monotone, and
+    H(t, t) = 1. So d_tau H >= 0 and int_a^t d_tau H dtau = 1 - H(t, a).
+    Integrating by parts,
+
+        D_c f(t) = P (f(t) - H(t, a) f(a) - int_a^t d_tau H f dtau),
+        D_rl f(t) = P (f(t) - int_a^t d_tau H f dtau),
+
+    the second because d_t H / psi'(t) = -d_tau H / psi'(tau). The weights
+    of ||f|| add to 1 + H(t, a) + 1 - H(t, a) = 2 and to
+    2 - H(t, a) <= 2 - H(b, a). Both bounds are sharp: f = tanh(k (t - t0)),
+    t0 near b, approaches them as k grows. The factor-1 estimate
+    |D f| <= P ||f|| is not a theorem; its largest ratio is reported as a
+    note.
+    """
     a, b = cfg.spec.interval
     alpha_b = cfg.spec.alpha_at(b)
     factor = kernel_prefactor(cfg.spec, b)
+    rl_factor = 2.0 - kernel_eval(cfg.spec, b, a)
     tol = _TOLS["boundedness"]
 
-    failures = []
-    ops = (("rl", rl_deriv_ns), ("caputo", caputo_deriv_ns))
+    failures, worst = [], (0.0, "")
+    ops = (("rl", rl_deriv_ns, rl_factor), ("caputo", caputo_deriv_ns, 2.0))
     for lo, f in _corpus_stacks(cfg.test_functions, a, b, cfg.n):
-        bounds = factor * np.max(np.abs(f.values), axis=1)
-        observed = [_sup(op, cfg.spec, f) for _, op in ops]
-        for k, bound in enumerate(bounds.tolist()):
-            for (opname, _), sups in zip(ops, observed):
-                if sups[k] > bound * (1.0 + tol):
-                    failures.append(_failure(f"{cfg.test_functions[lo + k].label}:{opname}",
-                                             float(sups[k]), bound))
+        norms = factor * np.max(np.abs(f.values), axis=1)
+        observed = [_sup(op, cfg.spec, f) for _, op, _ in ops]
+        for k, norm in enumerate(norms.tolist()):
+            for (opname, _, proven), sups in zip(ops, observed):
+                case = f"{cfg.test_functions[lo + k].label}:{opname}"
+                if norm > 0.0:
+                    worst = max(worst, (float(sups[k]) / norm, case))
+                if sups[k] > proven * norm * (1.0 + tol):
+                    failures.append(_failure(case, float(sups[k]), proven * norm))
     report = SuiteReport("boundedness", cases_run=2 * len(cfg.test_functions),
                          failures=failures)
     report.notes.append(
-        f"bound factor M(alpha(b))/(1-alpha(b)) = {factor:.6g} (alpha(b) = {alpha_b:.6g})"
-    )
+        f"bound factor M(alpha(b))/(1-alpha(b)) = {factor:.6g} (alpha(b) = {alpha_b:.6g})")
+    report.notes.append(f"proven factors 2 (caputo), 2 - H(b, a) = {rl_factor:.6g} (rl); "
+                        "largest factor-1 ratio {:.6g} ({})".format(*worst))
     return report
 
 
@@ -539,7 +562,7 @@ def default_suite_run(name: str, seed: int = 0) -> list[SuiteReport]:
             rep = check_boundedness(SuiteConfig(spec, standard_corpus(seed + 7, 20)))
             rep.suite_name = f"boundedness[{label}]"
             rep.informational = True
-            rep.notes.append("informational: sup-norm estimate unproven off the "
+            rep.notes.append("informational: warped run, reported apart from the "
                              "identity warp; failures reported, not asserted")
             reports.append(rep)
         return reports

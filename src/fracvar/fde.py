@@ -36,7 +36,7 @@ always reported as the compatibility diagnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -48,7 +48,7 @@ from .errors import (
     NewtonDivergence,
 )
 from .grids import GridFunction, uniform_grid
-from .kernel import KernelSpec, _alphas_checked, _ml_kernel, _prefactors
+from .kernel import KernelSpec, _prefactors
 from .operators import _KernelTable, caputo_deriv_ns
 
 NEWTON_TOL = 1e-10
@@ -103,6 +103,7 @@ class SolveReport:
     residual_norm: float
     compat_gap: float
     corrected: bool
+    scales: np.ndarray  # the march's scale_i of each nodal equation, i = 1..n
     bound_check: BoundCheck | None = field(default=None)
 
     def __post_init__(self):
@@ -189,6 +190,7 @@ def solve_fde(problem: FdeProblem, *, compat_correction: bool = True) -> SolveRe
     u = np.empty(n + 1)
     u[0] = x = last = u0
     shifts = np.empty(n)
+    scales = np.empty(n)
 
     # Python floats, not numpy scalars: the secant iterates inherit the type
     march = table.march()
@@ -196,7 +198,7 @@ def solve_fde(problem: FdeProblem, *, compat_correction: bool = True) -> SolveRe
     for i, t, p in zip(range(1, n + 1), grid[1:].tolist(), P[1:].tolist()):
         head, sub, memory = march.send(du)
         shifts[i - 1] = shift = head * f_shift
-        scale = p * (0.5 * (sub + 1.0))
+        scales[i - 1] = scale = p * (0.5 * (sub + 1.0))
         start = x if i == 1 else 2.0 * x - last
         last = x
         x, iters[i - 1], dr = _solve_node(rhs, t, scale, last, p * memory + shift, start,
@@ -222,7 +224,7 @@ def solve_fde(problem: FdeProblem, *, compat_correction: bool = True) -> SolveRe
 
     sol = GridFunction(grid=grid, values=u, label="u")
     return SolveReport(solution=sol, newton_iters=iters, residual_norm=residual,
-                       compat_gap=compat_gap, corrected=compat_correction)
+                       compat_gap=compat_gap, corrected=compat_correction, scales=scales)
 
 
 # --- comparison principle -------------------------------------------------------
@@ -347,8 +349,9 @@ def uniqueness_probe(problem: FdeProblem, perturbations: int, *,
         scale_i (x - u_i) + rhs(t_i, u_i) = rhs(t_i, x),
         scale_i = P_i (1 + H(t_i, t_{i-1})) / 2,
 
-    is re-solved by the march's nodal solver from `perturbations` seeded
-    starts u_i + 0.5 (1 + |u_i|) N(0, 1). Under the hypothesis each nodal
+    with the march's own scale_i (SolveReport.scales), is re-solved by the
+    march's nodal solver from `perturbations` seeded starts
+    u_i + 0.5 (1 + |u_i|) N(0, 1). Under the hypothesis each nodal
     equation has one root, and by induction over the nodes (the memory term
     of node i depends only on earlier nodes) the discrete solution is unique;
     the re-solves check that the solver lands on u_i from every start.
@@ -372,16 +375,9 @@ def uniqueness_probe(problem: FdeProblem, perturbations: int, *,
         raise HypothesisViolation(
             f"rhs slope in u reaches {max_slope:.3e} > 0 on the envelope"
         )
-    # every scale_i at once: H(t_i, t_{i-1}) by one kernel call per distinct order
-    alphas = _alphas_checked(problem.spec, grid[1:])
-    dpsi = np.maximum(np.diff(problem.spec.warp.values(grid)), 0.0)
-    h_prev = np.empty(alphas.size)
-    for alpha in np.unique(alphas):
-        h_prev[alphas == alpha] = _ml_kernel(problem.spec, float(alpha), dpsi[alphas == alpha])
-    scales = _prefactors(problem.spec, alphas) * 0.5 * (1.0 + h_prev)
     divergence = 0.0
     for i, t, ui, scale in zip(range(1, grid.size), grid[1:].tolist(), uv[1:].tolist(),
-                               scales.tolist()):
+                               base.scales.tolist()):
         offset = problem.rhs(t, ui)
         for k in range(perturbations):
             rng = np.random.default_rng([seed + 1 + k, i])
@@ -463,7 +459,4 @@ def sandwich_check(problem: FdeProblem, lower: LinearBound, upper: LinearBound,
         upper=GridFunction(grid=grid, values=v_up, label="v_upper"),
         violations=0,
     )
-    return SolveReport(solution=report.solution, newton_iters=report.newton_iters,
-                       residual_norm=report.residual_norm,
-                       compat_gap=report.compat_gap, corrected=False,
-                       bound_check=check)
+    return replace(report, bound_check=check)

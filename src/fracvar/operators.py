@@ -32,9 +32,10 @@ grid. No declared property of the order enters.
   truncated to the n + 1 outputs kept: real FFTs against the row's spectra,
   made once per table (_lower_product), O(n log n). Error: within 1e-14 of
   long-double direct sums, relative to the largest sum.
-* Otherwise "soe" on a certified rule of mlf, with rates shared by every node
-  and the slow ones (r span <= 1) folded into 14, so K is about 60 and the
-  sums cost O(nK) (_exp_sums).
+* Otherwise "soe" on a rule of mlf (the Mittag-Leffler rule spot-checked,
+  the power rule bounded by the proof in its docstring), with rates shared
+  by every node and the slow ones (r span <= 1) folded into 14, so K is
+  about 60 and the sums cost O(nK) (_exp_sums).
   - gamma = beta < 1 at every node (a tracked order, variable_ml, or a
     constant order on the log, sin or expression warps): _soe_rule,
     H_i(s) ~ sum_k w_ik exp(-r_k s). Each sum is the exact diagonal (H = 1)
@@ -155,7 +156,7 @@ class _KernelTable:
     * "toeplitz": every sampled exponent (alpha, or mu) equal and psi
       uniformly spaced; the last row at exact multiples of the half step,
       reversed, serves every node;
-    * "soe": mlf's rule certified, _soe_rule for kernel rows with gamma =
+    * "soe": mlf's rule accepted, _soe_rule for kernel rows with gamma =
       beta at every node, _power_rule for mu, which lies in (0, 1];
     * "rows": none of these, one row per node.
     """

@@ -5,6 +5,10 @@ import pytest
 
 from fracvar import (
     KernelSpec,
+    caputo_deriv_ns,
+    kernel_eval,
+    kernel_prefactor,
+    rl_deriv_ns,
     NormalizationFunction,
     OrderFunction,
     SUITE_NAMES,
@@ -97,6 +101,24 @@ class TestIndividualChecks:
         assert report.passed
         assert report.cases_run == 24  # 12 functions x 2 operators
         assert any("bound factor" in note for note in report.notes)
+
+    def test_boundedness_proven_bound_is_nearly_reached(self):
+        # a step of f near b drives both derivatives past 1.9 P ||f||, the
+        # factor-1 estimate, yet they stay within the proven bounds
+        spec = spec_for(0.9)
+        tf = analysis.TestFunction(
+            "tanh", lambda t: np.tanh(1000.0 * (t - 0.97)),
+            lambda t: 1000.0 * (1.0 - np.tanh(1000.0 * (t - 0.97)) ** 2))
+        f = tf.on(0.0, 1.0, 8192)
+        norm = kernel_prefactor(spec, 1.0) * np.max(np.abs(f.values))
+        for op, proven in ((caputo_deriv_ns, 2.0),
+                           (rl_deriv_ns, 2.0 - kernel_eval(spec, 1.0, 0.0))):
+            sup = np.max(np.abs(op(spec, f).values.values))
+            assert sup > 1.9 * norm, op.__name__
+            assert sup <= proven * norm, op.__name__
+        report = check_boundedness(SuiteConfig(spec, (tf,), n=8192))
+        assert report.passed
+        assert any("largest factor-1 ratio 1.9" in note for note in report.notes)
 
     def test_lipschitz_stability(self):
         cfg = SuiteConfig(spec=spec_for(0.5),

@@ -654,6 +654,44 @@ def test_power_rule_matches_powers(nu):
     assert np.max(np.abs(got * s**nu - 1.0)) <= mlf._SOE_TOL
 
 
+def _power_rule_bound(nu, span, K):
+    """The relative error bound of _power_rule's docstring, terms (i)-(v), for
+    one nu (so nu_min = nu) and a rule of K rates."""
+    h = math.pi**2 / math.log(4.0 / mlf._SOE_EPS)
+    y = np.linspace(1e-6, 0.5 * math.pi, 10**5, endpoint=False)
+    truncation = float(np.min(2.0 * np.cos(y) ** -nu / np.expm1(2.0 * math.pi * y / h)))
+    g = math.gamma(1.0 + nu)
+    lump = (h * nu / -math.expm1(-h * nu) if nu > 0.0 else 1.0) / g
+    left = lump * 0.5 * mlf._SOE_EPS
+    x = 40.0 * math.exp(h)
+    right = 2.0 * h * nu / g * x**nu * math.exp(-x)
+    slow = math.exp(nu * h) / g
+    fold = 2.0**-26 / math.factorial(14) * slow
+    lebesgue = 1.0 + 2.0 / math.pi * math.log(14.0)
+    rounding = (K + 3) * 0.5 * np.finfo(float).eps * (1.0 + truncation + lebesgue * slow)
+    return truncation + left + right + fold + rounding
+
+
+@pytest.mark.parametrize("n", [16, 2048, 131072])
+@pytest.mark.parametrize("nu", [0.0, 0.01, 0.5, 0.99, 1.0 - 1e-12])
+def test_power_rule_error_within_its_proven_bound(nu, n):
+    # the docstring's bound holds at 10^4 log-spaced s in [1/n, 1], against
+    # s^(-nu) in long double, and is itself within _SOE_TOL
+    s_min, span = 1.0 / n, 1.0
+    rates, weights = mlf._power_rule(np.array([nu]), s_min, span, 10**6)
+    bound = _power_rule_bound(nu, span, rates.size)
+    assert bound <= mlf._SOE_TOL
+    s = np.geomspace(s_min, span, 10**4)
+    got = np.exp(-np.outer(s, rates)) @ weights([0])(slice(None))[:, 0]
+    err = np.abs(got.astype(np.longdouble) * s.astype(np.longdouble) ** nu - 1.0)
+    assert float(np.max(err)) <= bound
+
+
+@pytest.mark.parametrize("nus", [[-0.1], [1.0], [0.5, 1.0], [0.2, -1e-12, 0.4]])
+def test_power_rule_refuses_exponents_off_its_domain(nus):
+    assert mlf._power_rule(np.array(nus), 1.0 / 512, 1.0, 512) is None
+
+
 def _rows_built(monkeypatch):
     """A list that grows by one per table row the operators build."""
     rows = []
@@ -695,11 +733,6 @@ def test_power_soe_routing(monkeypatch):
     assert rows == []
     spec = _order_spec("0.3 + 0.4*t")
     operators._product_sums(spec, f.grid, f.values, np.linspace(1.1, 1.3, n + 1))
-    assert len(rows) == n + 1
-    # nor does a spot check that misses
-    rows.clear()
-    monkeypatch.setattr(mlf, "_SOE_TOL", 0.0)
-    caputo_deriv_classical(spec, f)
     assert len(rows) == n + 1
 
 
@@ -925,9 +958,10 @@ def test_stacked_rows_equal_single_calls_bit_for_bit(path, block, monkeypatch):
 
 
 def test_stacked_rows_equal_single_calls_on_rows_after_a_refused_rule(monkeypatch):
-    # a spot check that misses sends both families to rows; stacked rows
-    # still match single calls
+    # a spot check that misses sends the kernel family to rows, and a refused
+    # power rule the weakly singular one; stacked rows still match single calls
     monkeypatch.setattr(mlf, "_SOE_TOL", 0.0)
+    monkeypatch.setattr(operators, "_power_rule", lambda *args: None)
     spec = tracked_spec()
     grid = uniform_grid(0.0, 1.0, 64)
     assert _KernelTable(spec, grid).path == "rows"
