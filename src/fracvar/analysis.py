@@ -15,7 +15,9 @@ The suites hand their functions to the operators as stacks (one operator
 call per stack of _STACK doubles, not one per function): the corpus, the
 Lipschitz pair differences, the Taylor-sum differences. Each row of a
 stacked result equals the result for its function alone, so the verdicts and
-every reported number are those of one call per function.
+every reported number are those of one call per function. A stack holds
+2^15 doubles (31 functions at n = 1024): fewer, larger calls cut the
+per-call overhead for under 1 MB of peak RSS (the figures are at _STACK).
 
 Two estimates need calibrated context:
 
@@ -75,8 +77,12 @@ _SEQ_LEN = 16
 _EPSILONS = (1e-2, 1e-4, 1e-6)
 
 # doubles per stacked array: the suites pass their functions to the
-# operators in stacks of _STACK // (n + 1) rows, one call per stack
-_STACK = 6144
+# operators in stacks of _STACK // (n + 1) rows, one call per stack. Against
+# 6144 (5 functions at n = 1024), two bench/run.py pairs at seed 0 on a
+# 2-core Xeon VM read verify_all wall_s 0.134/0.138 -> 0.109/0.121 s,
+# call_s_tail 0.055/0.057 -> 0.041/0.046 s and peak RSS 45.9 -> 46.7/46.6 MB;
+# 1 << 16 reads 3.2 MB more peak RSS (7 %, against the bench's 10 % bound).
+_STACK = 1 << 15
 
 # the harmonics j pi, j = 1..6, of the random trigonometric polynomials
 _JPI = np.arange(1, 7, dtype=float) * math.pi

@@ -351,8 +351,9 @@ def _run_operator(args, op_name: str) -> None:
     if args.estimate_error:
         columns.append("estimate_error")
         table.append(result.cross_scheme)
-    _emit(args, columns, np.column_stack(table),
-          extra={"quad_error_estimate": result.quad_error_estimate})
+    # the estimate sums the second scheme: read it only where it is written
+    extra = {"quad_error_estimate": result.quad_error_estimate} if args.format == "json" else None
+    _emit(args, columns, np.column_stack(table), extra=extra)
 
 
 def _run_solve(args) -> None:

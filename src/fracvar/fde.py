@@ -209,7 +209,7 @@ def solve_fde(problem: FdeProblem, *, compat_correction: bool = True) -> SolveRe
     # residual certification, independent of the Newton internals:
     # sum_j c_ij du_j = (sum_{j<=i} H_ij (du_j + du_{j+1}) - du_{i+1}) / 2
     du = np.diff(u, prepend=u[0], append=u[-1])  # du_0 = du_{n+1} = 0
-    memory, _ = table.sums(du[:-1] + du[1:], np.zeros(n))
+    memory, _ = table.sums(du[:-1] + du[1:], None)
     dh = (P * 0.5 * (memory - du[1:]))[1:]
     targets = np.array([rhs(t, x) for t, x in zip(grid[1:].tolist(), u[1:].tolist())])
     targets -= shifts

@@ -58,7 +58,9 @@ series into the node l_lo, whose weight is e^(nu l_lo) times
 h nu / (1 - e^(-h nu)) / Gamma(1 + nu). That factor is 1 at nu = 0, where
 the rule is s^0 = 1, a rate-0 term alone once folded. Its error is proven,
 not sampled, so no check runs: the bound in ``_power_rule``'s docstring is
-below _SOE_TOL for every nu in [0, 1) while span / s_min <= 3e12.
+below _SOE_TOL for every nu in [0, 1) while the rule keeps at most
+_POWER_TERMS = 132 rates (span / s_min <= 3e12), and a rule of more rates
+is refused.
 
 Both rules fold their slow terms (``_folded``): a rate with r span <= 1 has
 r s <= 1 on the whole range, where exp(-r s) is a polynomial of degree 13 in
@@ -90,6 +92,7 @@ _LOG_TERM_CAP = math.log(1e290)
 _LOG_TINY = math.log(np.finfo(float).tiny)   # below it, exp is subnormal
 _SOE_EPS = 1e-15     # target relative error of the sum-of-exponentials rule
 _SOE_TOL = 1e-13     # the relative error an SOE rule may have
+_POWER_TERMS = 132   # most rates of a power rule: term (v) of its bound passes _SOE_TOL at 133
 _FOLD = 14           # Chebyshev-Lobatto rates that take an SOE rule's slow terms
 _FOLD_BLOCK = 1 << 14  # slow weights per temporary of a fold
 
@@ -385,8 +388,8 @@ def _soe_rule(betas: np.ndarray, lams: np.ndarray, s_min: float, span: float,
 def _power_rule(nus: np.ndarray, s_min: float, span: float, max_terms: int):
     """(rates, weights) of the SOE rule for s^(-nu), one nu per pair, on s in
     [s_min, span], in the form of _folded; None if some nu leaves [0, 1) or
-    the rule needs more than max_terms rates. Weights give one column for all
-    pairs when every nu is the same.
+    the rule needs more than max_terms or _POWER_TERMS rates. Weights give
+    one column for all pairs when every nu is the same.
 
     The rule is proven, not checked. Take its rates and weights as exact,
     u = eps / 2 and K rates. For every nu in [0, 1) and s in [s_min, span],
@@ -427,9 +430,10 @@ def _power_rule(nus: np.ndarray, s_min: float, span: float, max_terms: int):
         (K + 3) u (1 + (i) + Lambda e^(nu h) / Gamma(1 + nu)).
 
     At K = 71 (span / s_min = 2^17) the sum is at most 6.9e-14, and it stays
-    within _SOE_TOL while K <= 132, that is span / s_min <= 3e12. Steeper
-    warps still take the rule, with the bound above _SOE_TOL: psi = t^12 on
-    [0.001, 1] at n = 1024 has K = 301 and a bound of 1.9e-13.
+    within _SOE_TOL while K <= _POWER_TERMS = 132 (9.95e-14 as nu -> 1),
+    that is span / s_min <= 3e12. Term (v) passes _SOE_TOL at K = 133, so
+    steeper warps are refused: psi = t^12 on [0.001, 1] at n = 1024 would
+    need K = 301, with a bound of 1.9e-13, and takes rows.
     """
     if not (np.min(nus) >= 0.0 and np.max(nus) < 1.0):
         return None
@@ -458,7 +462,8 @@ def _power_rule(nus: np.ndarray, s_min: float, span: float, max_terms: int):
             return w
         return at
 
-    return _folded(l_lo, math.log(40.0 / s_min), h, span, nus.size, unfolded, max_terms)
+    return _folded(l_lo, math.log(40.0 / s_min), h, span, nus.size, unfolded,
+                   min(max_terms, _POWER_TERMS))
 
 
 def ml_eval(params: MLParams, z: float) -> float:

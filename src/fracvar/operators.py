@@ -3,8 +3,11 @@
 Every operator is a history sum over one half-step table (nodes and panel
 midpoints, one weight row per output node), which also gives the solver its
 residual. Each operator is computed under a trapezoid and a midpoint scheme;
-the reported quad_error_estimate is the sup difference between the two. Two
-row builders fill the table:
+the reported quad_error_estimate is the sup difference between the two. The
+bounded-kernel operators sum only the scheme asked for, and the other one,
+from the same table, the first time the estimate is read (OperatorResult);
+the weakly singular family makes both in one pass. Two row builders fill
+the table:
 
 * The bounded-kernel family (aux_integral_1/2 and the derivatives built on
   them): the kernel values H(t_i, .), taken with composite trapezoid weights
@@ -28,10 +31,11 @@ grid. No declared property of the order enters.
   3e-15 sup relative against long-double direct sums at n = 2048.
 * Otherwise "toeplitz", every sampled exponent equal (alpha, or mu) on a
   uniformly spaced psi: the rows are Toeplitz (tracked gamma/beta are then
-  constant too), and one row and two convolutions serve every node,
-  truncated to the n + 1 outputs kept: real FFTs against the row's spectra,
-  made once per table (_lower_product), O(n log n). Error: within 1e-14 of
-  long-double direct sums, relative to the largest sum.
+  constant too), and one row and a convolution per sum made serve every
+  node, truncated to the n + 1 outputs kept: real FFTs against the row's
+  node or midpoint spectrum, each made once per table, on its first use
+  (_lower_product), O(n log n). Error: within 1e-14 of long-double direct
+  sums, relative to the largest sum.
 * Otherwise "soe" on a rule of mlf (the Mittag-Leffler rule spot-checked,
   the power rule bounded by the proof in its docstring), with rates shared
   by every node and the slow ones (r span <= 1) folded into 14, so K is
@@ -48,6 +52,8 @@ grid. No declared property of the order enters.
 * Otherwise "rows", when no rule applies (gamma != beta) or the rule is
   refused, as when it would need more than n rates: one row per output node,
   O(n^2) kernel evaluations, each sum a dot product, as accurate as the rows.
+  Each call of sums() builds the rows again, so a deferred second scheme
+  costs a second pass over them.
 
 Every operator takes one function or a stack of m functions on one grid
 (a GridFunction with values of shape (m, n + 1)) and returns values and
@@ -55,9 +61,9 @@ cross-scheme estimates of the same shape. One table serves the whole stack,
 and each row of the result is, bit for bit, what that function gives alone:
 sums() keeps the stack as further data columns of _exp_sums on "soe" (cut
 into chunks that bound its temporaries, with a partition of the rates that
-does not depend on m), transforms the stack in one FFT call on "toeplitz"
-(numpy's FFT takes each row alone, bit for bit) and makes one batched matrix
-product per node on "rows".
+depends neither on m nor on which columns are summed), transforms the stack
+in one FFT call on "toeplitz" (numpy's FFT takes each row alone, bit for
+bit) and makes one batched matrix product per node on "rows".
 
 march() gives the solver the history of kernel rows node by node, on the
 same path: one running sum per rate of the sum-of-exponentials rule (on
@@ -75,7 +81,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -100,6 +107,7 @@ SCHEMES = ("product_trapezoid", "product_midpoint")
 _BLOCK = 1 << 15     # doubles for a rate block of _exp_sums, and for a chunk of its sums
 _FACTOR_TEMPS = 4    # temporaries of _power_sums' factors, per rate and source
 _NEAR = 64           # nodes per aligned near-field block of the Toeplitz march
+_NARROW = 1e-4       # panel width / (u_j + u_j+1) below which _moments takes its series
 # Taylor coefficients of _phis' phi1, z^1 to z^15
 _PHI1_SERIES = [(-1) ** (p + 1) * p / (2.0 * math.factorial(p + 2)) for p in range(1, 16)]
 
@@ -109,18 +117,30 @@ class OperatorResult:
     """Operator values under one scheme, with the cross-scheme estimate.
 
     cross_scheme holds |trapezoid - midpoint| per node; quad_error_estimate
-    is its maximum.
+    is its maximum. other() gives the other scheme's values. The
+    bounded-kernel operators sum that scheme only then, so the first read
+    of either estimate costs one more history sum, and a result whose
+    estimate is never read costs none; the weakly singular family makes
+    both schemes in one pass.
     """
 
     values: GridFunction
-    cross_scheme: np.ndarray
     scheme: str
+    other: Callable[[], np.ndarray] = field(repr=False)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise InvalidParam(f"unknown scheme {self.scheme!r}")
-        if not (self.quad_error_estimate >= 0.0):
+
+    @functools.cached_property
+    def cross_scheme(self) -> np.ndarray:
+        # |trapezoid - midpoint|, whichever of them values holds: a - b is
+        # exactly -(b - a) in floating point
+        cross = self.values.values - self.other()
+        np.abs(cross, out=cross)
+        if not (np.max(cross) >= 0.0):
             raise InvalidParam("quad_error_estimate must be >= 0")
+        return cross
 
     @property
     def quad_error_estimate(self) -> float:
@@ -174,7 +194,7 @@ class _KernelTable:
         else:
             exponents = mus
             self._per_panel = per_panel = mus.size == self.n
-            self._row_fn = functools.partial(_moments, mus, per_panel)
+            self._row_fn = functools.partial(_moments, mus, per_panel, np.diff(self.psih[::2]))
         same = bool(np.all(exponents == exponents[0]))
         if mus is None and spec.beta == spec.gamma == 1.0 and same:
             self.path, self._rule = "soe", (alphas[:1] / (1.0 - alphas[:1]), None)
@@ -184,8 +204,6 @@ class _KernelTable:
             self.path = "toeplitz"
             k = np.arange(self.half.size - 1, -1, -1, dtype=float)
             self._base = self._row_fn(self.n, k * (0.5 * float(self.psih[2] - self.psih[0])))[::-1]
-            # the products against its node and its midpoint entries
-            self._products = _lower_product(self._base[::2]), _lower_product(self._base[1::2])
             return
         span = float(self.psih[-1] - self.psih[0])
         if mus is None:
@@ -211,40 +229,62 @@ class _KernelTable:
         """H(t_i, tau_j) for j = 0..i (kernel rows)."""
         return self._row(i, 2)
 
-    def sums(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the Toeplitz products against the base row's node and midpoint
+    # entries, each made on its first use
+    @functools.cached_property
+    def _node_product(self):
+        return _lower_product(self._base[::2])
+
+    @functools.cached_property
+    def _mid_product(self):
+        return _lower_product(self._base[1::2])
+
+    def sums(self, x: np.ndarray | None,
+             y: np.ndarray | None) -> tuple[np.ndarray | None, np.ndarray | None]:
         """sum_{j<=i} w_i(tau_j) x_j and sum_{j<i} w_i(m_j) y_j, per node i,
         for x of shape (n + 1,) and y of shape (n,), or for each row of a
-        stack, x (m, n + 1) and y (m, n)."""
+        stack, x (m, n + 1) and y (m, n). A sum whose data is None is not
+        made, and None stands in its place; the weakly singular rows take
+        both."""
         n = self.n
-        shape = x.shape
-        x, y = x.reshape(-1, n + 1), y.reshape(-1, n)
-        mids = np.zeros(x.shape)
+        shape = x.shape if x is not None else y.shape[:-1] + (n + 1,)
+        x = None if x is None else x.reshape(-1, n + 1)
+        y = None if y is None else y.reshape(-1, n)
+        m = int(np.prod(shape[:-1]))
+        nodes, mids = None, np.zeros((m, n + 1))
         if self.path == "toeplitz":
-            node_product, mid_product = self._products
-            nodes = node_product(x)
-            mids[:, 1:] = mid_product(y)
+            if x is not None:
+                nodes = self._node_product(x)
+            if y is not None:
+                mids[:, 1:] = self._mid_product(y)
         elif self.path == "rows":
-            nodes = np.zeros(x.shape)
-            data = np.zeros((x.shape[0], 2, 2 * n + 1))
-            data[:, 0, ::2] = x
-            data[:, 1, 1::2] = y
+            # one data row per sum made: x at the nodes, y at the midpoints
+            data = np.zeros((m, (x is not None) + (y is not None), 2 * n + 1))
+            if x is not None:
+                data[:, 0, ::2] = x
+            if y is not None:
+                data[:, -1, 1::2] = y
+            out = np.zeros((data.shape[1], m, n + 1))
             for i in range(n + 1):
-                nodes[:, i], mids[:, i] = (data[..., : 2 * i + 1] @ self._row(i, 1)).T
+                out[..., i] = (data[..., : 2 * i + 1] @ self._row(i, 1)).T
+            nodes, mids = out[0], out[-1]
         elif self._mus is not None:
             rates, weights = self._rule
             nodes, mids = _power_sums(self.psih, x[:, :-1], y, self._mus, rates, weights,
                                       self._per_panel)
         else:
             # kernel rows: x_i (H = 1 on the diagonal) plus the node column of
-            # _exp_sums, and its midpoint column, which is left out when y = 0
+            # _exp_sums, and its midpoint column
             rates, weights = self._rule
             sums = _exp_sums(self.psih, rates, None if weights is None else weights(slice(1, None)),
-                             x[None, :, :-1], y=y if y.any() else None)
-            nodes = x.copy()
-            nodes[:, 1:] += sums[0]
-            if sums.shape[0] == 2:
-                mids[:, 1:] += sums[1]
-        return nodes.reshape(shape), mids.reshape(shape)
+                             None if x is None else x[None, :, :-1], y=y)
+            if x is not None:
+                nodes = x.copy()
+                nodes[:, 1:] += sums[0]
+            if y is not None:
+                mids[:, 1:] += sums[-1]
+        return (None if x is None else nodes.reshape(shape),
+                None if y is None else mids.reshape(shape))
 
     def march(self):
         """The solver march's memory, node by node, on the path of sums():
@@ -381,9 +421,9 @@ def _exp_sums(psi: np.ndarray, rates: np.ndarray, weights, x: np.ndarray, factor
     x (g, m, n) holds g node columns for each of the m rows of a stack, at
     the sources j = 0..n-1, shared by every rate, or times factors(ks), of
     shape (g, len(ks), n), for the rates rates[ks] (made per chunk of the
-    stack, so that they live no longer than its sums). y (m, n), when given,
-    is one midpoint column per row; it comes last in the (columns, m, n)
-    result.
+    stack, so that they live no longer than its sums); None for no node
+    column. y (m, n), when given, is one midpoint column per row; it comes
+    last in the (columns, m, n) result.
     weights(ks) gives w (one row per rate) at nodes 1..n for rates[ks], which
     ascend; None means w = 1.
 
@@ -404,12 +444,15 @@ def _exp_sums(psi: np.ndarray, rates: np.ndarray, weights, x: np.ndarray, factor
     factors. psi is differenced before it meets r, so no far-from-zero psi
     adds roundoff.
     """
+    if x is None:
+        x = np.empty((0,) + y.shape)
     g, m, n = x.shape
     cols = g + (y is not None)  # columns per row of the stack
-    # rates per block: the node and midpoint columns of one row (a midpoint
-    # column counted whether or not y is given), and per-rate factors with
-    # the temporaries that form them
-    block = max(1, _BLOCK // (n * (g + 1 + (0 if factors is None else g + _FACTOR_TEMPS))))
+    # rates per block: the node and midpoint columns of one row (one node
+    # column and the midpoint column counted whether or not they are given,
+    # so that either column alone takes the rate blocks of both), and
+    # per-rate factors with the temporaries that form them
+    block = max(1, _BLOCK // (n * (max(g, 1) + 1 + (0 if factors is None else g + _FACTOR_TEMPS))))
     out = np.empty((cols, m, n))
     gap = float(np.max(psi[2::2] - psi[:-2:2]))
     # psi_0, then the targets (the nodes 1..n) and the midpoints, each padded
@@ -556,59 +599,64 @@ def _power_sums(psih: np.ndarray, g_mid: np.ndarray, slope: np.ndarray, mus: np.
     return mid, corr
 
 
-def _trap_mid(table: _KernelTable, x: np.ndarray, y: np.ndarray,
-              h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Composite trapezoid sums of H * x and midpoint sums of H * y."""
-    ends = x.copy()
-    ends[..., 0] *= 0.5
-    nodes, mids = table.sums(ends, y)
-    # H(t_i, t_i) = 1: the weight-1/2 end at tau_i takes off x_i / 2
-    nodes -= 0.5 * x
-    nodes *= h
-    mids *= h
-    return nodes, mids
+def _history(table: _KernelTable, x: np.ndarray, y: np.ndarray, h: float):
+    """scheme -> its sums, made when asked for: the composite trapezoid sums
+    of H * x, or the midpoint sums of H * y."""
+
+    def sums(scheme: str) -> np.ndarray:
+        if scheme == "product_midpoint":
+            mids = table.sums(None, y)[1]
+            mids *= h
+            return mids
+        ends = x.copy()
+        ends[..., 0] *= 0.5
+        nodes = table.sums(ends, None)[0]
+        # H(t_i, t_i) = 1: the weight-1/2 end at tau_i takes off x_i / 2
+        nodes -= 0.5 * x
+        nodes *= h
+        return nodes
+
+    return sums
 
 
-def _finish(grid: np.ndarray, trap: np.ndarray, mid: np.ndarray,
-            scheme: str, label: str) -> OperatorResult:
-    cross = trap - mid
-    np.abs(cross, out=cross)
-    chosen = trap if scheme == "product_trapezoid" else mid
-    out = GridFunction(grid=grid, values=chosen, label=label)
-    return OperatorResult(values=out, cross_scheme=cross, scheme=scheme)
+def _result(grid: np.ndarray, sums, scheme: str, label: str) -> OperatorResult:
+    """The OperatorResult of sums(scheme), which waits for its other scheme
+    until the estimate is read."""
+    other = SCHEMES[1 - SCHEMES.index(scheme)]
+    out = GridFunction(grid=grid, values=sums(scheme), label=label)
+    return OperatorResult(values=out, scheme=scheme, other=lambda: sums(other))
 
 
-def _aux1_both(spec: KernelSpec, f: GridFunction,
-               table: _KernelTable) -> tuple[np.ndarray, np.ndarray]:
+def _aux1(spec: KernelSpec, f: GridFunction, table: _KernelTable):
     dpsih = spec.warp.deriv_values(table.half)
     y = f.values[..., :-1] + f.values[..., 1:]
     y *= 0.5
     y *= dpsih[1::2]
-    return _trap_mid(table, dpsih[::2] * f.values, y, f.h)
+    return _history(table, dpsih[::2] * f.values, y, f.h)
 
 
-def _aux2_both(spec: KernelSpec, f: GridFunction,
-               table: _KernelTable) -> tuple[np.ndarray, np.ndarray]:
-    fp = f.deriv_values()
+def _aux2(spec: KernelSpec, f: GridFunction, table: _KernelTable):
+    # a copy of f', which the other scheme may sum after the call returns
+    fp = np.array(f.deriv_values())
     fp_mid = fp[..., :-1] + fp[..., 1:]
     fp_mid *= 0.5
-    return _trap_mid(table, fp, fp_mid, f.h)
+    return _history(table, fp, fp_mid, f.h)
 
 
 def aux_integral_1(spec: KernelSpec, f: GridFunction, *,
                    scheme: str = "product_trapezoid") -> OperatorResult:
     """Integral of psi'(tau) H(t, tau) f(tau) from a to t, per node."""
     _check_inputs(spec, f, scheme)
-    trap, mid = _aux1_both(spec, f, _KernelTable(spec, f.grid))
-    return _finish(f.grid, trap, mid, scheme, f"I1[{f.label}]")
+    return _result(f.grid, _aux1(spec, f, _KernelTable(spec, f.grid)), scheme,
+                   f"I1[{f.label}]")
 
 
 def aux_integral_2(spec: KernelSpec, f: GridFunction, *,
                    scheme: str = "product_trapezoid") -> OperatorResult:
     """Integral of H(t, tau) f'(tau) from a to t, per node."""
     _check_inputs(spec, f, scheme)
-    trap, mid = _aux2_both(spec, f, _KernelTable(spec, f.grid))
-    return _finish(f.grid, trap, mid, scheme, f"I2[{f.label}]")
+    return _result(f.grid, _aux2(spec, f, _KernelTable(spec, f.grid)), scheme,
+                   f"I2[{f.label}]")
 
 
 def rl_deriv_ns(spec: KernelSpec, f: GridFunction, *,
@@ -616,13 +664,15 @@ def rl_deriv_ns(spec: KernelSpec, f: GridFunction, *,
     """Bounded-kernel RL-type derivative: prefactor/psi' * d/dt of aux_integral_1."""
     _check_inputs(spec, f, scheme)
     table = _KernelTable(spec, f.grid)
-    inner_t, inner_m = _aux1_both(spec, f, table)
+    inner = _aux1(spec, f, table)
     factors = _prefactors(spec, table.alphas) / spec.warp.deriv_values(f.grid)
-    trap = fd_deriv(inner_t, f.h)
-    trap *= factors
-    mid = fd_deriv(inner_m, f.h)
-    mid *= factors
-    return _finish(f.grid, trap, mid, scheme, f"D_rl[{f.label}]")
+
+    def sums(s: str) -> np.ndarray:
+        out = fd_deriv(inner(s), f.h)
+        out *= factors
+        return out
+
+    return _result(f.grid, sums, scheme, f"D_rl[{f.label}]")
 
 
 def caputo_deriv_ns(spec: KernelSpec, f: GridFunction, *,
@@ -630,21 +680,36 @@ def caputo_deriv_ns(spec: KernelSpec, f: GridFunction, *,
     """Bounded-kernel Caputo-type derivative: prefactor * aux_integral_2."""
     _check_inputs(spec, f, scheme)
     table = _KernelTable(spec, f.grid)
-    trap, mid = _aux2_both(spec, f, table)
+    inner = _aux2(spec, f, table)
     factors = _prefactors(spec, table.alphas)
-    trap *= factors
-    mid *= factors
-    return _finish(f.grid, trap, mid, scheme, f"D_c[{f.label}]")
+
+    def sums(s: str) -> np.ndarray:
+        out = inner(s)
+        out *= factors
+        return out
+
+    return _result(f.grid, sums, scheme, f"D_c[{f.label}]")
 
 
 # --- weakly singular family ---------------------------------------------------
 
 
-def _moments(mus: np.ndarray, per_panel: bool, i: int, dpsi: np.ndarray) -> np.ndarray:
+def _moments(mus: np.ndarray, per_panel: bool, widths: np.ndarray, i: int,
+             dpsi: np.ndarray) -> np.ndarray:
     """Node i's row of _product_sums, given dpsi = psi_i - psi at half-grid
-    points 0, 1, ..., 2i: entry 2j the integral of (psi_i - x)^(mu-1) over
-    panel j, entry 2j+1 its first moment about the panel midpoint, entry 2i
-    zero. mu is mus[i], or mus[j] on panel j when per_panel."""
+    points 0, 1, ..., 2i and the panel widths w_j = psi_j+1 - psi_j: entry
+    2j the integral of (psi_i - x)^(mu-1) over panel j, entry 2j+1 its first
+    moment about the panel midpoint, entry 2i zero. mu is mus[i], or mus[j]
+    on panel j when per_panel.
+
+    The closed form of the first moment cancels, to an error of about
+    eps u^(mu+1) at u = psi_i - psi_j, and the slopes of a panel, of order
+    1/w_j, carry that error into the sums. So where rho = w_j / (u_j + u_j+1)
+    is below _NARROW, the moment is taken from its series about the panel's
+    midpoint, at c = (u_j + u_j+1) / 2:
+    c^(mu+1) (1 - mu) (2/3) rho^3 (1 + (2 - mu) (3 - mu) rho^2 / 10), whose
+    next term is below 1e-16 of it.
+    """
     U = dpsi[::2].copy()  # powers of a strided view are about 20 % slower
     u0, u1 = U[:-1], U[1:]
     mu = mus[:i] if per_panel else float(mus[i])
@@ -652,7 +717,15 @@ def _moments(mus: np.ndarray, per_panel: bool, i: int, dpsi: np.ndarray) -> np.n
     out = np.zeros(dpsi.size)
     out[:-1:2] = m0
     q = (u0 ** (mu + 1.0) - u1 ** (mu + 1.0)) / (mu + 1.0)
-    out[1::2] = 0.5 * (u0 + u1) * m0 - q
+    m1 = out[1::2]
+    np.subtract(0.5 * (u0 + u1) * m0, q, out=m1)
+    twice_c = u0 + u1
+    narrow = widths[:i] < _NARROW * twice_c
+    if narrow.any():
+        rho = widths[:i][narrow] / twice_c[narrow]
+        mu = mu[narrow] if per_panel else mu
+        m1[narrow] = ((0.5 * twice_c[narrow]) ** (mu + 1.0) * (1.0 - mu) * (2.0 / 3.0) * rho**3
+                      * (1.0 + (2.0 - mu) * (3.0 - mu) / 10.0 * rho**2))
     return out
 
 
@@ -678,6 +751,12 @@ def _product_sums(spec: KernelSpec, grid: np.ndarray, data: np.ndarray,
     # x is g_mid and a zero for the last node, which has no panel to open
     mid, corr = table.sums(np.concatenate((g_mid, np.zeros_like(data[..., :1])), axis=-1), slope)
     return mid + corr, mid
+
+
+def _finish(grid: np.ndarray, trap: np.ndarray, mid: np.ndarray,
+            scheme: str, label: str) -> OperatorResult:
+    """The OperatorResult of one pass that made both schemes."""
+    return _result(grid, lambda s: trap if s == "product_trapezoid" else mid, scheme, label)
 
 
 def _gammas(xs: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from fracvar import (
     caputo_deriv_classical,
     cli,
     expr,
+    operators,
     rl_deriv_ns,
     solve_fde,
     warp_from_expr,
@@ -83,6 +84,26 @@ def test_estimate_error_column_is_the_cross_scheme_gap(tmp_path, op, operator):
     mid = operator(spec, f, scheme="product_midpoint").values.values
     assert np.array_equal([row[1] for row in rows], mid)
     assert np.array_equal([row[2] for row in rows], np.abs(trap - mid))
+
+
+@pytest.mark.parametrize("flags,mids", [([], 0), (["--estimate-error"], 1),
+                                         (["--format", "json"], 1)])
+def test_deriv_sums_the_second_scheme_only_for_the_estimate(flags, mids, monkeypatch, capsys):
+    # a tracked-order deriv sums its midpoint column of _exp_sums only when
+    # the estimate is written: an estimate_error column or JSON output
+    counted = []
+    real = operators._exp_sums
+
+    def exp_sums(psi, rates, weights, x, factors=None, y=None):
+        counted.append(y is not None)
+        return real(psi, rates, weights, x, factors, y)
+
+    monkeypatch.setattr(operators, "_exp_sums", exp_sums)
+    assert run(["deriv", "--op", "caputo_ns", "--alpha", "0.5 + 0.2*t", "--beta", "track",
+                "--gamma", "track", "--f", "sin(t)", "--a", "0", "--b", "1", "--n", "512",
+                *flags]) == 0
+    capsys.readouterr()
+    assert sum(counted) == mids and len(counted) == 1 + mids
 
 
 def test_solve_documented_example(tmp_path, capsys):

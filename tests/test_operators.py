@@ -5,6 +5,7 @@ Every frozen expected value here comes straight from textbook formulas
 from the code under test.
 """
 
+import decimal
 import math
 from unittest import mock
 
@@ -31,6 +32,7 @@ from fracvar import (
     rl_integral_varorder,
     solve_fde,
     uniform_grid,
+    warp_from_expr,
 )
 from fracvar.errors import (
     DegenerateGrid,
@@ -692,6 +694,43 @@ def test_power_rule_refuses_exponents_off_its_domain(nus):
     assert mlf._power_rule(np.array(nus), 1.0 / 512, 1.0, 512) is None
 
 
+def test_power_rule_bound_within_tolerance_up_to_its_rate_limit():
+    # term (v) of the bound grows with K: within _SOE_TOL at _POWER_TERMS
+    # rates for every nu, past it one rate later as nu -> 1
+    for nu in (0.0, 0.01, 0.5, 0.9, 0.99, 1.0 - 1e-12):
+        assert _power_rule_bound(nu, 1.0, mlf._POWER_TERMS) <= mlf._SOE_TOL, nu
+    assert _power_rule_bound(1.0 - 1e-12, 1.0, mlf._POWER_TERMS + 1) > mlf._SOE_TOL
+
+
+def test_steep_warp_past_the_power_rule_limit_takes_accurate_rows(monkeypatch):
+    # psi = t^12 on [0.001, 1] at n = 1024 spans 3e32 node steps: its power
+    # rule would need 301 rates, past _POWER_TERMS, so the integral takes
+    # rows. Its first panels are up to 1e-36 wide at distances near 1, where
+    # the closed-form first moments cancel (long double misses by 2e-3, so
+    # the reference sums in 60-digit decimals); _moments' series keeps both
+    # schemes at roundoff
+    n = 1024
+    spec = _order_spec("0.4 + 0.3*t", interval=(0.001, 1.0), warp=warp_from_expr("t^12"))
+    grid = uniform_grid(0.001, 1.0, n)
+    mus = spec.order.values(grid)
+    table = _KernelTable(spec, grid, mus)
+    assert table.path == "rows"
+    with monkeypatch.context() as m:
+        m.setattr(mlf, "_POWER_TERMS", 10**6)
+        assert _KernelTable(spec, grid, mus)._rule[0].size == 301
+    psi = table.psih[::2]
+    data = np.sin(grid)
+    got = operators._product_sums(spec, grid, data, mus)
+    nodes = [64, 300, 700, 944, n]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        want = _long_double_product_sums(psi, data, mus, False, nodes, decimal.Decimal)
+    want = [w.astype(float) for w in want]
+    for scheme, g, w in zip(SCHEMES, got, want):
+        err = np.max(np.abs(g[nodes] - w)) / np.max(np.abs(w))
+        assert err <= 1e-13, (scheme, float(err))
+
+
 def _rows_built(monkeypatch):
     """A list that grows by one per table row the operators build."""
     rows = []
@@ -736,13 +775,15 @@ def test_power_soe_routing(monkeypatch):
     assert len(rows) == n + 1
 
 
-def _long_double_product_sums(psi, data, mus, per_panel, nodes):
+def _long_double_product_sums(psi, data, mus, per_panel, nodes, number=np.longdouble):
     """Trapezoid and midpoint product sums at the given nodes, from the exact
-    panel moments in long double: over panel j, with U_j = psi_i - psi_j,
-    m0 = (U_j^mu - U_j+1^mu) / mu and the first moment about the midpoint
+    panel moments in long double, or in the scalar type number: over panel
+    j, with U_j = psi_i - psi_j, m0 = (U_j^mu - U_j+1^mu) / mu and the first
+    moment about the midpoint
     m1 = (U_j + U_j+1) m0 / 2 - (U_j^(mu+1) - U_j+1^(mu+1)) / (mu+1)."""
-    psi, data, mus = (np.asarray(v, dtype=np.longdouble) for v in (psi, data, mus))
-    g = 0.5 * (data[:-1] + data[1:])
+    psi, data, mus = (np.array([number(x) for x in np.asarray(v, dtype=float).tolist()])
+                      for v in (psi, data, mus))
+    g = (data[:-1] + data[1:]) / 2
     slope = np.diff(data) / np.diff(psi)
     trap, mid = [], []
     for i in nodes:
@@ -750,7 +791,7 @@ def _long_double_product_sums(psi, data, mus, per_panel, nodes):
         mu = mus[:i] if per_panel else mus[i]
         p0, p1 = U[:-1] ** mu, U[1:] ** mu
         m0 = (p0 - p1) / mu
-        m1 = 0.5 * (U[:-1] + U[1:]) * m0 - (p0 * U[:-1] - p1 * U[1:]) / (mu + 1)
+        m1 = (U[:-1] + U[1:]) / 2 * m0 - (p0 * U[:-1] - p1 * U[1:]) / (mu + 1)
         mid.append(np.sum(g[:i] * m0))
         trap.append(mid[-1] + np.sum(slope[:i] * m1))
     return np.array(trap), np.array(mid)
@@ -913,6 +954,8 @@ def _stack_case(path):
     if path == "exp":
         # soe on the exponential kernel's exact rule
         return cf_spec(0.6), 96, ("soe", "toeplitz")
+    if path == "exp_log":
+        return cf_spec(0.6, **log), 96, ("soe", "soe")
     if path == "toeplitz":
         return cf_spec(0.6, gamma=0.5, beta=0.5), 96, ("toeplitz", "toeplitz")
     if path == "soe":
@@ -925,11 +968,13 @@ def _stack_case(path):
 
 
 @pytest.mark.parametrize("block", [None, 512])
-@pytest.mark.parametrize("path", ["exp", "toeplitz", "soe", "rows", "power_soe"])
+@pytest.mark.parametrize("path", ["exp", "exp_log", "toeplitz", "soe", "rows", "power_soe"])
 def test_stacked_rows_equal_single_calls_bit_for_bit(path, block, monkeypatch):
     # every operator on a stack of functions gives, in each row, exactly what
     # it gives that function alone; a small _BLOCK cuts the stack into
-    # several chunks of _exp_sums and its rates into more blocks
+    # several chunks of _exp_sums and its rates into more blocks. Stacked or
+    # alone, cross_scheme is |trapezoid - midpoint| of the two schemes'
+    # values, bit for bit, though one of them is summed only when it is read
     if block is not None:
         monkeypatch.setattr(operators, "_BLOCK", block)
     spec, n, (bounded, singular) = _stack_case(path)
@@ -947,14 +992,56 @@ def test_stacked_rows_equal_single_calls_bit_for_bit(path, block, monkeypatch):
     singles = [sampled(fn, a, b, n, deriv=deriv) for fn, deriv in fns]
     stack = GridFunction(grid=grid, values=np.array([f.values for f in singles]),
                          derivs=np.array([f.derivs for f in singles]))
+
+    def both(f):
+        results = [op(spec, f, scheme=scheme) for scheme in SCHEMES]
+        gap = np.abs(results[0].values.values - results[1].values.values)
+        for result in results:
+            assert np.array_equal(result.cross_scheme, gap), (op, result.scheme)
+        return results
+
     for op in ALL_OPERATORS:
-        for scheme in SCHEMES:
-            whole = op(spec, stack, scheme=scheme)
-            assert whole.values.values.shape == stack.values.shape
-            for k, f in enumerate(singles):
-                alone = op(spec, f, scheme=scheme)
-                assert np.array_equal(whole.values.values[k], alone.values.values), (op, k)
-                assert np.array_equal(whole.cross_scheme[k], alone.cross_scheme), (op, k)
+        whole = both(stack)
+        for k, f in enumerate(singles):
+            for stacked, alone in zip(whole, both(f)):
+                assert stacked.values.values.shape == stack.values.shape
+                assert np.array_equal(stacked.values.values[k], alone.values.values), (op, k)
+                assert np.array_equal(stacked.cross_scheme[k], alone.cross_scheme), (op, k)
+
+
+@pytest.mark.parametrize("path", ["exp", "toeplitz", "soe", "power_soe"])
+def test_second_scheme_summed_only_when_the_estimate_is_read(path, monkeypatch):
+    # a bounded-kernel call sums its own scheme's column alone, the node
+    # column of _exp_sums or of the Toeplitz products for the trapezoid
+    # rule and the midpoint column for the midpoint rule; the first read of
+    # the estimate sums the other column, and later reads sum nothing
+    spec, n, _ = _stack_case(path)
+    summed = []
+    real_sums, real_product = operators._exp_sums, operators._lower_product
+
+    def exp_sums(psi, rates, weights, x, factors=None, y=None):
+        summed.extend(["node"] * (x is not None) + ["mid"] * (y is not None))
+        return real_sums(psi, rates, weights, x, factors, y)
+
+    def lower_product(a):
+        product = real_product(a)
+
+        def counted(b):
+            summed.append("node" if b.shape[-1] == n + 1 else "mid")
+            return product(b)
+
+        return counted
+
+    monkeypatch.setattr(operators, "_exp_sums", exp_sums)
+    monkeypatch.setattr(operators, "_lower_product", lower_product)
+    a, b = spec.interval
+    f = sampled(np.sin, a, b, n, deriv=np.cos)
+    for scheme, own, other in zip(SCHEMES, ("node", "mid"), ("mid", "node")):
+        summed.clear()
+        result = caputo_deriv_ns(spec, f, scheme=scheme)
+        assert summed == [own], scheme
+        assert result.quad_error_estimate == np.max(result.cross_scheme)
+        assert summed == [own, other], scheme
 
 
 def test_stacked_rows_equal_single_calls_on_rows_after_a_refused_rule(monkeypatch):
