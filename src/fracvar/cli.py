@@ -157,13 +157,14 @@ def _load_config(path: str) -> list[str]:
 
 
 def _expand_config(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise InvalidParam("--config requires a path")
-    # config flags go right after the subcommand so explicit flags win
-    return argv[:1] + _load_config(argv[idx + 1]) + argv[1:]
+    for idx, tok in enumerate(argv):
+        key, eq, path = tok.partition("=")  # --config PATH or --config=PATH
+        if key == "--config":
+            if not eq and idx + 1 >= len(argv):
+                raise InvalidParam("--config requires a path")
+            # config flags go right after the subcommand so explicit flags win
+            return argv[:1] + _load_config(path if eq else argv[idx + 1]) + argv[1:]
+    return argv
 
 
 _EXPR_FLAGS = {"--rhs", "--f", "--alpha", "--psi", "--M"}

@@ -26,9 +26,9 @@ grid. No declared property of the order enters.
 * "soe" first for the exponential kernel (beta = gamma = 1 and every sampled
   alpha equal, any warp): H = exp(-lam (psi(t) - psi(tau))) is its own sum of
   exponentials, the exact rule of one rate lam with weight 1 (weights None),
-  so both sums come from one exact recurrence on the half-step grid
-  (_exp_sums), O(n) with about log2 n numpy passes at most. Error: 3e-16 to
-  3e-15 sup relative against long-double direct sums at n = 2048.
+  so both sums come from one exact recurrence (_exp_sums), O(n) with about
+  log2 n numpy passes at most. Error: 3e-16 to 3e-15 sup relative against
+  long-double direct sums at n = 2048.
 * Otherwise "toeplitz", every sampled exponent equal (alpha, or mu) on a
   uniformly spaced psi: the rows are Toeplitz (tracked gamma/beta are then
   constant too), and one row and a convolution per sum made serve every
@@ -55,15 +55,19 @@ grid. No declared property of the order enters.
   Each call of sums() builds the rows again, so a deferred second scheme
   costs a second pass over them.
 
+_exp_sums takes one layout, columns of data on one grid. Node sums run on the
+nodes; a midpoint sum runs on the half-step grid, y at its odd points and
+node i's weights at points 2i-1 and 2i, read at the nodes: twice the sources.
+
 Every operator takes one function or a stack of m functions on one grid
 (a GridFunction with values of shape (m, n + 1)) and returns values and
 cross-scheme estimates of the same shape. One table serves the whole stack,
 and each row of the result is, bit for bit, what that function gives alone:
 sums() keeps the stack as further data columns of _exp_sums on "soe" (cut
 into chunks that bound its temporaries, with a partition of the rates that
-depends neither on m nor on which columns are summed), transforms the stack
-in one FFT call on "toeplitz" (numpy's FFT takes each row alone, bit for
-bit) and makes one batched matrix product per node on "rows".
+does not depend on m), transforms the stack in one FFT call on "toeplitz"
+(numpy's FFT takes each row alone, bit for bit) and makes one batched matrix
+product per node on "rows".
 
 march() gives the solver the history of kernel rows node by node, on the
 same path: one running sum per rate of the sum-of-exponentials rule (on
@@ -245,7 +249,8 @@ class _KernelTable:
         for x of shape (n + 1,) and y of shape (n,), or for each row of a
         stack, x (m, n + 1) and y (m, n). A sum whose data is None is not
         made, and None stands in its place; the weakly singular rows take
-        both."""
+        both. Kernel rows on "soe" make the midpoint sums as _exp_sums on the
+        half-step grid (module docstring)."""
         n = self.n
         shape = x.shape if x is not None else y.shape[:-1] + (n + 1,)
         x = None if x is None else x.reshape(-1, n + 1)
@@ -273,16 +278,22 @@ class _KernelTable:
             nodes, mids = _power_sums(self.psih, x[:, :-1], y, self._mus, rates, weights,
                                       self._per_panel)
         else:
-            # kernel rows: x_i (H = 1 on the diagonal) plus the node column of
-            # _exp_sums, and its midpoint column
+            # kernel rows: x_i (H = 1 on the diagonal) plus _exp_sums on the
+            # nodes; the midpoint sums, _exp_sums of y at the odd points of
+            # the half-step grid, read at the nodes
             rates, weights = self._rule
-            sums = _exp_sums(self.psih, rates, None if weights is None else weights(slice(1, None)),
-                             None if x is None else x[None, :, :-1], y=y)
+            w = None if weights is None else weights(slice(1, None))
             if x is not None:
                 nodes = x.copy()
-                nodes[:, 1:] += sums[0]
+                nodes[:, 1:] += _exp_sums(self.psih[::2], rates, w, x[None, :, :-1])[0]
             if y is not None:
-                mids[:, 1:] += sums[-1]
+                def halves(ks):  # node i's weights at targets 2i-1 and 2i
+                    wk = w(ks)  # one column when every node shares the rule
+                    return wk if wk.shape[1] == 1 else np.repeat(wk, 2, axis=1)
+
+                data = np.zeros((1, m, 2 * n))
+                data[0, :, 1::2] = y
+                mids[:, 1:] = _exp_sums(self.psih, rates, w and halves, data)[0, :, 1::2]
         return (None if x is None else nodes.reshape(shape),
                 None if y is None else mids.reshape(shape))
 
@@ -410,22 +421,19 @@ def _lower_product(a: np.ndarray):
     return product
 
 
-def _exp_sums(psi: np.ndarray, rates: np.ndarray, weights, x: np.ndarray, factors=None,
-              y: np.ndarray | None = None) -> np.ndarray:
-    """sum_k w_ik T_ik per node i = 1..n for each column of data, on the
-    half-step grid psi (nodes at even entries), where
+def _exp_sums(psi: np.ndarray, rates: np.ndarray, weights, x: np.ndarray,
+              factors=None) -> np.ndarray:
+    """sum_k w_ik T_ik per target i = 1..n for each column of data, on the
+    grid psi (n + 1 points, sources and targets alike), where
 
-        T_ik = sum_{j<i} exp(-r_k (psi_2i - psi_2j)) x_kj     (node columns),
-        T_ik = sum_{j<i} exp(-r_k (psi_2i - psi_2j+1)) y_j    (midpoint column).
+        T_ik = sum_{j<i} exp(-r_k (psi_i - psi_j)) x_kj.
 
-    x (g, m, n) holds g node columns for each of the m rows of a stack, at
-    the sources j = 0..n-1, shared by every rate, or times factors(ks), of
-    shape (g, len(ks), n), for the rates rates[ks] (made per chunk of the
-    stack, so that they live no longer than its sums); None for no node
-    column. y (m, n), when given, is one midpoint column per row; it comes
-    last in the (columns, m, n) result.
-    weights(ks) gives w (one row per rate) at nodes 1..n for rates[ks], which
-    ascend; None means w = 1.
+    x (g, m, n) holds g columns for each of the m rows of a stack, at the
+    sources j = 0..n-1, shared by every rate, or times factors(ks), of shape
+    (g, len(ks), n), for the rates rates[ks] (made per chunk of the stack, so
+    that they live no longer than its sums); the result is (g, m, n).
+    weights(ks) gives w (one row per rate) at targets 1..n for rates[ks],
+    which ascend; None means w = 1.
 
     Rates are taken in blocks sized from n and the per-rate arrays of one
     row of the stack, so that a block's temporaries for one row stay within
@@ -433,32 +441,25 @@ def _exp_sums(psi: np.ndarray, rates: np.ndarray, weights, x: np.ndarray, factor
     _BLOCK doubles too. The partition of the rates does not depend on m, so
     each row of a stack gets the sums it gets alone, bit for bit.
 
-    Within a block the sources j split into rows of W, where W - 1 node
-    steps decay by no more than 1/e at the fastest rate. In a row ending at
-    reference R, with e(p) = exp(-r (R - psi_p)), T at node j+1 is a
+    Within a block the sources j split into rows of W, where W - 1 steps of
+    psi decay by no more than 1/e at the fastest rate. In a row ending at
+    reference R, with e(p) = exp(-r (R - psi_p)), T at target j+1 is a
     cumulative sum of e(source) * data plus the carry from the previous
-    row's reference, all divided by e(psi_2j+2). The carries are the linear
+    row's reference, all divided by e(psi_j+1). The carries are the linear
     recurrence of the row ends, solved by doubling: the decay across 2^m
     rows is one exp of a psi difference, never a product of rounded decays,
     so a term carried across the grid meets at most log2(rows) rounded
     factors. psi is differenced before it meets r, so no far-from-zero psi
     adds roundoff.
     """
-    if x is None:
-        x = np.empty((0,) + y.shape)
     g, m, n = x.shape
-    cols = g + (y is not None)  # columns per row of the stack
-    # rates per block: the node and midpoint columns of one row (one node
-    # column and the midpoint column counted whether or not they are given,
-    # so that either column alone takes the rate blocks of both), and
+    # rates per block: the columns of one row and the target decays, and
     # per-rate factors with the temporaries that form them
-    block = max(1, _BLOCK // (n * (max(g, 1) + 1 + (0 if factors is None else g + _FACTOR_TEMPS))))
-    out = np.empty((cols, m, n))
-    gap = float(np.max(psi[2::2] - psi[:-2:2]))
-    # psi_0, then the targets (the nodes 1..n) and the midpoints, each padded
-    # with psi_n for the last row
-    nodes = np.concatenate((psi[::2], np.full(n, psi[-1])))
-    middles = np.concatenate((psi[1::2], np.full(n, psi[-1])))
+    block = max(1, _BLOCK // (n * (g + 1 + (0 if factors is None else g + _FACTOR_TEMPS))))
+    out = np.empty((g, m, n))
+    gap = float(np.max(np.diff(psi)))
+    # psi_0, then the targets 1..n, padded with psi_n for the last row
+    points = np.concatenate((psi, np.full(n, psi[-1])))
     width = None
     for lo in range(0, rates.size, block):
         ks = slice(lo, lo + block)
@@ -467,37 +468,30 @@ def _exp_sums(psi: np.ndarray, rates: np.ndarray, weights, x: np.ndarray, factor
         W = n if fastest * n <= 1.0 else 1 + int(1.0 / fastest)
         if W != width:
             width, rows = W, -(-n // W)
-            # row q: sources j = qW..qW+W-1 (node j and midpoint j), targets
-            # the nodes j+1, reference the row's last target
-            refs = nodes[: rows * W + 1 : W]
-            a_tgt = refs[1:, None] - nodes[1 : rows * W + 1].reshape(rows, W)
-            if y is not None:
-                a_mid = refs[1:, None] - middles[: rows * W].reshape(rows, W)
+            # row q: sources j = qW..qW+W-1, targets j+1, reference the
+            # row's last target
+            refs = points[: rows * W + 1 : W]
+            a_tgt = refs[1:, None] - points[1 : rows * W + 1].reshape(rows, W)
             steps = (refs[1:] - refs[:-1])[None]
             step_min = float(steps.min())
         e_tgt = -r * a_tgt
         np.exp(e_tgt, out=e_tgt)
         carry = np.exp(-r[..., 0] * steps)
         w = None if weights is None else weights(ks)
-        chunk = max(1, _BLOCK // (cols * r.size * n))  # stack rows per S
+        chunk = max(1, _BLOCK // (g * r.size * n))  # stack rows per S
         for fs in (slice(f0, f0 + chunk) for f0 in range(0, m, chunk)):
-            # axes: column (node data, midpoint data), stack row, rate, row,
-            # source in row
-            S = np.empty((cols, x[:, fs].shape[1], r.size, rows, W))
-            # the node source j sits at target j-1, or at the previous reference
-            S[:g, ..., 0] = carry
-            S[:g, ..., 1:] = e_tgt[..., :-1]
+            # axes: column, stack row, rate, row, source in row
+            S = np.empty((g, x[:, fs].shape[1], r.size, rows, W))
+            # source j sits at target j-1, or at the previous reference
+            S[..., 0] = carry
+            S[..., 1:] = e_tgt[..., :-1]
             flat = S.reshape(S.shape[:3] + (rows * W,))
-            flat[:g, ..., :n] *= x[:, fs, None]
+            flat[..., :n] *= x[:, fs, None]
             if factors is not None:
-                flat[:g, ..., :n] *= factors(ks)[:, None]
-            if y is not None:
-                np.exp(-r * a_mid, out=S[g, 0])
-                S[g, 1:] = S[g, 0]
-                flat[g, ..., :n] *= y[fs, None]
+                flat[..., :n] *= factors(ks)[:, None]
             flat[..., n:] = 0.0
             np.cumsum(S, axis=-1, out=S)
-            # V[..., q] = the sums at refs[q], V[..., 0] = 0 at node 0
+            # V[..., q] = the sums at refs[q], V[..., 0] = 0 at psi_0
             V = np.zeros(S.shape[:3] + (rows + 1,))
             V[..., 1:] = S[..., -1]
             V[..., 1:] += carry * V[..., :-1]
@@ -589,7 +583,7 @@ def _power_sums(psih: np.ndarray, g_mid: np.ndarray, slope: np.ndarray, mus: np.
             phis[:, :, 1:] *= w(ks)
         return phis
 
-    hist = _exp_sums(psih, rates, None if per_panel else w, data, factors)
+    hist = _exp_sums(psi, rates, None if per_panel else w, data, factors)
     # the last panel: integral and first moment about its midpoint of s^(mu-1)
     m0 = hp**mus / mus
     m1 = hp ** (mus + 1.0) * (1.0 - mus) / (2.0 * mus * (mus + 1.0))

@@ -89,14 +89,15 @@ def test_estimate_error_column_is_the_cross_scheme_gap(tmp_path, op, operator):
 @pytest.mark.parametrize("flags,mids", [([], 0), (["--estimate-error"], 1),
                                          (["--format", "json"], 1)])
 def test_deriv_sums_the_second_scheme_only_for_the_estimate(flags, mids, monkeypatch, capsys):
-    # a tracked-order deriv sums its midpoint column of _exp_sums only when
-    # the estimate is written: an estimate_error column or JSON output
+    # a tracked-order deriv sums its midpoint column, _exp_sums on the
+    # 2n + 1 points of the half-step grid, only when the estimate is
+    # written: an estimate_error column or JSON output
     counted = []
     real = operators._exp_sums
 
-    def exp_sums(psi, rates, weights, x, factors=None, y=None):
-        counted.append(y is not None)
-        return real(psi, rates, weights, x, factors, y)
+    def exp_sums(psi, rates, weights, x, factors=None):
+        counted.append(psi.size == 2 * 512 + 1)
+        return real(psi, rates, weights, x, factors)
 
     monkeypatch.setattr(operators, "_exp_sums", exp_sums)
     assert run(["deriv", "--op", "caputo_ns", "--alpha", "0.5 + 0.2*t", "--beta", "track",
@@ -475,11 +476,12 @@ def test_config_file_preloads_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("op = caputo_ns\nalpha = 0.5\nf = t\na = 0\nb = 1\nn = 64\n"
                    "# comment line\nestimate-error = true\n")
-    out = tmp_path / "d.csv"
-    assert run(["deriv", "--config", str(cfg), "--out", str(out)]) == 0
-    header, rows = read_rows(out)
-    assert header == ["t", "value", "estimate_error"]
-    assert len(rows) == 65
+    for config in (["--config", str(cfg)], [f"--config={cfg}"]):
+        out = tmp_path / "d.csv"
+        assert run(["deriv", *config, "--out", str(out)]) == 0
+        header, rows = read_rows(out)
+        assert header == ["t", "value", "estimate_error"]
+        assert len(rows) == 65
 
     # explicit flags beat the file
     out2 = tmp_path / "d2.csv"

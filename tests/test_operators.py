@@ -439,6 +439,30 @@ def test_exponential_sums_match_long_double_rows(alpha, interval, warp):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("order, gamma, interval, warp", [
+    ("0.3 + 0.2*t", None, (0.0, 1.0), identity_warp()),   # tracked
+    ("0.75 + 0.2*t", None, (0.0, 1.0), identity_warp()),  # tracked, K = 430
+    ("0.4", 0.5, (1.0, 3.0), log_warp()),                 # one rule for every node
+])
+def test_soe_midpoint_sums_match_long_double_rows(order, gamma, interval, warp):
+    # the midpoint sums of a multi-rate rule, _exp_sums on the half-step
+    # grid, against long-double sums of the public kernel values at the
+    # panel midpoints
+    spec = KernelSpec(gamma=gamma, beta=gamma,
+                      order=OrderFunction.from_expr(order, interval=interval), warp=warp,
+                      norm=NormalizationFunction.one(), interval=interval)
+    grid = uniform_grid(*interval, 2048)
+    table = _KernelTable(spec, grid)
+    assert table.path == "soe" and table._rule[1] is not None
+    y = np.cos(grid[:-1] + grid[1:])
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    ref = np.zeros(grid.size, dtype=np.longdouble)
+    for i in range(1, grid.size):
+        ref[i] = kernel_values(spec, grid[i], mids[:i]).astype(np.longdouble) @ y[:i]
+    got = table.sums(None, y)[1]
+    assert np.max(np.abs(got - ref)) <= 2e-14 * np.max(np.abs(ref))
+
+
 def test_exponential_caputo_starts_at_exact_zero():
     # on the exponential path node 0's sum is d_0 itself, so the trapezoid
     # end correction cancels it exactly
@@ -1012,16 +1036,17 @@ def test_stacked_rows_equal_single_calls_bit_for_bit(path, block, monkeypatch):
 @pytest.mark.parametrize("path", ["exp", "toeplitz", "soe", "power_soe"])
 def test_second_scheme_summed_only_when_the_estimate_is_read(path, monkeypatch):
     # a bounded-kernel call sums its own scheme's column alone, the node
-    # column of _exp_sums or of the Toeplitz products for the trapezoid
-    # rule and the midpoint column for the midpoint rule; the first read of
-    # the estimate sums the other column, and later reads sum nothing
+    # column of _exp_sums (on the n + 1 nodes) or of the Toeplitz products
+    # for the trapezoid rule and the midpoint column (_exp_sums on the
+    # 2n + 1 points of the half-step grid) for the midpoint rule; the first
+    # read of the estimate sums the other column, and later reads sum nothing
     spec, n, _ = _stack_case(path)
     summed = []
     real_sums, real_product = operators._exp_sums, operators._lower_product
 
-    def exp_sums(psi, rates, weights, x, factors=None, y=None):
-        summed.extend(["node"] * (x is not None) + ["mid"] * (y is not None))
-        return real_sums(psi, rates, weights, x, factors, y)
+    def exp_sums(psi, rates, weights, x, factors=None):
+        summed.append("mid" if psi.size == 2 * n + 1 else "node")
+        return real_sums(psi, rates, weights, x, factors)
 
     def lower_product(a):
         product = real_product(a)
