@@ -12,10 +12,11 @@ decay like 1/j^2. The decay keeps derivative norms moderate, so the
 factor-1 boundedness ratio stays near 1; see the notes below.
 
 The suites hand their functions to the operators as stacks (one operator
-call per stack of _STACK doubles, not one per function): the corpus, the
-Lipschitz pair differences, the Taylor-sum differences. Each row of a
-stacked result equals the result for its function alone, so the verdicts and
-every reported number are those of one call per function. A stack holds
+call per stack of _STACK doubles, not one per function): the corpus and the
+Taylor-sum differences; Lipschitz pairs are differences of the corpus's
+derivatives (with its exact f'), by linearity. Each row of a stacked result
+equals the result for its function alone, so the verdicts and every reported
+number are those of one call per function. A stack holds
 2^15 doubles (31 functions at n = 1024): fewer, larger calls cut the
 per-call overhead for under 1 MB of peak RSS (the figures are at _STACK).
 
@@ -153,7 +154,7 @@ def standard_corpus(seed: int = 0, random_count: int = 6) -> tuple[TestFunction,
 def _stacks(count: int, grid: np.ndarray, rows: Callable):
     """(lo, stack) for the functions lo..hi-1 of count, in order: GridFunction
     stacks of at most _STACK doubles per array, from rows(lo, hi), which
-    gives their values and their derivatives (or None)."""
+    gives their values and their derivatives."""
     step = max(1, _STACK // grid.size)
     for lo in range(0, count, step):
         values, derivs = rows(lo, min(lo + step, count))
@@ -277,23 +278,21 @@ def check_boundedness(cfg: SuiteConfig) -> SuiteReport:
 
 
 def _max_ratio(cfg: SuiteConfig, n: int) -> float:
+    """max sup |D f_i - D f_j| / sup |f_i - f_j| over the corpus pairs and both
+    derivatives, which are linear: one call each per stack gives every gap."""
     a, b = cfg.spec.interval
-    values = [row for _, f in _corpus_stacks(cfg.test_functions, a, b, n) for row in f.values]
-    pairs = []
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            dnorm = float(np.max(np.abs(values[i] - values[j])))
-            if not dnorm < 1e-14:  # degenerate pairs are skipped
-                pairs.append((i, j, dnorm))
-
-    def rows(lo, hi):
-        return np.array([values[i] - values[j] for i, j, _ in pairs[lo:hi]]), None
-
+    count = len(cfg.test_functions)
+    data = np.empty((3, count, n + 1))  # f, D_rl f and D_c f per function
+    for lo, f in _corpus_stacks(cfg.test_functions, a, b, n):
+        hi = lo + f.values.shape[0]
+        data[0, lo:hi] = f.values
+        data[1, lo:hi] = rl_deriv_ns(cfg.spec, f).values.values
+        data[2, lo:hi] = caputo_deriv_ns(cfg.spec, f).values.values
     worst = 0.0
-    for lo, diffs in _stacks(len(pairs), uniform_grid(a, b, n), rows):
-        dnorms = np.array([dnorm for _, _, dnorm in pairs[lo : lo + diffs.values.shape[0]]])
-        for op in (rl_deriv_ns, caputo_deriv_ns):
-            worst = max(worst, float(np.max(_sup(op, cfg.spec, diffs) / dnorms)))
+    for i in range(count - 1):
+        diffs = np.max(np.abs(data[:, i + 1 :] - data[:, i, None]), axis=2)
+        keep = ~(diffs[0] < 1e-14)  # degenerate pairs are skipped
+        worst = max(worst, float(np.max(diffs[1:, keep] / diffs[0, keep], initial=0.0)))
     return worst
 
 
@@ -536,7 +535,9 @@ def check_vanish_at_a(cfg: SuiteConfig) -> SuiteReport:
 
 def check_comparison_suite(spec: KernelSpec, *, n: int = 256, count: int = 100,
                            seed: int = 0) -> SuiteReport:
-    # the cases go through one stacked check
+    """One stacked fde.check_comparison of the count cases of
+    fde.comparison_cases. Each u is <= 0 by construction, so the suite checks
+    their admission by the discrete operator, not the principle."""
     cases = list(fde.comparison_cases(spec, n, count, seed))
     reports = []
     if cases:

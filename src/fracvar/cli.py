@@ -69,6 +69,10 @@ _DERIV_OPS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    # flags match exactly, as _expand_config and _merge_expr_values read them
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # flag mistakes are configuration errors: exit 1, not argparse's 2
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")

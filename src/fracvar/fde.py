@@ -288,6 +288,8 @@ def comparison_cases(spec: KernelSpec, n: int, count: int, seed: int):
     are made in blocks of _DRAWS, whose admissible candidates go through one
     stacked Caputo call; they are accepted in draw order, and the stall guard
     counts single candidates, so the cases are those of one draw at a time.
+    Every u = -(d0 + d1 s + d2 s^2 + d3 (1 - cos(w s))), d >= 0, s = t - a,
+    is <= 0 before admission: the conclusion u <= 0 cannot fail on them.
     """
     a, b = spec.interval
     grid = uniform_grid(a, b, n)

@@ -33,9 +33,9 @@ grid. No declared property of the order enters.
   uniformly spaced psi: the rows are Toeplitz (tracked gamma/beta are then
   constant too), and one row and a convolution per sum made serve every
   node, truncated to the n + 1 outputs kept: real FFTs against the row's
-  node or midpoint spectrum, each made once per table, on its first use
-  (_lower_product), O(n log n). Error: within 1e-14 of long-double direct
-  sums, relative to the largest sum.
+  node or midpoint spectrum, made by the sum that reads it (_lower_product),
+  O(n log n). Error: within 1e-14 of long-double direct sums, relative to
+  the largest sum.
 * Otherwise "soe" on a rule of mlf (the Mittag-Leffler rule spot-checked,
   the power rule bounded by the proof in its docstring), with rates shared
   by every node and the slow ones (r span <= 1) folded into 14, so K is
@@ -173,7 +173,8 @@ class _KernelTable:
     node i (n + 1 values) or mus[j] on panel j (n values).
 
     path, set here once from the sampled values alone, is the one way sums(),
-    march() and row() run (module docstring), and _rule is the rule of "soe":
+    march() and row() run (module docstring), and _rule is the rule of "soe",
+    whose weights kernel-row sums fold once per table (_weights):
 
     * "soe", first, for beta = gamma = 1 and every sampled alpha equal: the
       exact rule (rates [lam], weights None), whatever the warp;
@@ -233,15 +234,11 @@ class _KernelTable:
         """H(t_i, tau_j) for j = 0..i (kernel rows)."""
         return self._row(i, 2)
 
-    # the Toeplitz products against the base row's node and midpoint
-    # entries, each made on its first use
     @functools.cached_property
-    def _node_product(self):
-        return _lower_product(self._base[::2])
-
-    @functools.cached_property
-    def _mid_product(self):
-        return _lower_product(self._base[1::2])
+    def _weights(self):
+        """The rule's weights at nodes 1..n, folded once for every sum."""
+        weights = self._rule[1]
+        return None if weights is None else weights(slice(1, None))
 
     def sums(self, x: np.ndarray | None,
              y: np.ndarray | None) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -250,7 +247,8 @@ class _KernelTable:
         stack, x (m, n + 1) and y (m, n). A sum whose data is None is not
         made, and None stands in its place; the weakly singular rows take
         both. Kernel rows on "soe" make the midpoint sums as _exp_sums on the
-        half-step grid (module docstring)."""
+        half-step grid (module docstring), and every sum reads the weights
+        folded once, on the table's first sum."""
         n = self.n
         shape = x.shape if x is not None else y.shape[:-1] + (n + 1,)
         x = None if x is None else x.reshape(-1, n + 1)
@@ -259,9 +257,9 @@ class _KernelTable:
         nodes, mids = None, np.zeros((m, n + 1))
         if self.path == "toeplitz":
             if x is not None:
-                nodes = self._node_product(x)
+                nodes = _lower_product(self._base[::2], x)
             if y is not None:
-                mids[:, 1:] = self._mid_product(y)
+                mids[:, 1:] = _lower_product(self._base[1::2], y)
         elif self.path == "rows":
             # one data row per sum made: x at the nodes, y at the midpoints
             data = np.zeros((m, (x is not None) + (y is not None), 2 * n + 1))
@@ -281,8 +279,7 @@ class _KernelTable:
             # kernel rows: x_i (H = 1 on the diagonal) plus _exp_sums on the
             # nodes; the midpoint sums, _exp_sums of y at the odd points of
             # the half-step grid, read at the nodes
-            rates, weights = self._rule
-            w = None if weights is None else weights(slice(1, None))
+            rates, w = self._rule[0], self._weights
             if x is not None:
                 nodes = x.copy()
                 nodes[:, 1:] += _exp_sums(self.psih[::2], rates, w, x[None, :, :-1])[0]
@@ -404,21 +401,16 @@ def _circular(a: np.ndarray, size: int):
     return lambda b: np.fft.irfft(np.fft.rfft(b, size) * spectrum, size)
 
 
-def _lower_product(a: np.ndarray):
-    """b -> the first a.size outputs of np.convolve(a, b) along b's last
-    axis, b.shape[-1] == a.size: the _circular product of length L, the least
+def _lower_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The first a.size outputs of np.convolve(a, b) along b's last axis,
+    b.shape[-1] == a.size: the _circular product of length L, the least
     power of two at or above 2 (a.size - 1), truncated. Only output
     2 (a.size - 1) of the full product can wrap, onto output 0, which is
     therefore set to a[0] b[0]."""
     m = a.size
-    circular = _circular(a, 1 << (2 * m - 3).bit_length())
-
-    def product(b: np.ndarray) -> np.ndarray:
-        out = circular(b)[..., :m]
-        out[..., 0] = a[0] * b[..., 0]
-        return out
-
-    return product
+    out = _circular(a, 1 << (2 * m - 3).bit_length())(b)[..., :m]
+    out[..., 0] = a[0] * b[..., 0]
+    return out
 
 
 def _exp_sums(psi: np.ndarray, rates: np.ndarray, weights, x: np.ndarray,

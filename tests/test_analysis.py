@@ -28,7 +28,7 @@ from fracvar.analysis import (
     check_vanish_at_a,
 )
 from fracvar.errors import InvalidParam
-from fracvar.grids import uniform_grid
+from fracvar.grids import GridFunction, uniform_grid
 from fracvar.kernel import _ml_kernel
 from fracvar.operators import _KernelTable, make_special_case
 
@@ -165,6 +165,61 @@ class TestIndividualChecks:
         assert report.cases_run == 10
 
 
+def _pairwise_max_ratio(cfg, n):
+    """The Lipschitz suite's worst ratio from one call per pair difference
+    and derivative, the difference given its exact derivative: the
+    reference for _max_ratio, which takes the gaps by linearity."""
+    a, b = cfg.spec.interval
+    fs = [tf.on(a, b, n) for tf in cfg.test_functions]
+    worst = 0.0
+    for i, fi in enumerate(fs):
+        for fj in fs[i + 1 :]:
+            dnorm = float(np.max(np.abs(fi.values - fj.values)))
+            if dnorm < 1e-14:
+                continue
+            diff = GridFunction(grid=fi.grid, values=fi.values - fj.values,
+                                derivs=fi.derivs - fj.derivs)
+            for op in (rl_deriv_ns, caputo_deriv_ns):
+                worst = max(worst, float(np.max(np.abs(op(cfg.spec, diff).values.values)))
+                            / dnorm)
+    return worst
+
+
+@pytest.mark.parametrize("spec", [
+    make_special_case("caputo_fabrizio", 0.5),
+    make_special_case("log_warp", 0.5, interval=(1.0, 2.0), gamma=0.5, beta=0.5),
+])
+def test_lipschitz_ratio_by_linearity_matches_pair_differences(spec):
+    cfg = SuiteConfig(spec=spec, test_functions=standard_corpus(seed=11, random_count=4))
+    got, want = analysis._max_ratio(cfg, 512), _pairwise_max_ratio(cfg, 512)
+    assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
+def test_lipschitz_calls_each_derivative_once_per_corpus_stack(monkeypatch):
+    # with stacks of 4100 doubles the 10 functions take 2 stacks at n = 512
+    # and 3 at n = 1024; each derivative is called once on each, with the
+    # corpus's exact derivatives, and the report is the one-stack report
+    [canonical] = default_suite_run("lipschitz", seed=0)
+    calls = []
+
+    def spied(op):
+        def call(spec, f):
+            assert f.derivs is not None
+            calls.append((op.__name__, f.values.shape))
+            return op(spec, f)
+        return call
+
+    for op in (rl_deriv_ns, caputo_deriv_ns):
+        monkeypatch.setattr(analysis, op.__name__, spied(op))
+    monkeypatch.setattr(analysis, "_STACK", 4 * 1025)
+    [report] = default_suite_run("lipschitz", seed=0)
+    assert calls == [(name, (rows, n + 1))
+                     for n, stacks in ((512, (7, 3)), (1024, (4, 4, 2)))
+                     for rows in stacks for name in ("rl_deriv_ns", "caputo_deriv_ns")]
+    assert report.cases_run == canonical.cases_run == 90
+    assert report.notes == canonical.notes and report.passed
+
+
 def _batched_kernel_deviation(spec, eps, n):
     """max |H(t_i, t_j) - 1| over j <= i at every (n // 128)-th node, the
     rows laid end to end in batches of about 3072 values, one _ml_kernel
@@ -228,3 +283,23 @@ def test_default_vanish_run_passes():
     assert len(reports) == 1
     assert reports[0].passed
     assert reports[0].cases_run > 0
+
+
+def test_default_run_of_every_suite_passes():
+    # every canonical suite at seed 0, in the order and with the case counts
+    # that `verify --suite all` reports
+    reports = [r for name in SUITE_NAMES for r in default_suite_run(name, seed=0)]
+    assert [r.cases_run for r in reports] == [212, 52, 52, 90, 64, 64, 64, 51, 12, 30, 100]
+    assert all(r.passed for r in reports if not r.informational)
+
+
+def test_failed_suite_reports_case_observed_bound_and_margin(monkeypatch):
+    # with no room for the calibration to move under refinement the
+    # Lipschitz suite fails, and its failure says by how much
+    monkeypatch.setitem(analysis._TOLS, "lipschitz", 0.0)
+    [report] = default_suite_run("lipschitz", seed=0)
+    assert not report.passed
+    [failure] = report.failures
+    assert failure["case"] == "theta refinement stability"
+    assert failure["observed"] > 0.0 and failure["bound"] == 0.0
+    assert failure["margin"] == -failure["observed"]

@@ -415,9 +415,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "max_point", "--format", "csv"],
         DERIV_EXAMPLE + ["--seed", "7"],
+        ["--rh" if tok == "--rhs" else tok for tok in SOLVE_EXAMPLE],
+        ["solve", "--rh=-u"] + SOLVE_EXAMPLE[3:],
     ])
     def test_unsupported_flag_is_config_error(self, argv):
-        # verify writes text or JSON only; only verify draws random cases
+        # verify writes text or JSON only; only verify draws random cases;
+        # flags match exactly, so a prefix of --rhs is no flag at all
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 1
@@ -472,7 +475,7 @@ def test_calls_in_one_process_print_what_fresh_processes_print(capsys):
     assert codes == [1, 0, 0, 1, 0, 0]
 
 
-def test_config_file_preloads_flags(tmp_path):
+def test_config_file_preloads_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("op = caputo_ns\nalpha = 0.5\nf = t\na = 0\nb = 1\nn = 64\n"
                    "# comment line\nestimate-error = true\n")
@@ -482,6 +485,16 @@ def test_config_file_preloads_flags(tmp_path):
         header, rows = read_rows(out)
         assert header == ["t", "value", "estimate_error"]
         assert len(rows) == 65
+
+    # flags match exactly: a prefix of --config is no flag, and its file is
+    # not read
+    flags = tmp_path / "flags.cfg"
+    flags.write_text("estimate-error = true\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["deriv", "--op", "caputo_ns", "--alpha", "0.5", "--f", "t", "--a", "0",
+             "--b", "1", "--n", "16", "--conf", str(flags)])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --conf" in capsys.readouterr().err
 
     # explicit flags beat the file
     out2 = tmp_path / "d2.csv"

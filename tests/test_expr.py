@@ -192,6 +192,18 @@ def test_derivative_wrt_other_variable():
     assert expr.evaluate(du, {"t": 3.0, "u": 100.0}) == 3.0
 
 
+def test_derivative_of_abs_is_the_sign_and_faults_at_the_kink():
+    dnode = expr.derivative(expr.parse("abs(t - 0.5)"), "t")
+    assert expr.to_source(dnode) == "(t - 0.5) / abs(t - 0.5)"
+    assert expr.evaluate(dnode, {"t": 0.2}) == -1.0
+    assert expr.evaluate(dnode, {"t": 0.9}) == 1.0
+    assert np.array_equal(expr.evaluate(dnode, {"t": np.array([0.2, 0.9])}), [-1.0, 1.0])
+    for t in (0.5, np.array([0.2, 0.5])):
+        with pytest.raises(DomainFault) as err:
+            expr.evaluate(dnode, {"t": t})
+        assert str(err.value) == "division by zero"
+
+
 def _trees(constants):
     return st.recursive(
         st.one_of(constants.map(expr.Const), st.sampled_from(["t", "u", "alpha"]).map(expr.Var)),

@@ -528,7 +528,7 @@ def test_lower_convolve_matches_long_double(m):
     rng = np.random.default_rng(m)
     a = np.exp(-np.linspace(0.0, 3.0, m)) * (1.0 + 0.1 * rng.random(m))
     b = rng.standard_normal(m)
-    got = operators._lower_product(a)(b)
+    got = operators._lower_product(a, b)
     assert got.shape == (m,)
     al, bl = a.astype(np.longdouble), b.astype(np.longdouble)
     outputs = np.arange(m) if m <= 8193 else np.append(np.arange(0, m, 16), m - 1)
@@ -1048,14 +1048,9 @@ def test_second_scheme_summed_only_when_the_estimate_is_read(path, monkeypatch):
         summed.append("mid" if psi.size == 2 * n + 1 else "node")
         return real_sums(psi, rates, weights, x, factors)
 
-    def lower_product(a):
-        product = real_product(a)
-
-        def counted(b):
-            summed.append("node" if b.shape[-1] == n + 1 else "mid")
-            return product(b)
-
-        return counted
+    def lower_product(a, b):
+        summed.append("node" if b.shape[-1] == n + 1 else "mid")
+        return real_product(a, b)
 
     monkeypatch.setattr(operators, "_exp_sums", exp_sums)
     monkeypatch.setattr(operators, "_lower_product", lower_product)
@@ -1067,6 +1062,32 @@ def test_second_scheme_summed_only_when_the_estimate_is_read(path, monkeypatch):
         assert summed == [own], scheme
         assert result.quad_error_estimate == np.max(result.cross_scheme)
         assert summed == [own, other], scheme
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_tracked_rule_folded_once_per_table(scheme, monkeypatch):
+    # the rule's weights at nodes 1..n are folded on the table's first sum;
+    # the deferred second scheme reads the same fold
+    folds = []
+    real_rule = operators._soe_rule
+
+    def soe_rule(*args):
+        rates, weights = real_rule(*args)
+
+        def counted(cols):
+            folds.append(cols)
+            return weights(cols)
+
+        return rates, counted
+
+    monkeypatch.setattr(operators, "_soe_rule", soe_rule)
+    spec = tracked_spec()
+    f = sampled(np.sin, n=256, deriv=np.cos)
+    assert _KernelTable(spec, f.grid).path == "soe"
+    result = caputo_deriv_ns(spec, f, scheme=scheme)
+    assert folds == [slice(1, None)]
+    assert result.quad_error_estimate > 0.0
+    assert folds == [slice(1, None)]
 
 
 def test_stacked_rows_equal_single_calls_on_rows_after_a_refused_rule(monkeypatch):
