@@ -16,9 +16,9 @@ returns an infinity ("expression evaluated to a non-finite value").
 
 For float bindings called many times (the solver's right-hand side),
 :func:`to_function` compiles a tree once into straight-line Python generated
-from the same table, with every domain and finiteness test inline. When a
-test misses it re-runs the walk, so fault messages and offsets are the
-walk's, and values are the walk's to the bit. Arrays always walk.
+from the same table, with every domain test inline and finiteness tested
+where a non-finite value could be lost. When a test misses it re-runs the
+walk, so fault messages, offsets and values are the walk's. Arrays walk.
 """
 
 from __future__ import annotations
@@ -203,13 +203,16 @@ def parse(src: str, allowed_vars: frozenset[str] | set[str] = ALL_VARIABLES) -> 
     (0.5^1e400 is 0, 2*1e400 faults at the product).
     """
     node = _Parser(src, frozenset(allowed_vars)).parse()
-    # evaluation checks every operation but -, abs, ln and sqrt, which pass
-    # an infinity through
-    leaf = node
-    while isinstance(leaf, Unary) and leaf.op in ("neg", "abs", "ln", "sqrt"):
-        leaf = leaf.operand
+    leaf = _core(node)
     if isinstance(leaf, Const) and not math.isfinite(leaf.value):
         raise DomainFault("numeric literal is not finite", leaf.pos)
+    return node
+
+
+def _core(node: Node) -> Node:
+    """node without its outer -, abs, ln and sqrt, the operations not checked."""
+    while isinstance(node, Unary) and node.op in ("neg", "abs", "ln", "sqrt"):
+        node = node.operand
     return node
 
 
@@ -319,12 +322,19 @@ def to_function(node: Node, names: Sequence[str]) -> Callable[..., float]:
     """Compile the tree into a function of positional floats, one per name.
 
     The function is straight-line code, built once: each operation calls its
-    float function from _OPS with the entry's domain tests before it and its
-    finiteness test after it. When a test misses or math raises, it returns
-    evaluate(node, env) instead, so the walk stays the only source of
-    DomainFault messages and offsets, and each result is the walk's to the
-    bit. Constants are bound by name (inf, -0.0 and pi are not safe literals).
+    float function from _OPS with the entry's domain tests before it. When a
+    test misses or math raises, it returns evaluate(node, env) instead, so
+    the walk stays the only source of DomainFault messages and offsets.
+    Constants are bound by name (inf, -0.0 and pi are not safe literals).
     Array bindings go through evaluate.
+
+    Finiteness is tested at the root and at each operand of /, ^ and exp
+    whose _core is an operation, which is exact: the walk faults at the first
+    checked operation whose value is not finite, and the compiled code, equal
+    to it up to there, carries that value on to a test, since only 1 / inf,
+    inf^0 and exp(-inf) are finite; every other operation maps a non-finite
+    operand to a non-finite value or raises (inf - inf and 0 * inf are NaN,
+    sin(inf) raises). Const and Var are checked by neither (0.5^1e400 is 0).
     """
     names = tuple(names)
     unbound = variables(node) - set(names)
@@ -343,17 +353,18 @@ def to_function(node: Node, names: Sequence[str]) -> Callable[..., float]:
             return name
         if isinstance(node, Var):
             return f"_a{names.index(node.name)}"
-        if isinstance(node, Unary):
-            args = (emit(node.operand),)
-        elif isinstance(node, Binary):
-            args = (emit(node.left), emit(node.right))
-        else:
+        if not isinstance(node, (Unary, Binary)):
             raise TypeError(f"not an expression node: {node!r}")
+        operands = (node.operand,) if isinstance(node, Unary) else (node.left, node.right)
+        args = tuple(map(emit, operands))
         result = f"_v{len(lines)}"
         if node.op in ("neg", "abs"):
             lines.append(f"{result} = {'-' if node.op == 'neg' else 'abs'}({args[0]})")
             return result
-        float_fn, _, domain, finite = _OPS[node.op]
+        if node.op in ("/", "^", "exp"):
+            lines.extend(f"if not _isfinite({arg}): raise ArithmeticError" for arg, operand
+                         in zip(args, operands) if not isinstance(_core(operand), (Const, Var)))
+        float_fn, _, domain, _ = _OPS[node.op]
         if domain:
             lines.append(f"{', '.join('xy'[:len(args)])} = {', '.join(args)}")
             lines.extend(f"if {source}: raise ArithmeticError" for _, source, _ in domain)
@@ -362,13 +373,11 @@ def to_function(node: Node, names: Sequence[str]) -> Callable[..., float]:
         else:
             namespace["_" + float_fn.__name__] = float_fn
             lines.append(f"{result} = _{float_fn.__name__}({', '.join(args)})")
-        if finite:
-            lines.append(f"if not _isfinite({result}): raise ArithmeticError")
         return result
 
     value = emit(node)
-    body = "".join(f"        {line}\n" for line in lines)
-    source = (f"def compiled({params}):\n    try:\n{body}        return {value}\n"
+    body = "".join(f"        {s}\n" for s in lines + [f"if _isfinite({value}): return {value}"])
+    source = (f"def compiled({params}):\n    try:\n{body}"
               f"    except (ArithmeticError, ValueError):\n        pass\n"
               f"    return _walk({params})\n")
     exec(compile(source, "<fracvar.expr>", "exec"), namespace)

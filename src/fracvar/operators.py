@@ -4,10 +4,10 @@ Every operator is a history sum over one half-step table (nodes and panel
 midpoints, one weight row per output node), which also gives the solver its
 residual. Each operator is computed under a trapezoid and a midpoint scheme;
 the reported quad_error_estimate is the sup difference between the two. The
-bounded-kernel operators sum only the scheme asked for, and the other one,
-from the same table, the first time the estimate is read (OperatorResult);
-the weakly singular family makes both in one pass. Two row builders fill
-the table:
+bounded-kernel operators sum only the scheme asked for (both on "rows"), and
+the other one, from the same table, the first time the estimate is read
+(OperatorResult); the weakly singular family makes both in one pass. Two
+row builders fill the table:
 
 * The bounded-kernel family (aux_integral_1/2 and the derivatives built on
   them): the kernel values H(t_i, .), taken with composite trapezoid weights
@@ -52,8 +52,8 @@ grid. No declared property of the order enters.
 * Otherwise "rows", when no rule applies (gamma != beta) or the rule is
   refused, as when it would need more than n rates: one row per output node,
   O(n^2) kernel evaluations, each sum a dot product, as accurate as the rows.
-  Each call of sums() builds the rows again, so a deferred second scheme
-  costs a second pass over them.
+  Each call of sums() builds the rows again, so the bounded-kernel operators
+  make both schemes in their first call (_history) and keep the other.
 
 _exp_sums takes one layout, columns of data on one grid. Node sums run on the
 nodes; a midpoint sum runs on the half-step grid, y at its odd points and
@@ -338,10 +338,13 @@ def _toeplitz_march(g: np.ndarray):
     far = np.zeros(n)  # the part of M_p from earlier blocks
     products = {}
     sub = float(g[1])
+    stored = memoryview(steps)
     for p in range(n):
-        lo = p - p % _NEAR
-        steps[p] = yield (float(g[p + 1]), sub,
-                          float(far[p] + cr[n - 1 - p + lo : n - 1].dot(steps[lo:p])))
+        k = p % _NEAR
+        if k == 0:  # the block's heads, and its far field, final from here on
+            heads, fars = g[p + 1 : p + 1 + _NEAR].tolist(), far[p : p + _NEAR].tolist()
+        stored[p] = yield (heads[k], sub,
+                           fars[k] + float(cr[n - 1 - k : n - 1].dot(steps[p - k : p])))
         q = p + 1
         if q % _NEAR == 0:
             h = q & -q
@@ -587,20 +590,23 @@ def _power_sums(psih: np.ndarray, g_mid: np.ndarray, slope: np.ndarray, mus: np.
 
 def _history(table: _KernelTable, x: np.ndarray, y: np.ndarray, h: float):
     """scheme -> its sums, made when asked for: the composite trapezoid sums
-    of H * x, or the midpoint sums of H * y."""
+    of H * x, or the midpoint sums of H * y; on "rows", both in one pass."""
+    kept = {}
 
     def sums(scheme: str) -> np.ndarray:
-        if scheme == "product_midpoint":
-            mids = table.sums(None, y)[1]
-            mids *= h
-            return mids
-        ends = x.copy()
-        ends[..., 0] *= 0.5
-        nodes = table.sums(ends, None)[0]
-        # H(t_i, t_i) = 1: the weight-1/2 end at tau_i takes off x_i / 2
-        nodes -= 0.5 * x
-        nodes *= h
-        return nodes
+        if scheme not in kept:
+            rows = table.path == "rows"
+            ends = None
+            if rows or scheme == SCHEMES[0]:
+                ends = x.copy()
+                ends[..., 0] *= 0.5
+            nodes, mids = table.sums(ends, y if rows or scheme == SCHEMES[1] else None)
+            if nodes is not None:
+                # H(t_i, t_i) = 1: the weight-1/2 end at tau_i takes off x_i / 2
+                nodes -= 0.5 * x
+            kept.update((s, np.multiply(v, h, out=v)) for s, v in zip(SCHEMES, (nodes, mids))
+                        if v is not None)
+        return kept.pop(scheme)
 
     return sums
 

@@ -294,6 +294,14 @@ def _outcome(fn, values):
        st.lists(_compile_binding, min_size=3, max_size=3))
 @example("1/(u*1e308*10)", [0.0, 1.0, 0.0])
 @example("(-0.5)^1e400", [0.0, 0.0, 0.0])
+# plain float code returns 0 or 1 for each of these, where the walk faults at
+# the product: the overflow is absorbed by an operand of exp, / or ^, reached
+# through -, ln or abs
+@example("exp(-(u*1e308*10))", [0.0, 1.0, 0.0])
+@example("1/ln(u*1e308*10)", [0.0, 1.0, 0.0])
+@example("2^(-(u*1e308*10))", [0.0, 1.0, 0.0])
+@example("abs(u*1e308*10)^0", [0.0, 1.0, 0.0])
+@example("(u*1e308*10)^0", [0.0, 1.0, 0.0])
 @settings(max_examples=300, deadline=None)
 def test_compiled_and_walked_results_agree(src, values):
     """The same bits (so -0.0 counts), or the same fault at the same offset."""

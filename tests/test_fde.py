@@ -155,22 +155,34 @@ def test_march_passes_rhs_python_floats():
     assert seen == {(float, float)}
 
 
-@pytest.mark.parametrize("rhs", [
-    lambda t, u: -1.3 * u,
-    lambda t, u: -u ** 3 - u + math.sin(math.pi * t),
-], ids=["linear", "cubic"])
-def test_solve_makes_three_rhs_calls_per_node(rhs):
+def _cubic(t, u):
+    return -u ** 3 - u + math.sin(math.pi * t)
+
+
+@pytest.mark.parametrize("spec, route", [
+    (CF, "soe exact"),
+    (make_special_case("atangana", alpha=0.5, interval=(0.0, 1.0)), "toeplitz"),
+    (SOE_SPEC, "soe"),
+], ids=["exp", "toeplitz", "soe"])
+@pytest.mark.parametrize("rhs", [lambda t, u: -1.3 * u, _cubic], ids=["linear", "cubic"])
+def test_solve_makes_three_rhs_calls_per_node(rhs, spec, route, request):
     # on the warm secant slope each node costs two calls in the nodal solve
     # and one in the residual certification; f(a, u0) and node 1's central
-    # difference add three (a central-difference slope per step made five)
+    # difference add three (a central-difference slope per step made five),
+    # on each route of the march
+    if rhs is _cubic and route != "soe exact":
+        request.applymarker(pytest.mark.xfail(strict=True, reason=(
+            "gamma = beta = 1/2: the first 166 (Toeplitz) or 360 (soe) of the 4096 nodes "
+            "take a second secant step on the cubic, 12461 or 12654 calls in all")))
     n = 4096
+    assert _march_route(spec, n) == route
     calls = []
 
     def counted(t, u):
         calls.append(u)
         return rhs(t, u)
 
-    problem = FdeProblem(spec=CF, rhs=counted, initial=1.0, grid_n=n)
+    problem = FdeProblem(spec=spec, rhs=counted, initial=1.0, grid_n=n)
     calls.clear()  # the problem's own finiteness check samples rhs too
     solve_fde(problem)
     assert len(calls) <= 3 * n + 3

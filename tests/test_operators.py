@@ -1064,6 +1064,28 @@ def test_second_scheme_summed_only_when_the_estimate_is_read(path, monkeypatch):
         assert summed == [own, other], scheme
 
 
+def test_rows_make_both_schemes_in_one_pass(monkeypatch):
+    # on "rows" the first sum builds each kernel row once for both schemes,
+    # and reading the estimate builds none again
+    spec, n, _ = _stack_case("rows")
+    built = []
+    real_row = _KernelTable._row
+
+    def row(self, i, stride):
+        built.append(i)
+        return real_row(self, i, stride)
+
+    monkeypatch.setattr(_KernelTable, "_row", row)
+    a, b = spec.interval
+    f = sampled(np.sin, a, b, n, deriv=np.cos)
+    for scheme in SCHEMES:
+        built.clear()
+        result = caputo_deriv_ns(spec, f, scheme=scheme)
+        assert built == list(range(n + 1)), scheme
+        assert result.quad_error_estimate == np.max(result.cross_scheme)
+        assert built == list(range(n + 1)), scheme
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_tracked_rule_folded_once_per_table(scheme, monkeypatch):
     # the rule's weights at nodes 1..n are folded on the table's first sum;
