@@ -166,7 +166,9 @@ def _corpus_stacks(tfs: tuple[TestFunction, ...], a: float, b: float, n: int):
 
     The trigonometric polynomials of a stack are summed over one table of
     sin(j pi t) and cos(j pi t) for the grid, term by term in j as their
-    fn and deriv sum them, so each row is what fn and deriv give alone."""
+    fn and deriv sum them, so each row is what fn and deriv give alone. The
+    terms are formed in two buffers made once per stack, not in fresh
+    temporaries per harmonic."""
     grid = uniform_grid(a, b, n)
     x = np.multiply.outer(grid, _JPI)
     # one row per harmonic
@@ -181,9 +183,16 @@ def _corpus_stacks(tfs: tuple[TestFunction, ...], a: float, b: float, n: int):
                         for i in (0, 1))
         v = np.zeros((len(trig), grid.size))
         d = np.zeros_like(v)
+        one, two = np.empty_like(v), np.empty_like(v)
         for j in range(_JPI.size):
-            v += a_sin[:, j] * sin[j] + a_cos[:, j] * cos[j]
-            d += _JPI[j] * (a_sin[:, j] * cos[j] - a_cos[:, j] * sin[j])
+            # v += a_sin sin + a_cos cos, d += jpi (a_sin cos - a_cos sin)
+            np.multiply(a_sin[:, j], sin[j], out=one)
+            one += np.multiply(a_cos[:, j], cos[j], out=two)
+            v += one
+            np.multiply(a_sin[:, j], cos[j], out=one)
+            one -= np.multiply(a_cos[:, j], sin[j], out=two)
+            one *= _JPI[j]
+            d += one
         values[trig], derivs[trig] = v, d
         for k, tf in enumerate(tfs[lo:hi]):
             if tf.harmonics is None:
@@ -535,16 +544,18 @@ def check_vanish_at_a(cfg: SuiteConfig) -> SuiteReport:
 
 def check_comparison_suite(spec: KernelSpec, *, n: int = 256, count: int = 100,
                            seed: int = 0) -> SuiteReport:
-    """One stacked fde.check_comparison of the count cases of
-    fde.comparison_cases. Each u is <= 0 by construction, so the suite checks
-    their admission by the discrete operator, not the principle."""
-    cases = list(fde.comparison_cases(spec, n, count, seed))
+    """fde.check_comparison's reports for the count cases of
+    fde.comparison_cases, from the stacks that admitted them: each case takes
+    one Caputo call, its admission's. Each u is <= 0 by construction, so the
+    suite checks their admission by the discrete operator, not the
+    principle."""
+    grid = uniform_grid(*spec.interval, n)
     reports = []
-    if cases:
-        grid = cases[0][0].grid
-        u = GridFunction(grid=grid, values=np.array([u.values for u, _ in cases]))
-        q = GridFunction(grid=grid, values=np.array([q.values for _, q in cases]))
-        reports = fde.check_comparison(spec, u, q)
+    columns = list(zip(*fde._comparison_blocks(spec, grid, count, seed)))
+    if columns:
+        us, qs, Q = map(np.concatenate, columns)
+        fde._require_q(qs)
+        reports = fde._comparison_reports(us, Q)
     failures = []
     for case, rep in enumerate(reports, 1):
         if not rep.applicable:
@@ -552,7 +563,7 @@ def check_comparison_suite(spec: KernelSpec, *, n: int = 256, count: int = 100,
                                      rep.max_inequality, 0.0))
         elif rep.violations:
             failures.append(_failure(f"case {case} conclusion", rep.violations, 0.0))
-    return SuiteReport("comparison", cases_run=len(cases), failures=failures)
+    return SuiteReport("comparison", cases_run=len(reports), failures=failures)
 
 
 # --- canonical configurations ---------------------------------------------------
@@ -561,12 +572,14 @@ def check_comparison_suite(spec: KernelSpec, *, n: int = 256, count: int = 100,
 def default_suite_run(name: str, seed: int = 0) -> list[SuiteReport]:
     """Run one named suite under its canonical configuration."""
     if name == "boundedness":
+        corpus = standard_corpus(seed + 7, 100)
         cfg = SuiteConfig(spec=make_special_case("caputo_fabrizio", 0.9),
-                          test_functions=standard_corpus(seed + 7, 100), n=1024)
+                          test_functions=corpus, n=1024)
         reports = [check_boundedness(cfg)]
         for label, interval in (("log", (1.0, 2.0)), ("sin", (0.0, 1.0))):
             spec = make_special_case(f"{label}_warp", 0.9, interval=interval)
-            rep = check_boundedness(SuiteConfig(spec, standard_corpus(seed + 7, 20)))
+            # the fixed six and the first 20 random functions
+            rep = check_boundedness(SuiteConfig(spec, corpus[:26]))
             rep.suite_name = f"boundedness[{label}]"
             rep.informational = True
             rep.notes.append("informational: warped run, reported apart from the "

@@ -231,10 +231,13 @@ def _fault(message: str, node: Node):
     raise DomainFault(message, node.pos)
 
 
-def _domain_test(source: str, message: str):
+def _domain_test(source: str, message: str, clear: str = "False"):
     """A domain test: the predicate of the operands x (and y) as a function,
-    for the walk, and as source, for to_function; then its fault message."""
-    return eval(f"lambda x, y=None: {source}", {}), source, message
+    for the walk, and as source, for to_function; its fault message; and a
+    predicate of y alone, true where no x makes the test fire, by which
+    to_function drops the test for a Const y."""
+    return (eval(f"lambda x, y=None: {source}", {}), source, message,
+            eval(f"lambda y: {clear}", {}))
 
 
 # operation -> (float function, array function, domain tests, whether the result
@@ -255,8 +258,9 @@ _OPS = {
     # an infinite exponent counts as fractional: inf % 1 is nan
     "^": (math.pow, np.power,
           (_domain_test("(x < 0.0) & (y % 1.0 != 0.0)",
-                        "negative base with fractional exponent"),
-           _domain_test("(x == 0.0) & (y < 0.0)", "zero base with negative exponent")),
+                        "negative base with fractional exponent", "y % 1.0 == 0.0"),
+           _domain_test("(x == 0.0) & (y < 0.0)", "zero base with negative exponent",
+                        "y >= 0.0")),
           True),
 }
 
@@ -299,7 +303,7 @@ def _checked(node: Node, args: tuple, array: bool):
     """node's operation on args (math for floats, numpy for arrays), faulting
     instead of returning NaN or infinity."""
     float_fn, array_fn, domain, finite = _OPS[node.op]
-    for bad, _, message in domain:
+    for bad, _, message, _ in domain:
         mask = bad(*args)
         if np.any(mask) if array else mask:
             _fault(message, node)
@@ -325,8 +329,11 @@ def to_function(node: Node, names: Sequence[str]) -> Callable[..., float]:
     float function from _OPS with the entry's domain tests before it. When a
     test misses or math raises, it returns evaluate(node, env) instead, so
     the walk stays the only source of DomainFault messages and offsets.
-    Constants are bound by name (inf, -0.0 and pi are not safe literals).
-    Array bindings go through evaluate.
+    Constants are bound by name (inf, -0.0 and pi are not safe literals),
+    and folded where that is exact: the negation of a Const is bound as the
+    negated constant, and a Const exponent drops each domain test it settles
+    (an integer one the fractional-exponent test, one >= 0 the zero-base
+    test). Array bindings go through evaluate.
 
     Finiteness is tested at the root and at each operand of /, ^ and exp
     whose _core is an operation, which is exact: the walk faults at the first
@@ -343,13 +350,16 @@ def to_function(node: Node, names: Sequence[str]) -> Callable[..., float]:
     params = ", ".join(f"_a{i}" for i in range(len(names)))
     namespace = {"_isfinite": math.isfinite,
                  "_walk": lambda *args: evaluate(node, dict(zip(names, args)))}
+    consts = {}  # name -> value of each bound constant
     lines = []
 
     def emit(node: Node) -> str:
         """Append the lines computing node; return the name holding its value."""
+        if isinstance(node, Unary) and node.op == "neg" and isinstance(node.operand, Const):
+            node = Const(-node.operand.value)
         if isinstance(node, Const):
-            name = f"_c{len(namespace)}"
-            namespace[name] = node.value
+            name = f"_c{len(consts)}"
+            consts[name] = node.value
             return name
         if isinstance(node, Var):
             return f"_a{names.index(node.name)}"
@@ -365,9 +375,11 @@ def to_function(node: Node, names: Sequence[str]) -> Callable[..., float]:
             lines.extend(f"if not _isfinite({arg}): raise ArithmeticError" for arg, operand
                          in zip(args, operands) if not isinstance(_core(operand), (Const, Var)))
         float_fn, _, domain, _ = _OPS[node.op]
-        if domain:
+        tests = [source for _, source, _, clear in domain
+                 if not (args[-1] in consts and clear(consts[args[-1]]))]
+        if tests:
             lines.append(f"{', '.join('xy'[:len(args)])} = {', '.join(args)}")
-            lines.extend(f"if {source}: raise ArithmeticError" for _, source, _ in domain)
+            lines.extend(f"if {source}: raise ArithmeticError" for source in tests)
         if float_fn in _INFIX:
             lines.append(f"{result} = {args[0]} {_INFIX[float_fn]} {args[1]}")
         else:
@@ -376,6 +388,7 @@ def to_function(node: Node, names: Sequence[str]) -> Callable[..., float]:
         return result
 
     value = emit(node)
+    namespace.update(consts)
     body = "".join(f"        {s}\n" for s in lines + [f"if _isfinite({value}): return {value}"])
     source = (f"def compiled({params}):\n    try:\n{body}"
               f"    except (ArithmeticError, ValueError):\n        pass\n"

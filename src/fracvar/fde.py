@@ -253,30 +253,79 @@ def check_comparison(spec: KernelSpec, u: GridFunction,
     reports holds, case by case, what that pair gives alone.
     """
     qv = q.values
-    if np.min(qv) < 0.0:
-        raise HypothesisViolation("q must be nonnegative")
-    if np.min(qv[..., 0]) <= 0.0:
-        raise HypothesisViolation("q(a) must be positive")
+    _require_q(qv)
     if (u.grid.shape != q.grid.shape or u.values.shape != qv.shape
             or np.max(np.abs(u.grid - q.grid)) > 1e-12):
         raise InvalidParam("u and q must share one grid")
     Q = caputo_deriv_ns(spec, u).values.values
     Q += qv * u.values
-    reports = [_comparison_report(uv, row)
-               for uv, row in zip(u.values.reshape(-1, u.grid.size), Q.reshape(-1, u.grid.size))]
+    reports = _comparison_reports(u.values.reshape(-1, u.grid.size),
+                                  Q.reshape(-1, u.grid.size))
     return reports if qv.ndim == 2 else reports[0]
 
 
-def _comparison_report(uv: np.ndarray, Q: np.ndarray) -> ComparisonReport:
-    tol = 1e-7 * max(1.0, float(np.max(np.abs(uv))))
-    max_q = float(np.max(Q))
-    if max_q > tol:
-        return ComparisonReport(applicable=False, max_inequality=max_q,
-                                violations=0, worst_node=None, tol=tol)
-    bad = np.nonzero(uv > tol)[0]
-    worst = int(bad[np.argmax(uv[bad])]) if bad.size else None
-    return ComparisonReport(applicable=True, max_inequality=max_q,
-                            violations=int(bad.size), worst_node=worst, tol=tol)
+def _require_q(qv: np.ndarray) -> None:
+    """check_comparison's hypotheses on q, one row or a stack."""
+    if np.min(qv) < 0.0:
+        raise HypothesisViolation("q must be nonnegative")
+    if np.min(qv[..., 0]) <= 0.0:
+        raise HypothesisViolation("q(a) must be positive")
+
+
+def _comparison_reports(us: np.ndarray, Q: np.ndarray) -> list[ComparisonReport]:
+    """The report of each case of the stacks us and Q = D_c u + q u, row-wise."""
+    tols = 1e-7 * np.fmax(1.0, np.max(np.abs(us), axis=1))  # fmax: max(1.0, x)
+    max_q = np.max(Q, axis=1)
+    applicable = ~(max_q > tols)
+    bad = (us > tols[:, None]) & applicable[:, None]
+    violations = np.count_nonzero(bad, axis=1)
+    worst = np.argmax(us, axis=1)  # the first largest u, > tol where any u is
+    return [ComparisonReport(applicable=ok, max_inequality=mq, violations=v,
+                             worst_node=w if v else None, tol=tol)
+            for ok, mq, v, w, tol in zip(applicable.tolist(), max_q.tolist(),
+                                         violations.tolist(), worst.tolist(), tols.tolist())]
+
+
+def _comparison_blocks(spec: KernelSpec, grid: np.ndarray, count: int, seed: int):
+    """Yield stacks (u, q, Q) of admitted comparison cases on grid, where
+    Q = D_c u + q u, block by block in draw order: count rows in all.
+
+    A block makes _DRAWS draws, one at a time, since q's test decides what
+    each draw reads from the generator. The q and u rows of the draws whose q
+    passes are built at once and go through one stacked Caputo call, the only
+    one their cases take; Q's rows are what that call gives each u alone.
+    Rows are admitted in draw order, and the stall guard counts single
+    draws, so the cases are those of one draw at a time.
+    """
+    s = grid - grid[0]
+    s2 = s**2
+    scales = np.array([1.0, 0.8, 0.5, 0.4])
+    rng = np.random.default_rng(seed)
+    produced = attempts = 0
+    while produced < count:
+        at, drawn = [], []  # draw index and coefficients of each passing q
+        for k in range(_DRAWS):
+            c0 = rng.uniform(0.2, 2.0)
+            c1, c2 = 0.3 * rng.standard_normal(2)
+            if (c0 + c1 * s + c2 * s2).min() <= 1e-3:
+                continue
+            d = np.abs(rng.standard_normal(4)) * scales
+            at.append(k)
+            drawn.append((c0, c1, c2, *d, rng.uniform(1.0, 4.0)))
+        stop = min(_DRAWS, 50 * count - attempts)  # the draws the stall guard allows
+        if drawn:
+            c0, c1, c2, d0, d1, d2, d3, w = np.array(drawn).T[:, :, None]
+            qs = c0 + c1 * s + c2 * s2
+            us = -(d0 + d1 * s + d2 * s2 + d3 * (1.0 - np.cos(w * s)))
+            Q = caputo_deriv_ns(spec, GridFunction(grid=grid, values=us)).values.values
+            Q += qs * us
+            rows = np.flatnonzero(~(np.max(Q, axis=1) > 0.0)
+                                  & (np.array(at) < stop))[:count - produced]
+            produced += rows.size
+            yield us[rows], qs[rows], Q[rows]
+        if produced < count and stop < _DRAWS:
+            raise InvalidParam("comparison case generator stalled")
+        attempts += _DRAWS
 
 
 def comparison_cases(spec: KernelSpec, n: int, count: int, seed: int):
@@ -284,50 +333,17 @@ def comparison_cases(spec: KernelSpec, n: int, count: int, seed: int):
 
     Candidates are drawn from a family biased toward decreasing negative
     profiles, then rejection-filtered on the actual discretized inequality,
-    so acceptance is decided by the same operator the check uses. The draws
-    are made in blocks of _DRAWS, whose admissible candidates go through one
-    stacked Caputo call; they are accepted in draw order, and the stall guard
-    counts single candidates, so the cases are those of one draw at a time.
-    Every u = -(d0 + d1 s + d2 s^2 + d3 (1 - cos(w s))), d >= 0, s = t - a,
-    is <= 0 before admission: the conclusion u <= 0 cannot fail on them.
+    so acceptance is decided by the same operator the check uses. Each case
+    takes one Caputo call: its block's stacked call (_comparison_blocks),
+    which admitted it. Every u = -(d0 + d1 s + d2 s^2 + d3 (1 - cos(w s))),
+    d >= 0, s = t - a, is <= 0 before admission: the conclusion u <= 0
+    cannot fail on them.
     """
-    a, b = spec.interval
-    grid = uniform_grid(a, b, n)
-    s = grid - a
-    rng = np.random.default_rng(seed)
-    produced = 0
-    attempts = 0
-    while produced < count:
-        draws = []  # (u, q) of the block's candidates, None where q fails
-        for _ in range(_DRAWS):
-            c0 = rng.uniform(0.2, 2.0)
-            c1, c2 = 0.3 * rng.standard_normal(2)
-            qv = c0 + c1 * s + c2 * s**2
-            if np.min(qv) <= 1e-3:
-                draws.append(None)
-                continue
-            d = np.abs(rng.standard_normal(4)) * np.array([1.0, 0.8, 0.5, 0.4])
-            w = rng.uniform(1.0, 4.0)
-            uv = -(d[0] + d[1] * s + d[2] * s**2 + d[3] * (1.0 - np.cos(w * s)))
-            draws.append((uv, qv))
-        stack = [draw for draw in draws if draw is not None]
-        if stack:
-            us = np.array([uv for uv, _ in stack])
-            Q = caputo_deriv_ns(spec, GridFunction(grid=grid, values=us)).values.values
-            Q += np.array([qv for _, qv in stack]) * us
-            admitted = iter((~(np.max(Q, axis=1) > 0.0)).tolist())
-        for draw in draws:
-            attempts += 1
-            if attempts > 50 * count:
-                raise InvalidParam("comparison case generator stalled")
-            if draw is None or not next(admitted):
-                continue
-            uv, qv = draw
-            produced += 1
+    grid = uniform_grid(*spec.interval, n)
+    for us, qs, _ in _comparison_blocks(spec, grid, count, seed):
+        for uv, qv in zip(us, qs):
             yield (GridFunction(grid=grid, values=uv, label="u_case"),
                    GridFunction(grid=grid, values=qv, label="q_case"))
-            if produced == count:
-                return
 
 
 # --- uniqueness probe -----------------------------------------------------------

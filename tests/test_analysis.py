@@ -17,7 +17,7 @@ from fracvar import (
     identity_warp,
     standard_corpus,
 )
-from fracvar import analysis
+from fracvar import analysis, fde
 from fracvar.analysis import (
     check_axiom_limits,
     check_boundedness,
@@ -303,3 +303,97 @@ def test_failed_suite_reports_case_observed_bound_and_margin(monkeypatch):
     assert failure["case"] == "theta refinement stability"
     assert failure["observed"] > 0.0 and failure["bound"] == 0.0
     assert failure["margin"] == -failure["observed"]
+
+
+def _reports_one_by_one(us, Q):
+    """fde._comparison_reports case by case, as a loop: the reference for
+    its row-wise form."""
+    reports = []
+    for uv, row in zip(us, Q):
+        tol = 1e-7 * max(1.0, float(np.max(np.abs(uv))))
+        max_q = float(np.max(row))
+        if max_q > tol:
+            reports.append(fde.ComparisonReport(False, max_q, 0, None, tol))
+            continue
+        bad = np.nonzero(uv > tol)[0]
+        worst = int(bad[np.argmax(uv[bad])]) if bad.size else None
+        reports.append(fde.ComparisonReport(True, max_q, int(bad.size), worst, tol))
+    return reports
+
+
+def _suite_failures(reports):
+    """The comparison suite's failures, built from fde.check_comparison reports."""
+    failures = []
+    for case, rep in enumerate(reports, 1):
+        if not rep.applicable:
+            failures.append(analysis._failure(f"case {case} not applicable",
+                                              rep.max_inequality, 0.0))
+        elif rep.violations:
+            failures.append(analysis._failure(f"case {case} conclusion", rep.violations, 0.0))
+    return failures
+
+
+@pytest.mark.parametrize("seed", [0, 3, 450])
+def test_comparison_suite_gives_what_check_comparison_gives_on_the_cases(seed):
+    # the suite reads its reports off the stacks that admitted the cases,
+    # without a second Caputo call; fde.check_comparison on the yielded cases
+    # gives the same reports, stacked or one case at a time
+    spec = make_special_case("caputo_fabrizio", 0.5)
+    cases = list(fde.comparison_cases(spec, 256, 100, seed))
+    grid = cases[0][0].grid
+    u, q = (GridFunction(grid=grid, values=np.array([f.values for f in column]))
+            for column in zip(*cases))
+    reports = fde.check_comparison(spec, u, q)
+    assert reports == [fde.check_comparison(spec, uc, qc) for uc, qc in cases]
+    us, _, Q = map(np.concatenate, zip(*fde._comparison_blocks(spec, grid, 100, seed)))
+    assert fde._comparison_reports(us, Q) == _reports_one_by_one(us, Q) == reports
+    report = check_comparison_suite(spec, seed=seed)
+    assert report.cases_run == len(reports) == 100
+    assert report.failures == _suite_failures(reports)
+
+
+def test_comparison_suite_takes_one_caputo_call_per_case(monkeypatch):
+    # the rows the suite differentiates are the candidates of the admission
+    # calls: no case is differentiated again for its check
+    spec = make_special_case("caputo_fabrizio", 0.5)
+    rows = []
+
+    def counted(spec, u):
+        rows.append(u.values.reshape(-1, u.grid.size).shape[0])
+        return caputo_deriv_ns(spec, u)
+
+    monkeypatch.setattr(fde, "caputo_deriv_ns", counted)
+    monkeypatch.setattr(analysis, "caputo_deriv_ns", counted)
+    assert len(list(fde.comparison_cases(spec, 256, 100, 0))) == 100
+    admission, rows[:] = list(rows), []
+    report = check_comparison_suite(spec, seed=0)
+    assert report.cases_run == 100 and report.passed
+    assert rows == admission and sum(rows) >= 100
+
+
+def test_comparison_suite_reports_conclusion_and_applicability_failures(monkeypatch):
+    # one admitted case with u > 0 at three nodes, one whose D_c u + q u
+    # is positive at a node: the suite names each case and what it saw
+    grid = uniform_grid(0.0, 1.0, 256)
+    u, q = -np.ones((3, grid.size)), np.ones((3, grid.size))
+    Q = -np.ones_like(u)
+    u[1, 10:13] = [0.5, 0.7, 0.7]
+    Q[2, 7] = 0.25
+
+    def blocks(spec, grid_, count, seed):
+        assert np.array_equal(grid_, grid) and (count, seed) == (100, 0)
+        yield u[:2], q[:2], Q[:2]
+        yield u[2:], q[2:], Q[2:]
+
+    monkeypatch.setattr(fde, "_comparison_blocks", blocks)
+    report = check_comparison_suite(make_special_case("caputo_fabrizio", 0.5), seed=0)
+    assert report.cases_run == 3 and not report.passed
+    assert report.failures == [
+        {"case": "case 2 conclusion", "observed": 3, "bound": 0.0, "margin": -3.0},
+        {"case": "case 3 not applicable", "observed": 0.25, "bound": 0.0, "margin": -0.25},
+    ]
+    assert fde._comparison_reports(u, Q) == _reports_one_by_one(u, Q)
+    clean, violated, inapplicable = fde._comparison_reports(u, Q)
+    assert clean == fde.ComparisonReport(True, -1.0, 0, None, 1e-7)
+    assert violated == fde.ComparisonReport(True, -1.0, 3, 11, 1e-7)
+    assert inapplicable == fde.ComparisonReport(False, 0.25, 0, None, 1e-7)

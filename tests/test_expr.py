@@ -302,6 +302,17 @@ def _outcome(fn, values):
 @example("2^(-(u*1e308*10))", [0.0, 1.0, 0.0])
 @example("abs(u*1e308*10)^0", [0.0, 1.0, 0.0])
 @example("(u*1e308*10)^0", [0.0, 1.0, 0.0])
+# folded at compile time: a negated Const is bound negated (-0 keeps its
+# sign), and a Const exponent drops the domain tests it settles
+@example("-0*u", [0.0, 1.0, 0.0])
+@example("-2.5*u - (-1e400)*t", [0.0, 1.0, 0.0])
+@example("(-2)^3 + u^3", [0.0, -3.0, 0.0])
+@example("u^-2", [0.0, 0.0, 0.0])
+@example("u^-0.5", [0.0, -2.0, 0.0])
+@example("u^1e400", [0.0, -0.5, 0.0])
+@example("u^1e400", [0.0, 0.0, 0.0])
+@example("u^-1e400", [0.0, 0.0, 0.0])
+@example("u^-1e400", [0.0, 0.5, 0.0])
 @settings(max_examples=300, deadline=None)
 def test_compiled_and_walked_results_agree(src, values):
     """The same bits (so -0.0 counts), or the same fault at the same offset."""
