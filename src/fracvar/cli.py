@@ -49,6 +49,7 @@ from .kernel import (
     warp_from_expr,
 )
 from .operators import (
+    SCHEMES,
     caputo_deriv_classical,
     caputo_deriv_ns,
     rl_deriv_classical,
@@ -109,8 +110,7 @@ def build_parser() -> _Parser:
     p_deriv.add_argument("--op", choices=sorted(_DERIV_OPS), required=True)
     _add_kernel_flags(p_deriv)
     p_deriv.add_argument("--f", required=True, help="function expression in t")
-    p_deriv.add_argument("--scheme", choices=("product_trapezoid", "product_midpoint"),
-                         default="product_trapezoid")
+    p_deriv.add_argument("--scheme", choices=SCHEMES, default=SCHEMES[0])
     p_deriv.add_argument("--estimate-error", action="store_true",
                          help="emit per-node cross-scheme differences")
     _add_output_flags(p_deriv)
@@ -120,8 +120,7 @@ def build_parser() -> _Parser:
     p_int.add_argument("--f", required=True)
     p_int.add_argument("--exponent-at", choices=("t", "tau"), default="t",
                        help="where the order enters the kernel exponent")
-    p_int.add_argument("--scheme", choices=("product_trapezoid", "product_midpoint"),
-                       default="product_trapezoid")
+    p_int.add_argument("--scheme", choices=SCHEMES, default=SCHEMES[0])
     p_int.add_argument("--estimate-error", action="store_true")
     _add_output_flags(p_int)
 

@@ -55,7 +55,7 @@ from .operators import _KernelTable, caputo_deriv_ns
 
 NEWTON_TOL = 1e-10
 MAX_NEWTON = 50
-_DRAWS = 16  # comparison candidates drawn per stacked Caputo call
+_DRAWS = 16  # comparison candidates per block: part of the cases' definition
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,10 @@ def check_comparison(spec: KernelSpec, u: GridFunction,
     reports holds, case by case, what that pair gives alone.
     """
     qv = q.values
-    _require_q(qv)
+    if np.min(qv) < 0.0:
+        raise HypothesisViolation("q must be nonnegative")
+    if np.min(qv[..., 0]) <= 0.0:
+        raise HypothesisViolation("q(a) must be positive")
     if (u.grid.shape != q.grid.shape or u.values.shape != qv.shape
             or np.max(np.abs(u.grid - q.grid)) > 1e-12):
         raise InvalidParam("u and q must share one grid")
@@ -262,14 +265,6 @@ def check_comparison(spec: KernelSpec, u: GridFunction,
     reports = _comparison_reports(u.values.reshape(-1, u.grid.size),
                                   Q.reshape(-1, u.grid.size))
     return reports if qv.ndim == 2 else reports[0]
-
-
-def _require_q(qv: np.ndarray) -> None:
-    """check_comparison's hypotheses on q, one row or a stack."""
-    if np.min(qv) < 0.0:
-        raise HypothesisViolation("q must be nonnegative")
-    if np.min(qv[..., 0]) <= 0.0:
-        raise HypothesisViolation("q(a) must be positive")
 
 
 def _comparison_reports(us: np.ndarray, Q: np.ndarray) -> list[ComparisonReport]:
@@ -290,42 +285,37 @@ def _comparison_blocks(spec: KernelSpec, grid: np.ndarray, count: int, seed: int
     """Yield stacks (u, q, Q) of admitted comparison cases on grid, where
     Q = D_c u + q u, block by block in draw order: count rows in all.
 
-    A block makes _DRAWS draws, one at a time, since q's test decides what
-    each draw reads from the generator. The q and u rows of the draws whose q
-    passes are built at once and go through one stacked Caputo call, the only
-    one their cases take; Q's rows are what that call gives each u alone.
-    Rows are admitted in draw order, and the stall guard counts single
-    draws, so the cases are those of one draw at a time.
+    A block draws the coefficients of _DRAWS candidates with one array call
+    per coefficient group: c0, then (c1, c2), then (d0..d3), then w. Its
+    candidates below index 50 count (the stall guard; InvalidParam once it
+    is spent) go through one stacked Caputo call, the only one their cases
+    take, and those whose q passes (min q > 1e-3) and whose D_c u + q u is
+    <= 0 are admitted in draw order. The cases are thus fixed by seed and
+    _DRAWS, and the first k of any count are those of count k.
     """
     s = grid - grid[0]
     s2 = s**2
     scales = np.array([1.0, 0.8, 0.5, 0.4])
     rng = np.random.default_rng(seed)
-    produced = attempts = 0
+    produced = first = 0
     while produced < count:
-        at, drawn = [], []  # draw index and coefficients of each passing q
-        for k in range(_DRAWS):
-            c0 = rng.uniform(0.2, 2.0)
-            c1, c2 = 0.3 * rng.standard_normal(2)
-            if (c0 + c1 * s + c2 * s2).min() <= 1e-3:
-                continue
-            d = np.abs(rng.standard_normal(4)) * scales
-            at.append(k)
-            drawn.append((c0, c1, c2, *d, rng.uniform(1.0, 4.0)))
-        stop = min(_DRAWS, 50 * count - attempts)  # the draws the stall guard allows
-        if drawn:
-            c0, c1, c2, d0, d1, d2, d3, w = np.array(drawn).T[:, :, None]
-            qs = c0 + c1 * s + c2 * s2
-            us = -(d0 + d1 * s + d2 * s2 + d3 * (1.0 - np.cos(w * s)))
-            Q = caputo_deriv_ns(spec, GridFunction(grid=grid, values=us)).values.values
-            Q += qs * us
-            rows = np.flatnonzero(~(np.max(Q, axis=1) > 0.0)
-                                  & (np.array(at) < stop))[:count - produced]
-            produced += rows.size
-            yield us[rows], qs[rows], Q[rows]
-        if produced < count and stop < _DRAWS:
+        if first >= 50 * count:
             raise InvalidParam("comparison case generator stalled")
-        attempts += _DRAWS
+        c = np.vstack([rng.uniform(0.2, 2.0, _DRAWS),
+                       0.3 * rng.standard_normal((_DRAWS, 2)).T,
+                       (np.abs(rng.standard_normal((_DRAWS, 4))) * scales).T,
+                       rng.uniform(1.0, 4.0, _DRAWS)])
+        # the stall guard: candidates 50 count and on never reach the operator
+        c0, c1, c2, d0, d1, d2, d3, w = c[:, : 50 * count - first, None]
+        first += _DRAWS
+        qs = c0 + c1 * s + c2 * s2
+        us = -(d0 + d1 * s + d2 * s2 + d3 * (1.0 - np.cos(w * s)))
+        Q = caputo_deriv_ns(spec, GridFunction(grid=grid, values=us)).values.values
+        Q += qs * us
+        rows = np.flatnonzero((np.min(qs, axis=1) > 1e-3)
+                              & ~(np.max(Q, axis=1) > 0.0))[: count - produced]
+        produced += rows.size
+        yield us[rows], qs[rows], Q[rows]
 
 
 def comparison_cases(spec: KernelSpec, n: int, count: int, seed: int):
@@ -333,9 +323,11 @@ def comparison_cases(spec: KernelSpec, n: int, count: int, seed: int):
 
     Candidates are drawn from a family biased toward decreasing negative
     profiles, then rejection-filtered on the actual discretized inequality,
-    so acceptance is decided by the same operator the check uses. Each case
-    takes one Caputo call: its block's stacked call (_comparison_blocks),
-    which admitted it. Every u = -(d0 + d1 s + d2 s^2 + d3 (1 - cos(w s))),
+    so acceptance is decided by the same operator the check uses. The
+    candidates are drawn in blocks of _DRAWS, each coefficient group by one
+    array call, so the cases are fixed by seed and _DRAWS. Each case takes
+    one Caputo call: its block's stacked call (_comparison_blocks), which
+    admitted it. Every u = -(d0 + d1 s + d2 s^2 + d3 (1 - cos(w s))),
     d >= 0, s = t - a, is <= 0 before admission: the conclusion u <= 0
     cannot fail on them.
     """
@@ -369,10 +361,12 @@ def uniqueness_probe(problem: FdeProblem, perturbations: int, *,
 
     with the march's own scale_i (SolveReport.scales), is re-solved by the
     march's nodal solver from `perturbations` seeded starts
-    u_i + 0.5 (1 + |u_i|) N(0, 1). Under the hypothesis each nodal
-    equation has one root, and by induction over the nodes (the memory term
-    of node i depends only on earlier nodes) the discrete solution is unique;
-    the re-solves check that the solver lands on u_i from every start.
+    u_i + 0.5 (1 + |u_i|) N(0, 1): perturbation k draws its starts from one
+    generator seeded with (seed, k), node i taking draw i - 1. Under the
+    hypothesis each nodal equation has one root, and by induction over the
+    nodes (the memory term of node i depends only on earlier nodes) the
+    discrete solution is unique; the re-solves check that the solver lands
+    on u_i from every start.
     Reports the largest |root - u_i|.
     """
     if perturbations < 1:
@@ -393,13 +387,15 @@ def uniqueness_probe(problem: FdeProblem, perturbations: int, *,
         raise HypothesisViolation(
             f"rhs slope in u reaches {max_slope:.3e} > 0 on the envelope"
         )
+    normals = np.array([np.random.default_rng([seed, k]).standard_normal(grid.size - 1)
+                        for k in range(perturbations)])
+    starts = uv[1:] + 0.5 * (1.0 + np.abs(uv[1:])) * normals
     divergence = 0.0
-    for i, t, ui, scale in zip(range(1, grid.size), grid[1:].tolist(), uv[1:].tolist(),
-                               base.scales.tolist()):
+    for i, t, ui, scale, node_starts in zip(range(1, grid.size), grid[1:].tolist(),
+                                            uv[1:].tolist(), base.scales.tolist(),
+                                            starts.T.tolist()):
         offset = problem.rhs(t, ui)
-        for k in range(perturbations):
-            rng = np.random.default_rng([seed + 1 + k, i])
-            start = ui + 0.5 * (1.0 + abs(ui)) * float(rng.standard_normal())
+        for start in node_starts:
             root = _solve_node(problem.rhs, t, scale, ui, offset, start,
                                NEWTON_TOL * max(1.0, scale), i)[0]
             divergence = max(divergence, abs(root - ui))

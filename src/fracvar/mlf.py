@@ -112,7 +112,8 @@ class MLParams:
 
 
 def _series_array(beta: float, z: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Horner sum of the series over an array; returns (values, certified).
+    """Horner sum of the series over an array of nonzero z; returns
+    (values, certified).
 
     The series runs in u = |z| / max|z|, with coefficients a_k, the terms at
     the largest |z|, so no coefficient underflows before the sum is done. The
@@ -120,23 +121,23 @@ def _series_array(beta: float, z: np.ndarray, tol: float) -> tuple[np.ndarray, n
     a term above 1e290 leaves every element uncertified.
     """
     x = np.abs(z).ravel()
-    xmax = float(np.max(x, initial=0.0))
-    if xmax == 0.0:
-        return np.ones(z.shape), np.ones(z.shape, dtype=bool)
+    xmax = float(np.max(x))
     log_x = math.log(xmax)
     coeffs = [1.0]
     summable = False
+    lg = math.lgamma(beta + 1.0)  # lgamma(beta k + 1), carried from the ratio test
     for k in range(1, _MAX_TERMS + 1):
-        lg = math.lgamma(beta * k + 1.0)
         log_term = k * log_x - lg
         if log_term > _LOG_TERM_CAP:
             break
         coeffs.append(math.exp(log_term))
         # term ratios r fall with k, so the tail is at most term * r / (1 - r)
-        log_r = log_x + lg - math.lgamma(beta * (k + 1) + 1.0)
+        lg_next = math.lgamma(beta * (k + 1) + 1.0)
+        log_r = log_x + lg - lg_next
         if log_r < 0.0 and log_term + log_r - math.log1p(-math.exp(log_r)) < _LOG_TAIL:
             summable = True
             break
+        lg = lg_next
     if not summable:
         return np.ones(z.shape), np.zeros(z.shape, dtype=bool)
     if len(coeffs) % 2:

@@ -1,5 +1,8 @@
 """Verification suites: each check passes under its canonical configuration."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -397,3 +400,153 @@ def test_comparison_suite_reports_conclusion_and_applicability_failures(monkeypa
     assert clean == fde.ComparisonReport(True, -1.0, 0, None, 1e-7)
     assert violated == fde.ComparisonReport(True, -1.0, 3, 11, 1e-7)
     assert inapplicable == fde.ComparisonReport(False, 0.25, 0, None, 1e-7)
+
+
+# --- every suite reports what a broken operator does ----------------------------
+
+
+def _mutant(monkeypatch, name, change):
+    """Make analysis call its operator `name` with change(values, spec)
+    applied in place to the output values; returns the true operator."""
+    real = getattr(analysis, name)
+
+    def mutated(spec, f):
+        result = real(spec, f)
+        change(result.values.values, spec)
+        return result
+
+    monkeypatch.setattr(analysis, name, mutated)
+    return real
+
+
+def _assert_failures(report, want):
+    """report's failures are want's (case, observed, bound), in order."""
+    assert not report.passed
+    assert [f["case"] for f in report.failures] == [case for case, _, _ in want]
+    for failure, (case, observed, bound) in zip(report.failures, want):
+        assert failure["observed"] == pytest.approx(observed, rel=1e-12, abs=0.0), case
+        assert failure["bound"] == pytest.approx(bound, rel=1e-12, abs=0.0), case
+
+
+def test_boundedness_reports_a_scaled_derivative(monkeypatch):
+    # D_c 1000 times too large breaks |D_c f| <= 2 P ||f|| wherever D_c f != 0
+    spec = spec_for(0.9)
+    tfs = standard_corpus(seed=1, random_count=1)
+    real = _mutant(monkeypatch, "caputo_deriv_ns", lambda v, spec: np.multiply(v, 1e3, out=v))
+    report = check_boundedness(SuiteConfig(spec, tfs, n=128))
+    want = []
+    for tf in tfs[1:]:  # D_c of the constant is 0
+        f = tf.on(0.0, 1.0, 128)
+        want.append((f"{tf.label}:caputo", 1e3 * np.max(np.abs(real(spec, f).values.values)),
+                     2.0 * (kernel_prefactor(spec, 1.0) * np.max(np.abs(f.values)))))
+    _assert_failures(report, want)
+
+
+def test_lipschitz_reports_an_infinite_ratio(monkeypatch):
+    # D_rl infinite on the first corpus function: every gap to it is infinite
+    _mutant(monkeypatch, "rl_deriv_ns", lambda v, spec: v[0].fill(math.inf))
+    report = check_lipschitz(SuiteConfig(spec_for(0.5), standard_corpus(seed=4, random_count=2),
+                                         n=256))
+    [failure] = report.failures
+    assert failure["case"] == "ratio finite"
+    assert failure["observed"] == math.inf and failure["bound"] == math.inf
+
+
+def test_limit_interchange_reports_an_offset_integral(monkeypatch):
+    # I1 plus the ramp t on [0, 1]: the gaps grow toward 1 along the Taylor
+    # sums, past the I1 proof bound and the final-gap tolerance
+    spec, n = spec_for(0.5), 256
+    grid = uniform_grid(0.0, 1.0, n)
+    real = _mutant(monkeypatch, "aux_integral_1", lambda v, spec: np.add(v, grid, out=v))
+    report = check_limit_interchange(SuiteConfig(spec, standard_corpus(0, 0), n=n))
+    limit, partial, term = np.exp(grid), [np.ones(grid.size)], np.ones(grid.size)
+    for j in range(1, analysis._SEQ_LEN + 1):
+        term *= grid / j
+        partial.append(partial[-1] + term)
+    gaps, dnorms = [], []
+    for k in range(1, analysis._SEQ_LEN + 1):
+        diff = GridFunction(grid=grid, values=partial[k] - limit,
+                            derivs=partial[k - 1] - limit)
+        gaps.append(float(np.max(np.abs(real(spec, diff).values.values + grid))))
+        dnorms.append(float(np.max(np.abs(diff.values))))
+    want = []
+    for k in range(1, analysis._SEQ_LEN + 1):
+        if gaps[k - 1] > dnorms[k - 1]:
+            want.append((f"I1 proof bound k={k}", gaps[k - 1], dnorms[k - 1]))
+        if k > 1 and gaps[k - 1] > gaps[k - 2] * (1.0 + 1e-6) + 1e-12:
+            want.append((f"I1 monotone decay k={k}", gaps[k - 1], gaps[k - 2]))
+    want.append(("I1 final gap", gaps[-1], analysis._TOLS["limit_interchange"]))
+    cases = [case for case, _, _ in want]
+    assert "I1 proof bound k=1" in cases and "I1 monotone decay k=2" in cases
+    _assert_failures(report, want)
+
+
+def test_axiom_limits_reports_kernel_and_limit_failures(monkeypatch):
+    # H off by 1 at every order, and D_c offset by 1e-8 / alpha: its error
+    # against f(t) - f(a) grows as the order falls to 1e-6
+    spec, n = spec_for(0.5, gamma=0.5, beta=0.5), 256
+    deviation = analysis._kernel_deviation
+    monkeypatch.setattr(analysis, "_kernel_deviation",
+                        lambda spec_eps, m: deviation(spec_eps, m) + 1.0)
+    real = _mutant(monkeypatch, "caputo_deriv_ns",
+                   lambda v, spec: np.add(v, 1e-8 / spec.alpha_at(0.0), out=v))
+    tfs = standard_corpus(0, 0)
+    report = check_axiom_limits(SuiteConfig(spec, tfs, n=n))
+    specs = [replace(spec, order=OrderFunction.constant(eps)) for eps in analysis._EPSILONS]
+    want = [(f"kernel deviation eps={eps:g}", deviation(spec_eps, n) + 1.0, 3.0 * eps + 1e-12)
+            for eps, spec_eps in zip(analysis._EPSILONS, specs)]
+    for tf in tfs:
+        f = tf.on(0.0, 1.0, n)
+        errs = [float(np.max(np.abs(real(spec_eps, f).values.values + 1e-8 / eps
+                                    - (f.values - f.values[0]))))
+                for eps, spec_eps in zip(analysis._EPSILONS, specs)]
+        scale = max(1.0, float(np.max(np.abs(f.values))))
+        want += [(f"{tf.label}:caputo monotone in eps", errs[2], errs[1]),
+                 (f"{tf.label}:caputo limit error", errs[2],
+                  analysis._TOLS["axiom_limits"] * scale)]
+    _assert_failures(report, want)
+
+
+def test_max_point_reports_a_sign_flipped_derivative(monkeypatch):
+    # with beta != gamma the suite collapses beta onto gamma; a sign-flipped
+    # D_c falls below the kernel bound and below 0 at every interior or
+    # right-end maximum
+    spec, n = spec_for(0.5, gamma=0.5, beta=0.8), 256
+    collapsed = replace(spec, beta=0.5)
+    real = _mutant(monkeypatch, "caputo_deriv_ns", lambda v, spec: np.negative(v, out=v))
+    tfs = standard_corpus(seed=3, random_count=0)
+    report = check_max_point(SuiteConfig(spec, tfs, n=n))
+    want = []
+    for tf in tfs:
+        f = tf.on(0.0, 1.0, n)
+        i0 = int(np.argmax(f.values))
+        if i0 == 0:  # one and cos_t: D_c f(a) = 0, flipped or not
+            continue
+        t0, value = float(f.grid[i0]), -float(real(collapsed, f).values.values[i0])
+        lower = (kernel_prefactor(collapsed, t0) * kernel_eval(collapsed, t0, 0.0)
+                 * (f.values[i0] - f.values[0]))
+        want += [(f"{tf.label} vs kernel bound", value, lower),
+                 (f"{tf.label} nonnegative", value, 0.0)]
+    assert [case for case, _, _ in want][::2] == [
+        f"{label} vs kernel bound" for label in ("t", "t^2", "sin_pi_t", "exp_t")]
+    _assert_failures(report, want)
+
+
+def test_vanish_at_a_reports_an_offset_derivative(monkeypatch):
+    # D_c offset by 0.01 is not 0 at t = a, and its first step grows like 0.01 / h
+    spec = spec_for(0.5)
+    real = _mutant(monkeypatch, "caputo_deriv_ns", lambda v, spec: np.add(v, 0.01, out=v))
+    tfs = standard_corpus(0, 0)[:2]  # one, t
+    report = check_vanish_at_a(SuiteConfig(spec, tfs))
+    sizes = (256, 512, 1024)
+    want = []
+    for tf in tfs:
+        ratios, ceilings = [], []
+        for n in sizes:
+            f = tf.on(0.0, 1.0, n)
+            ratios.append(abs(float(real(spec, f).values.values[1]) + 0.01) / f.h)
+            ceilings.append(analysis._TOLS["vanish_ratio"] * kernel_prefactor(spec, 0.0)
+                            * float(np.max(np.abs(f.deriv_values()))) + 1e-12)
+        want += [(f"{tf.label} exact zero n={n}", 0.01, 0.0) for n in sizes]
+        want.append((f"{tf.label} first-node ratio", max(ratios), max(ceilings)))
+    _assert_failures(report, want)

@@ -431,10 +431,17 @@ class TestExitCodes:
                     "--f", "(t-2)^(3+0*t)", "--a", "0", "--b", "1", "--n", "16"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 18
 
-    def test_valid_threads_env_accepted(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("FRACVAR_THREADS", "2")
-        out = tmp_path / "d.csv"
-        assert run(DERIV_EXAMPLE + ["--out", str(out)]) == 0
+    def test_config_without_a_path_is_config_error(self, capsys):
+        assert run(DERIV_EXAMPLE + ["--config"]) == 1
+        assert capsys.readouterr().err == ("fracvar: invalid configuration: "
+                                           "--config requires a path\n")
+
+    def test_out_into_a_missing_directory_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "d.csv"
+        assert run(DERIV_EXAMPLE + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fracvar: i/o error: ") and str(out) in err
+        assert not out.parent.exists()
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -404,19 +404,43 @@ class TestComparison:
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("draws", [1, 5])
-    def test_stacked_draws_yield_the_cases_of_single_draws(self, draws, monkeypatch):
-        # the candidates of a block of draws go through one stacked Caputo
-        # call and are accepted in draw order: the cases do not depend on
-        # the block size, down to one draw per call
-        want = [(u.values.copy(), q.values.copy())
-                for u, q in comparison_cases(CF, n=128, count=30, seed=4)]
-        monkeypatch.setattr(fde, "_DRAWS", draws)
-        got = list(comparison_cases(CF, n=128, count=30, seed=4))
-        assert len(got) == len(want) == 30
+    @pytest.mark.parametrize("k", [1, 16, 17, 45])
+    def test_first_cases_do_not_depend_on_the_count(self, k):
+        # a larger count only draws further blocks: its first k cases are
+        # the cases of count = k
+        want = list(comparison_cases(CF, n=128, count=k, seed=7))
+        got = list(comparison_cases(CF, n=128, count=100, seed=7))[:k]
+        assert len(want) == k
         for (u, q), (wu, wq) in zip(got, want):
-            assert u.values.ndim == 1
-            assert np.array_equal(u.values, wu) and np.array_equal(q.values, wq)
+            assert np.array_equal(u.values, wu.values) and np.array_equal(q.values, wq.values)
+
+    @pytest.mark.parametrize("seed", [0, 450])
+    def test_every_case_meets_the_hypotheses(self, seed):
+        for u, q in comparison_cases(CF, n=256, count=100, seed=seed):
+            assert np.min(q.values) > 1e-3
+            report = check_comparison(CF, u, q)
+            assert report.applicable and report.violations == 0
+            assert report.max_inequality <= 0.0
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_generator_stalls_before_candidate_fifty_times_count(self, count, monkeypatch):
+        # an operator that admits nothing: the generator raises once the
+        # stall guard is spent, and no candidate past it reaches the operator
+        real = fde.caputo_deriv_ns
+        rows = []
+
+        def admits_nothing(spec, u):
+            result = real(spec, u)
+            values = result.values.values.reshape(-1, u.grid.size)
+            rows.append(values.shape[0])
+            values[:] = 1e300
+            return result
+
+        monkeypatch.setattr(fde, "caputo_deriv_ns", admits_nothing)
+        with pytest.raises(InvalidParam, match="stalled"):
+            list(comparison_cases(CF, n=64, count=count, seed=0))
+        assert rows and max(rows) <= fde._DRAWS
+        assert 0 < sum(rows) <= 50 * count
 
     def test_stall_guard_counts_single_candidates(self, monkeypatch):
         # only the k-th candidate that reaches the operator is admitted;
@@ -470,6 +494,24 @@ class TestUniqueness:
         report = uniqueness_probe(problem, perturbations=3, seed=5)
         assert report.runs == 4
         assert report.max_divergence < 1e-8
+
+    @pytest.mark.parametrize("perturbations", [1, 3])
+    def test_one_generator_per_perturbation(self, perturbations, monkeypatch):
+        # every start of perturbation k comes from one generator, not one
+        # generator per node
+        made = []
+        real = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        problem = FdeProblem(spec=CF, rhs=lambda t, u: -u ** 3 - u,
+                             initial=1.0, grid_n=256)
+        report = uniqueness_probe(problem, perturbations=perturbations, seed=2)
+        assert len(made) == perturbations
+        assert report.runs == perturbations + 1 and report.max_divergence < 1e-8
 
     def test_increasing_rhs_rejected(self):
         problem = FdeProblem(spec=CF, rhs=lambda t, u: u, initial=1.0,
