@@ -301,8 +301,9 @@ def _max_ratio(cfg: SuiteConfig, n: int) -> float:
     for i in range(count - 1):
         diffs = np.max(np.abs(data[:, i + 1 :] - data[:, i, None]), axis=2)
         keep = ~(diffs[0] < 1e-14)  # degenerate pairs are skipped
-        worst = max(worst, float(np.max(diffs[1:, keep] / diffs[0, keep], initial=0.0)))
-    return worst
+        # np.maximum, not max: a NaN ratio must reach the "ratio finite" check
+        worst = np.maximum(worst, np.max(diffs[1:, keep] / diffs[0, keep], initial=0.0))
+    return float(worst)
 
 
 def check_lipschitz(cfg: SuiteConfig) -> SuiteReport:

@@ -8,8 +8,9 @@ right-hand side).
 
 Output is CSV `t,value[,estimate_error]`, each value written as exactly the
 bytes Python's '%.17g' gives for it, or JSON carrying the same rows plus a
-config echo. Exit codes: 0 success, 1 invalid configuration, 2 numerical
-failure, 3 verification-suite failures.
+config echo. Exit codes: 0 success, 1 invalid configuration or i/o error,
+2 numerical failure (any other error the package raises), 3
+verification-suite failures.
 
 A config file of key=value lines (keys are long flag names, booleans as
 true/false) can preload any subcommand's flags; explicit flags win.
@@ -20,26 +21,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import expr
 from .analysis import SUITE_NAMES, default_suite_run
-from .errors import (
-    BoundViolation,
-    DegenerateGrid,
-    DomainError,
-    DomainFault,
-    ExprSyntaxError,
-    FracvarError,
-    HypothesisViolation,
-    InvalidGrid,
-    InvalidParam,
-    NewtonDivergence,
-    NonConvergent,
-    SingularOrder,
-)
+from .errors import DegenerateGrid, ExprSyntaxError, FracvarError, InvalidGrid, InvalidParam
 from .fde import FdeProblem, solve_fde
 from .grids import GridFunction
 from .kernel import (
@@ -58,8 +47,6 @@ from .operators import (
 )
 
 _VALIDATION_ERRORS = (InvalidParam, InvalidGrid, DegenerateGrid, ExprSyntaxError)
-_NUMERICAL_ERRORS = (NonConvergent, NewtonDivergence, SingularOrder, DomainError,
-                     DomainFault, BoundViolation, HypothesisViolation)
 
 _DERIV_OPS = {
     "rl_ns": rl_deriv_ns,
@@ -323,6 +310,16 @@ def _csv(columns: list[str], table: np.ndarray) -> str:
     return b"".join([",".join(columns).encode() + b"\n", *blocks]).decode("ascii")
 
 
+def _write(args, text: str) -> None:
+    """Send text to --out and name the file on stdout, or send it to stdout."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote {args.out}")
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(args, columns: list[str], table: np.ndarray,
           extra: dict | None = None) -> None:
     """Write one row per line of table (columns as named) as CSV or JSON."""
@@ -334,22 +331,17 @@ def _emit(args, columns: list[str], table: np.ndarray,
         if extra:
             payload.update(extra)
         text = json.dumps(payload, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
 
 
-def _run_operator(args, op_name: str) -> None:
+def _run_operator(args) -> None:
     spec = _kernel_from_args(args)
     f = _grid_function(args.f, args.a, args.b, args.n)
-    if op_name == "rl_integral":
+    if args.command == "deriv":
+        result = _DERIV_OPS[args.op](spec, f, scheme=args.scheme)
+    else:
         result = rl_integral_varorder(spec, f, exponent_at=args.exponent_at,
                                       scheme=args.scheme)
-    else:
-        result = _DERIV_OPS[op_name](spec, f, scheme=args.scheme)
     columns = ["t", "value"]
     table = [result.values.grid, result.values.values]
     if args.estimate_error:
@@ -381,71 +373,50 @@ def _run_solve(args) -> None:
           file=sys.stdout if args.out else sys.stderr)
 
 
+def _strict(failure: dict) -> dict:
+    """A failure record as strict JSON can hold it: a non-finite observed
+    value, bound or margin becomes null."""
+    return {key: None if key in ("observed", "bound", "margin")
+            and not math.isfinite(value) else value for key, value in failure.items()}
+
+
 def _run_verify(args) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    reports = []
-    for name in names:
-        reports.extend(default_suite_run(name, seed=args.seed))
-    hard_failures = sum(len(rep.failures) for rep in reports
-                        if not rep.passed and not rep.informational)
-    exit_code = 3 if hard_failures else 0
+    reports = [rep for name in names for rep in default_suite_run(name, seed=args.seed)]
+    if args.out or args.format == "text":
+        for rep in reports:
+            status = "PASS" if rep.passed else ("INFO-FAIL" if rep.informational else "FAIL")
+            print(f"{status:9s} {rep.suite_name}: {rep.cases_run} cases, "
+                  f"{len(rep.failures)} failures")
+            for failure in rep.failures[:5]:
+                print(f"          {failure['case']}: observed {failure['observed']:.6g} "
+                      f"vs bound {failure['bound']:.6g}")
+            for note in rep.notes:
+                print(f"          note: {note}")
     if args.out or args.format == "json":
-        payload = {
-            "config": _config_echo(args),
-            "suites": [
-                {
-                    "suite": rep.suite_name,
-                    "cases_run": rep.cases_run,
-                    "failures": rep.failures,
-                    "notes": rep.notes,
-                    "informational": rep.informational,
-                    "passed": rep.passed,
-                }
-                for rep in reports
-            ],
-        }
-        text = json.dumps(payload, sort_keys=True) + "\n"
-        if not args.out:  # --format json: the report replaces the text lines
-            sys.stdout.write(text)
-            return exit_code
-    for rep in reports:
-        status = "PASS" if rep.passed else ("INFO-FAIL" if rep.informational else "FAIL")
-        print(f"{status:9s} {rep.suite_name}: {rep.cases_run} cases, "
-              f"{len(rep.failures)} failures")
-        for failure in rep.failures[:5]:
-            print(f"          {failure['case']}: observed {failure['observed']:.6g} "
-                  f"vs bound {failure['bound']:.6g}")
-        for note in rep.notes:
-            print(f"          note: {note}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    return exit_code
+        suites = [{"suite": rep.suite_name, "cases_run": rep.cases_run,
+                   "failures": [_strict(failure) for failure in rep.failures],
+                   "notes": rep.notes, "informational": rep.informational,
+                   "passed": rep.passed} for rep in reports]
+        _write(args, json.dumps({"config": _config_echo(args), "suites": suites},
+                                sort_keys=True) + "\n")
+    return 3 if any(rep.failures and not rep.informational for rep in reports) else 0
+
+
+_COMMANDS = {"deriv": _run_operator, "integral": _run_operator,
+             "solve": _run_solve, "verify": _run_verify}
 
 
 def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_merge_expr_values(_expand_config(raw)))
-        if args.command == "deriv":
-            _run_operator(args, args.op)
-        elif args.command == "integral":
-            _run_operator(args, "rl_integral")
-        elif args.command == "solve":
-            _run_solve(args)
-        else:
-            return _run_verify(args)
-        return 0
+        args = build_parser().parse_args(_merge_expr_values(_expand_config(raw)))
+        return _COMMANDS[args.command](args) or 0
     except _VALIDATION_ERRORS as exc:
         print(f"fracvar: invalid configuration: {exc}", file=sys.stderr)
         return 1
-    except _NUMERICAL_ERRORS as exc:
-        print(f"fracvar: numerical failure: {exc}", file=sys.stderr)
-        return 2
     except FracvarError as exc:
-        print(f"fracvar: {exc}", file=sys.stderr)
+        print(f"fracvar: numerical failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"fracvar: i/o error: {exc}", file=sys.stderr)

@@ -452,6 +452,16 @@ def test_lipschitz_reports_an_infinite_ratio(monkeypatch):
     assert failure["observed"] == math.inf and failure["bound"] == math.inf
 
 
+def test_lipschitz_reports_a_nan_ratio(monkeypatch):
+    # D_rl NaN on the first corpus function: a max that drops NaN would pass
+    _mutant(monkeypatch, "rl_deriv_ns", lambda v, spec: v[0].fill(math.nan))
+    report = check_lipschitz(SuiteConfig(spec_for(0.5), standard_corpus(seed=4, random_count=2),
+                                         n=256))
+    [failure] = report.failures
+    assert failure["case"] == "ratio finite"
+    assert report.notes == ["calibrated theta = nan (n=256), nan (n=512)"]
+
+
 def test_limit_interchange_reports_an_offset_integral(monkeypatch):
     # I1 plus the ramp t on [0, 1]: the gaps grow toward 1 along the Taylor
     # sums, past the I1 proof bound and the final-gap tolerance

@@ -523,3 +523,45 @@ def test_installed_entry_point():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.startswith("t,value")
+
+
+def test_verify_text_prints_each_note(monkeypatch, capsys):
+    from fracvar.analysis import SuiteReport
+
+    def fake_run(name, seed=0):
+        return [SuiteReport(suite_name=name, cases_run=2, failures=[],
+                            notes=["first", "second"])]
+
+    monkeypatch.setattr(cli, "default_suite_run", fake_run)
+    assert run(["verify", "--suite", "max_point"]) == 0
+    assert capsys.readouterr().out == ("PASS      max_point: 2 cases, 0 failures\n"
+                                       "          note: first\n"
+                                       "          note: second\n")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_verify_json_writes_non_finite_failure_values_as_null(monkeypatch, tmp_path, capsys):
+    # D_rl infinite on the first corpus function: the "ratio finite" failure
+    # has observed = bound = inf and margin = inf - inf = nan
+    from fracvar import analysis
+
+    real = analysis.rl_deriv_ns
+
+    def infinite(spec, f):
+        result = real(spec, f)
+        result.values.values[0].fill(np.inf)
+        return result
+
+    monkeypatch.setattr(analysis, "rl_deriv_ns", infinite)
+    assert run(["verify", "--suite", "lipschitz", "--format", "json"]) == 3
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert run(["verify", "--suite", "lipschitz", "--out", str(out)]) == 3
+    assert "ratio finite: observed inf vs bound inf\n" in capsys.readouterr().out
+    for text in (printed, out.read_text()):
+        [suite] = json.loads(text, parse_constant=_reject_constant)["suites"]
+        assert suite["failures"] == [{"case": "ratio finite", "observed": None,
+                                      "bound": None, "margin": None}]

@@ -343,3 +343,30 @@ def test_compiled_constants_are_bound_by_name():
 def test_compiled_function_needs_every_variable_named():
     with pytest.raises(UnboundVariable):
         expr.to_function(expr.parse("t + u"), ("t",))
+
+
+def test_unexpected_character_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError, match=r"unexpected character '\$'") as exc:
+        expr.parse("t + $2")
+    assert exc.value.offset == 4
+
+
+def test_evaluate_without_a_binding_raises():
+    with pytest.raises(UnboundVariable):
+        expr.evaluate(expr.parse("t + u"), {"t": 1.0})
+
+
+def test_simplifier_constant_folds():
+    # the folds that derivative() never reaches on its own
+    c, t = expr._const, expr.Var(name="t")
+    assert expr._add(c(2.0), c(3.0)) == c(5.0)
+    assert expr._neg(expr._neg(t)) == t
+    assert expr._mul(c(2.0), c(3.0)) == c(6.0)
+    assert expr._div(t, c(1.0)) == t
+    assert expr._pow(t, c(0.0)) == c(1.0)
+
+
+def test_negative_constant_base_is_parenthesized():
+    node = expr.Binary(op="^", left=expr._const(-2.0), right=expr.Var(name="t"))
+    assert expr.to_source(node) == "(-2.0)^t"
+    assert expr.evaluate(expr.parse(expr.to_source(node)), {"t": 3.0}) == -8.0

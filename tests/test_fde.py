@@ -592,3 +592,25 @@ class TestSandwich:
                              grid_n=64)
         with pytest.raises(InvalidParam):
             sandwich_check(problem, LinearBound(-1.0, h), LinearBound(-1.0, h))
+
+
+def test_solve_report_rejects_a_negative_residual():
+    grid = uniform_grid(0.0, 1.0, 16)
+    with pytest.raises(InvalidParam, match="residual_norm must be >= 0"):
+        fde.SolveReport(solution=GridFunction(grid=grid, values=np.zeros(grid.size)),
+                        newton_iters=np.zeros(16, dtype=int), residual_norm=-1e-3,
+                        compat_gap=0.0, corrected=True, scales=np.ones(16))
+
+
+def test_comparison_needs_u_and_q_on_one_grid():
+    grid = uniform_grid(0.0, 1.0, 128)
+    u = GridFunction(grid=grid, values=-np.ones(grid.size), derivs=np.zeros(grid.size))
+    q = GridFunction(grid=uniform_grid(0.0, 2.0, 128), values=np.ones(grid.size))
+    with pytest.raises(InvalidParam, match="u and q must share one grid"):
+        check_comparison(CF, u, q)
+
+
+def test_uniqueness_probe_needs_a_perturbation():
+    problem = FdeProblem(spec=CF, rhs=lambda t, u: -u, initial=1.0, grid_n=64)
+    with pytest.raises(InvalidParam, match="need at least one perturbation"):
+        uniqueness_probe(problem, perturbations=0)

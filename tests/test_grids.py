@@ -126,3 +126,17 @@ class TestStacks:
             GridFunction(grid=g, values=np.zeros((2, 2, 17)))
         with pytest.raises(InvalidGrid):
             GridFunction(grid=g, values=np.zeros((2, 17)), derivs=np.zeros(17))
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, np.inf), (np.nan, 1.0)])
+def test_uniform_grid_rejects_a_bad_interval(a, b):
+    with pytest.raises(InvalidGrid, match="bad interval"):
+        uniform_grid(a, b, 16)
+
+
+def test_non_finite_derivs_rejected():
+    grid = uniform_grid(0.0, 1.0, 16)
+    derivs = np.ones(grid.size)
+    derivs[3] = np.nan
+    with pytest.raises(InvalidGrid, match="derivs contain non-finite entries"):
+        GridFunction(grid=grid, values=grid.copy(), derivs=derivs)

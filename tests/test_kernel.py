@@ -239,3 +239,22 @@ def test_kernel_bounded_property(alpha, x, y):
 def test_sin_warp_spec_builds():
     spec = cf_spec(0.5, warp=sin_warp())
     assert kernel_eval(spec, 1.0, 1.0) == 1.0
+
+
+def test_variable_expr_order_needs_an_interval():
+    with pytest.raises(InvalidParam, match="needs an interval"):
+        OrderFunction.from_expr("0.4 + 0.1*t")
+
+
+def test_order_must_be_finite_on_the_interval():
+    order = OrderFunction.from_callable(lambda t: np.where(t < 0.5, 0.5, np.nan), 0.4, 0.6)
+    with pytest.raises(InvalidParam, match="order function is not finite"):
+        cf_spec_with_order(order)
+
+
+def test_warp_that_raises_value_error_is_invalid():
+    def undefined(t):
+        raise ValueError("math domain error")
+
+    with pytest.raises(InvalidParam, match="warp undefined on the interval: math domain error"):
+        cf_spec(0.5, warp=WarpFunction(fn=undefined, deriv=undefined))

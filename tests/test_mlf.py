@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracvar import mlf
 from fracvar.errors import InvalidParam, NonConvergent
 from fracvar.mlf import (
     MLParams,
@@ -273,3 +274,39 @@ def test_small_orders_certified_or_refused(beta, x1, x2):
 def test_array_helper_beta_one_is_exp():
     z = -np.linspace(0.0, 5.0, 11)
     assert np.array_equal(_ml_neg_array(1.0, z), np.exp(z))
+
+
+def test_array_helper_refuses_positive_arguments():
+    with pytest.raises(InvalidParam, match="nonpositive"):
+        _ml_neg_array(0.5, np.array([-1.0, 0.5]))
+
+
+def test_order_one_overflow_raises():
+    with pytest.raises(NonConvergent, match="overflows"):
+        ml_eval(MLParams(1.0), 1000.0)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0])
+def test_spectral_density_needs_positive_r(r):
+    with pytest.raises(InvalidParam, match="r > 0"):
+        spectral_density(0.5, r)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5])
+def test_spectral_route_needs_gamma_inside_the_unit_interval(gamma):
+    with pytest.raises(InvalidParam, match="gamma must lie in"):
+        ml_eval_spectral(gamma, 1.0)
+
+
+def test_spectral_route_at_zero_is_one():
+    assert ml_eval_spectral(0.5, 0.0) == 1.0
+
+
+def test_trapezoid_raises_when_the_sums_do_not_settle():
+    # a unit integrand on [0, 1] has no end-weight halving, so the sums read
+    # 1 + h: after _REFINE halvings the gap h / 2 is still far above 1e-10
+    def ones(rows, nodes):
+        return np.full(rows.size, float(nodes.size))
+
+    with pytest.raises(NonConvergent, match="missed tol"):
+        mlf._trapezoid(ones, 0.0, 1.0, 1e-10, np.zeros(1))

@@ -1142,3 +1142,35 @@ def test_stacked_table_sums_match_row_by_row():
         one_nodes, one_mids = table.sums(x[k], y[k])
         assert np.array_equal(nodes[k], one_nodes)
         assert np.array_equal(mids[k], one_mids)
+
+
+def test_operator_result_rejects_an_unknown_scheme():
+    f = sampled(np.sin, n=16, deriv=np.cos)
+    with pytest.raises(InvalidParam, match="unknown scheme 'simpson'"):
+        operators.OperatorResult(values=f, scheme="simpson", other=lambda: f.values)
+
+
+def test_nan_other_scheme_gives_no_estimate():
+    f = sampled(np.sin, n=16, deriv=np.cos)
+    result = operators.OperatorResult(values=f, scheme=SCHEMES[0],
+                                      other=lambda: np.full(f.values.shape, np.nan))
+    with pytest.raises(InvalidParam, match="quad_error_estimate must be >= 0"):
+        result.quad_error_estimate
+
+
+@pytest.mark.parametrize("name, kwargs, message", [
+    ("atangana", {"gamma": 0.5}, "atangana fixes gamma = beta = alpha"),
+    ("atangana", {"beta": 0.5}, "atangana fixes gamma = beta = alpha"),
+    ("yang_machado", {"alpha": "0.5 + 0.1*t"}, "yang_machado requires a constant order"),
+    ("caputo_fabrizio", {"alpha": "0.5 + 0.1*t"}, "caputo_fabrizio requires a constant order"),
+    ("yang_machado", {"gamma": 0.5}, "yang_machado fixes gamma = beta = 1"),
+    ("caputo_fabrizio", {"beta": 0.5}, "caputo_fabrizio fixes gamma = beta = 1"),
+    ("unit_norm_exp", {"gamma": 0.5}, "unit_norm_exp fixes gamma = beta = 1"),
+    ("unit_norm_exp", {"beta": 0.5}, "unit_norm_exp fixes gamma = beta = 1"),
+])
+def test_special_case_refusals(name, kwargs, message):
+    kwargs = {"alpha": 0.5, **kwargs}
+    if isinstance(kwargs["alpha"], str):
+        kwargs["alpha"] = OrderFunction.from_expr(kwargs["alpha"], interval=(0.0, 1.0))
+    with pytest.raises(InvalidParam, match=f"^{message}$"):
+        make_special_case(name, **kwargs)
