@@ -314,8 +314,9 @@ def check_lipschitz(cfg: SuiteConfig) -> SuiteReport:
     theta_n = ratio_n / denom
     theta_2n = ratio_2n / denom
     failures = []
-    if not (math.isfinite(ratio_n) and math.isfinite(ratio_2n)):
-        failures.append(_failure("ratio finite", math.inf, math.inf))
+    bad = [ratio for ratio in (ratio_n, ratio_2n) if not math.isfinite(ratio)]
+    if bad:  # the first non-finite ratio, inf or nan, as observed
+        failures.append(_failure("ratio finite", bad[0], math.inf))
     rel = abs(theta_2n - theta_n) / max(theta_n, 1e-30)
     if rel > _TOLS["lipschitz"]:
         failures.append(_failure("theta refinement stability", rel,

@@ -12,16 +12,17 @@ and the scalar equation D_h u = rhs(t_i, u_i), memory term frozen, is solved
 per node by one nodal solver (secant steps on the rhs slope of the previous
 node, then bracket and bisection), which the uniqueness probe shares: about
 two rhs calls per node; a whole solve with a compiled cubic rhs costs about
-2.3 us per node on the exact rule below, 3.7 us on Toeplitz rows (n = 4096)
-and 7.8 us on 75 rates (n = 131072), 2-core Xeon VM. The memory
+2.0 us per node on the exact rule below, 3.4 us on Toeplitz rows (n = 4096)
+and 7.2 us on 75 rates (n = 131072), 2-core Xeon VM. The memory
 sum_{j<i-1} c_ij (u_j+1 - u_j) comes from the kernel table's march, on the
 path its history sums take: O(nK) on the sum of exponentials (K = 1, so
 O(n), on the exponential kernel's exact rule; K about 60 on a certified
 one), O(n log^2 n) on Toeplitz rows (near-field dots and FFT products on
-dyadic blocks, the exact weights), one kernel row per node otherwise.
-The residual certification afterwards is one history sum of that table over
-all nodes, by the table's blocked recurrences or FFT products rather than the
-march's, so it checks the march.
+dyadic blocks, the exact weights), one kernel row per node otherwise; the
+two row paths share one loop. The residual certification afterwards is one
+history sum of that table over all nodes, by the table's blocked
+recurrences, FFT products or node rows rather than the march's, so it
+checks the march.
 
 Initial-condition compatibility: the continuous equation at t = a forces
 f(a, u0) = 0; incompatible data make the exact solution jump at a. By default

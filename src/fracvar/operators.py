@@ -53,7 +53,8 @@ grid. No declared property of the order enters.
   refused, as when it would need more than n rates: one row per output node,
   O(n^2) kernel evaluations, each sum a dot product, as accurate as the rows.
   Each call of sums() builds the rows again, so the bounded-kernel operators
-  make both schemes in their first call (_history) and keep the other.
+  make both schemes in their first call (_history) and keep the other. Node
+  sums alone (the solver's residual) take node rows, half the kernel values.
 
 _exp_sums takes one layout, columns of data on one grid. Node sums run on the
 nodes; a midpoint sum runs on the half-step grid, y at its odd points and
@@ -70,12 +71,16 @@ does not depend on m), transforms the stack in one FFT call on "toeplitz"
 product per node on "rows".
 
 march() gives the solver the history of kernel rows node by node, on the
-same path: one running sum per rate of the sum-of-exponentials rule (on
-Python floats for the exact one-rate rule), a blocked march for Toeplitz rows
-(direct dots near the diagonal, real FFT products of length 2h for each
-dyadic block of h sources further back, O(n log^2 n)), or one row per node.
-Both FFT products, the sums' truncated one and the march's, are _circular
-products against a spectrum made once.
+same path, with one of two kinds of memory: a state per rate of the
+sum-of-exponentials rule (_soe_march; on Python floats for the exact
+one-rate rule), or row dots (_row_march), one loop for Toeplitz and kernel
+rows. A node dots its near sources with their weights and takes the sources
+before its block from a far field. Toeplitz rows dot inside aligned blocks
+of _NEAR nodes, and their far field (_toeplitz_far) adds real FFT products
+of length 2h for each dyadic block of h sources further back, O(n log^2 n).
+Kernel rows dot the whole row and have no far field, O(n^2). Both FFT
+products, the sums' truncated one and the march's, are _circular products
+against a spectrum made once.
 
 Outer d/dt steps use second-order central differences with one-sided stencils
 at the interval ends.
@@ -84,6 +89,7 @@ at the interval ends.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -261,7 +267,9 @@ class _KernelTable:
             if y is not None:
                 mids[:, 1:] = _lower_product(self._base[1::2], y)
         elif self.path == "rows":
-            # one data row per sum made: x at the nodes, y at the midpoints
+            # one data row per sum made: x at the nodes, y at the midpoints;
+            # node rows alone when no midpoint sum is made
+            stride = 1 if y is not None else 2
             data = np.zeros((m, (x is not None) + (y is not None), 2 * n + 1))
             if x is not None:
                 data[:, 0, ::2] = x
@@ -269,7 +277,7 @@ class _KernelTable:
                 data[:, -1, 1::2] = y
             out = np.zeros((data.shape[1], m, n + 1))
             for i in range(n + 1):
-                out[..., i] = (data[..., : 2 * i + 1] @ self._row(i, 1)).T
+                out[..., i] = (data[..., : 2 * i + 1 : stride] @ self._row(i, stride)).T
             nodes, mids = out[0], out[-1]
         elif self._mus is not None:
             rates, weights = self._rule
@@ -296,62 +304,72 @@ class _KernelTable:
 
     def march(self):
         """The solver march's memory, node by node, on the path of sums():
-        _soe_march on the rule, exact or certified, _toeplitz_march on the
-        Toeplitz row, or one kernel row per node.
+        _soe_march on the rule, exact or certified, or _row_march on the
+        rows, the Toeplitz ones with their dyadic far field (_toeplitz_far).
 
         A generator: for node i = 1..n it yields the Python floats H(t_i, a),
         H(t_i, t_{i-1}) and sum_{j<i-1} c_ij du_j, c_ij = (H(t_i, t_j) +
         H(t_i, t_{j+1})) / 2, then takes du_{i-1} = u_i - u_{i-1} by send().
         """
-        if self.path == "toeplitz":
-            return _toeplitz_march(self._base[::2])
         if self.path == "soe":
             return _soe_march(self.psih[::2], *self._rule)
-        return self._rows_march()
+        if self.path == "rows":
+            return _row_march(self.n, ((float(r[0]), float(r[-2]), 0.5 * (r[:-2] + r[1:-1]))
+                                       for r in map(self.row, range(1, self.n + 1))))
+        g = self._base[::2]
+        c = 0.5 * (g[1:] + g[:-1])
+        # node p + 1 takes its near sources p0..p-1, k = p - p0 of them, with
+        # c[k], ..., c[1]: the last k entries of the reversed c
+        cr = c[::-1].copy()
+        near = [cr[-1 - k : -1] for k in range(_NEAR)]
+        return _row_march(self.n, zip(g[1:].tolist(), itertools.repeat(float(g[1])),
+                                      itertools.cycle(near)), _toeplitz_far(c))
 
-    def _rows_march(self):
-        steps = np.zeros(self.n)
-        for i in range(1, self.n + 1):
-            row = self.row(i)
-            c = 0.5 * (row[:-1] + row[1:])
-            steps[i - 1] = yield (float(row[0]), float(row[i - 1]),
-                                  float(c[: i - 1] @ steps[: i - 1]))
 
-
-def _toeplitz_march(g: np.ndarray):
-    """march() of Toeplitz rows, g[m] = H at m node steps, blocked as in
-    Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6(3), 1985).
-
-    With c[k] = (g[k] + g[k+1]) / 2, node i's memory is
-    M_p = sum_{j<p} c[p-j] du_j at p = i - 1. Sources and targets inside one
-    aligned block of _NEAR nodes meet in one dot at the target. Once q
-    sources are known, q a multiple of _NEAR and h = q & -q its lowest set
-    bit, the sources [q-h, q) are convolved with c[:2h] into the targets
-    [q, q+h) (a _circular product of length 2h, made once per h). Every
-    pair j < p in different blocks meets in exactly one such product, so the
-    march costs O(n log^2 n) on the exact Toeplitz weights.
+def _row_march(n: int, rows, far=None):
+    """march() on weight rows. For node i = p + 1, rows yields the floats
+    H(t_i, a) and H(t_i, t_{i-1}) and the weights c_ij at the sources
+    p0..p-1, which meet the steps in one dot. Without a far field p0 = 0.
+    With one, p0 starts each aligned block of _NEAR nodes, and far(p0,
+    steps), called there once the steps before p0 are known, gives the
+    memory of those sources at the block's targets.
     """
-    n = g.size - 1
-    c = 0.5 * (g[1:] + g[:-1])
-    cr = c[::-1].copy()
     steps = np.zeros(n)
-    far = np.zeros(n)  # the part of M_p from earlier blocks
-    products = {}
-    sub = float(g[1])
     stored = memoryview(steps)
-    for p in range(n):
-        k = p % _NEAR
-        if k == 0:  # the block's heads, and its far field, final from here on
-            heads, fars = g[p + 1 : p + 1 + _NEAR].tolist(), far[p : p + _NEAR].tolist()
-        stored[p] = yield (heads[k], sub,
-                           fars[k] + float(cr[n - 1 - k : n - 1].dot(steps[p - k : p])))
-        q = p + 1
-        if q % _NEAR == 0:
-            h = q & -q
+    for p, (head, sub, c) in enumerate(rows):
+        p0 = p - c.size
+        if far is not None and p == p0:
+            fars = far(p0, steps)
+        near = float(c.dot(steps[p0:p]))
+        stored[p] = yield head, sub, near if far is None else fars[p - p0] + near
+
+
+def _toeplitz_far(c: np.ndarray):
+    """The far field of _row_march on Toeplitz rows, blocked as in Hairer,
+    Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6(3), 1985).
+
+    With g[m] = H at m node steps and c[k] = (g[k] + g[k+1]) / 2, node i's
+    memory is M_p = sum_{j<p} c[p-j] du_j at p = i - 1. Sources and targets
+    inside one aligned block of _NEAR nodes meet in the near dot. When a
+    block starts at p0 and h = p0 & -p0 is its lowest set bit, the sources
+    [p0-h, p0) are convolved with c[:2h] into the targets [p0, p0+h) (a
+    _circular product of length 2h, made once per h). Every pair j < p in
+    different blocks meets in exactly one such product, so the march costs
+    O(n log^2 n) on the exact Toeplitz weights.
+    """
+    far = np.zeros(c.size)  # the part of M_p from earlier blocks
+    products = {}
+
+    def block(p0: int, steps: np.ndarray) -> list:
+        if p0:
+            h = p0 & -p0
             if h not in products:
                 products[h] = _circular(c[: 2 * h], 2 * h)
             # outputs h..2h-1 of the product of length 2h do not wrap
-            far[q : q + h] += products[h](steps[q - h : q])[h : h + n - q]
+            far[p0 : p0 + h] += products[h](steps[p0 - h : p0])[h : h + c.size - p0]
+        return far[p0 : p0 + _NEAR].tolist()
+
+    return block
 
 
 # The state of node i's memory, at one rate r, is

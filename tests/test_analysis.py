@@ -462,6 +462,16 @@ def test_lipschitz_reports_a_nan_ratio(monkeypatch):
     assert report.notes == ["calibrated theta = nan (n=256), nan (n=512)"]
 
 
+def test_lipschitz_names_the_nan_ratio_it_observed(monkeypatch):
+    # the "ratio finite" failure records the first non-finite ratio, so a NaN
+    # ratio reads as NaN, not as the infinite bound
+    _mutant(monkeypatch, "rl_deriv_ns", lambda v, spec: v[0].fill(math.nan))
+    report = check_lipschitz(SuiteConfig(spec_for(0.5), standard_corpus(seed=4, random_count=2),
+                                         n=256))
+    [failure] = report.failures
+    assert math.isnan(failure["observed"]) and failure["bound"] == math.inf
+
+
 def test_limit_interchange_reports_an_offset_integral(monkeypatch):
     # I1 plus the ramp t on [0, 1]: the gaps grow toward 1 along the Taylor
     # sums, past the I1 proof bound and the final-gap tolerance

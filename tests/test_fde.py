@@ -221,9 +221,36 @@ def test_march_matches_rows_march(spec, route, monkeypatch):
     problem = FdeProblem(spec=spec, rhs=lambda t, u: -u ** 3 - u + math.sin(math.pi * t),
                          initial=1.0, grid_n=n)
     fast = solve_fde(problem).solution.values
-    monkeypatch.setattr(_KernelTable, "march", _KernelTable._rows_march)
+    monkeypatch.setattr(_KernelTable, "march", _rows_march)
     rows = solve_fde(problem).solution.values
     assert np.max(np.abs(fast - rows)) <= 1e-11 * np.max(np.abs(rows))
+
+
+def _rows_march(table):
+    """The march as one kernel row and one O(i) dot per node, on any path:
+    the O(n^2) reference."""
+    steps = np.zeros(table.n)
+    for i in range(1, table.n + 1):
+        row = table.row(i)
+        c = 0.5 * (row[:-1] + row[1:])
+        steps[i - 1] = yield (float(row[0]), float(row[i - 1]),
+                              float(c[: i - 1] @ steps[: i - 1]))
+
+
+def _march_yields(table, reference):
+    """The yields of table.march() and of the reference march for one random
+    sequence of steps, as two (n, 3) arrays. The march's first two floats
+    must be H(t_i, a) and H(t_i, t_{i-1}) of the table's rows, exactly."""
+    n = table.n
+    steps = np.random.default_rng(n).standard_normal(n).tolist()
+    yields = []
+    for march in (table.march(), reference):
+        out = [march.send(None)]
+        out += [march.send(du) for du in steps[:-1]]
+        yields.append(np.array(out))
+    rows = [table.row(i) for i in range(1, n + 1)]
+    assert np.array_equal(yields[0][:, :2], [(row[0], row[-2]) for row in rows])
+    return yields
 
 
 def _direct_dot_march(g):
@@ -249,13 +276,7 @@ def test_blocked_toeplitz_march_matches_direct_dots(gamma, beta, n, monkeypatch)
                       interval=(0.0, 1.0))
     table = _KernelTable(spec, uniform_grid(0.0, 1.0, n))
     assert table.path == "toeplitz"
-    steps = np.random.default_rng(n).standard_normal(n).tolist()
-    memories = []
-    for march in (table.march(), _direct_dot_march(table._base[::2])):
-        out = [march.send(None)]
-        out += [march.send(du) for du in steps[:-1]]
-        memories.append(np.array(out))
-    blocked, direct = memories
+    blocked, direct = _march_yields(table, _direct_dot_march(table._base[::2]))
     assert np.array_equal(blocked[:, :2], direct[:, :2])
     assert np.max(np.abs(blocked[:, 2] - direct[:, 2])) <= 1e-13 * np.max(np.abs(direct[:, 2]))
 
@@ -263,9 +284,43 @@ def test_blocked_toeplitz_march_matches_direct_dots(gamma, beta, n, monkeypatch)
                          initial=1.0, grid_n=n)
     monkeypatch.setattr(fde, "NEWTON_TOL", 1e-13)
     fast = solve_fde(problem).solution.values
-    monkeypatch.setattr(operators, "_toeplitz_march", _direct_dot_march)
+    monkeypatch.setattr(_KernelTable, "march", lambda self: _direct_dot_march(self._base[::2]))
     slow = solve_fde(problem).solution.values
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+
+ROWS_SPEC = make_special_case("log_warp", alpha=0.4, interval=(1.0, 2.0), gamma=0.7, beta=0.6)
+
+
+@pytest.mark.parametrize("n", [40, 130, 1000])
+def test_rows_march_matches_direct_dots(n, monkeypatch):
+    # the same loop on rows takes no far field and one dot per node, so its
+    # memories and the solution are the reference's exactly
+    table = _KernelTable(ROWS_SPEC, uniform_grid(1.0, 2.0, n))
+    assert table.path == "rows"
+    march, direct = _march_yields(table, _rows_march(table))
+    assert np.array_equal(march, direct)
+    problem = FdeProblem(spec=ROWS_SPEC, rhs=_cubic, initial=1.0, grid_n=n)
+    fast = solve_fde(problem).solution.values
+    monkeypatch.setattr(_KernelTable, "march", _rows_march)
+    assert np.array_equal(fast, solve_fde(problem).solution.values)
+
+
+def test_rows_solve_evaluates_node_rows_only(monkeypatch):
+    # n (n + 3) / 2 kernel values in the march and (n + 1) (n + 2) / 2 in the
+    # residual certification, which sums nodes alone: no half-step rows
+    n, count = 128, []
+    real = operators._ml_kernel
+
+    def counted(spec, alpha, s):
+        count.append(np.size(s))
+        return real(spec, alpha, s)
+
+    monkeypatch.setattr(operators, "_ml_kernel", counted)
+    assert _march_route(ROWS_SPEC, n) == "rows"
+    count.clear()
+    solve_fde(FdeProblem(spec=ROWS_SPEC, rhs=_cubic, initial=1.0, grid_n=n))
+    assert sum(count) == n * (n + 3) // 2 + (n + 1) * (n + 2) // 2 == 16769
 
 
 class TestCompatibilityCorrection:
