@@ -2,9 +2,11 @@
 
 Each check_* function takes a SuiteConfig (a kernel spec, a corpus and a
 grid size) and returns a SuiteReport listing any observed violations; nothing
-raises on a failed estimate, so callers can aggregate. default_suite_run wires
+raises on a failed estimate, so callers can aggregate. default_suite_run runs
 the canonical kernels, corpora and grids used by the command-line `verify`
-command; the tolerances are module constants.
+command, one report per row of the table _RUNS (suite -> its runs), which is
+also the one source of SUITE_NAMES and of each report's label and
+informational flag; the tolerances are module constants.
 
 The test-function corpus is fixed: {1, t, t^2, sin(pi t), cos t, e^t} plus
 seeded random trigonometric polynomials of degree <= 6 whose coefficients
@@ -88,17 +90,6 @@ _STACK = 1 << 15
 # the harmonics j pi, j = 1..6, of the random trigonometric polynomials
 _JPI = np.arange(1, 7, dtype=float) * math.pi
 
-SUITE_NAMES = (
-    "boundedness",
-    "lipschitz",
-    "limit_interchange",
-    "axiom_limits",
-    "max_point",
-    "vanish_at_a",
-    "comparison",
-)
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """A corpus function and its derivative, each taking a float or an ndarray.
@@ -137,18 +128,20 @@ def _trig_poly(seed: int, index: int) -> TestFunction:
                         harmonics=(a_sin, a_cos))
 
 
+# the six fixed functions that lead every corpus
+_FIXED = (
+    TestFunction("one", lambda t: 1.0, lambda t: 0.0),
+    TestFunction("t", lambda t: t, lambda t: 1.0),
+    TestFunction("t^2", lambda t: t * t, lambda t: 2.0 * t),
+    TestFunction("sin_pi_t", lambda t: np.sin(math.pi * t),
+                 lambda t: math.pi * np.cos(math.pi * t)),
+    TestFunction("cos_t", np.cos, lambda t: -np.sin(t)),
+    TestFunction("exp_t", np.exp, np.exp),
+)
+
+
 def standard_corpus(seed: int = 0, random_count: int = 6) -> tuple[TestFunction, ...]:
-    fixed = (
-        TestFunction("one", lambda t: 1.0, lambda t: 0.0),
-        TestFunction("t", lambda t: t, lambda t: 1.0),
-        TestFunction("t^2", lambda t: t * t, lambda t: 2.0 * t),
-        TestFunction("sin_pi_t", lambda t: np.sin(math.pi * t),
-                     lambda t: math.pi * np.cos(math.pi * t)),
-        TestFunction("cos_t", np.cos, lambda t: -np.sin(t)),
-        TestFunction("exp_t", np.exp, np.exp),
-    )
-    randoms = tuple(_trig_poly(seed, k) for k in range(random_count))
-    return fixed + randoms
+    return _FIXED + tuple(_trig_poly(seed, k) for k in range(random_count))
 
 
 def _stacks(count: int, grid: np.ndarray, rows: Callable):
@@ -274,13 +267,11 @@ def check_boundedness(cfg: SuiteConfig) -> SuiteReport:
                     worst = max(worst, (float(sups[k]) / norm, case))
                 if sups[k] > proven * norm * (1.0 + tol):
                     failures.append(_failure(case, float(sups[k]), proven * norm))
-    report = SuiteReport("boundedness", cases_run=2 * len(cfg.test_functions),
-                         failures=failures)
-    report.notes.append(
-        f"bound factor M(alpha(b))/(1-alpha(b)) = {factor:.6g} (alpha(b) = {alpha_b:.6g})")
-    report.notes.append(f"proven factors 2 (caputo), 2 - H(b, a) = {rl_factor:.6g} (rl); "
-                        "largest factor-1 ratio {:.6g} ({})".format(*worst))
-    return report
+    notes = [f"bound factor M(alpha(b))/(1-alpha(b)) = {factor:.6g} (alpha(b) = {alpha_b:.6g})",
+             f"proven factors 2 (caputo), 2 - H(b, a) = {rl_factor:.6g} (rl); "
+             "largest factor-1 ratio {:.6g} ({})".format(*worst)]
+    return SuiteReport("boundedness", cases_run=2 * len(cfg.test_functions), failures=failures,
+                       notes=notes)
 
 
 # --- Lipschitz estimate with calibrated constant ---------------------------------
@@ -322,11 +313,8 @@ def check_lipschitz(cfg: SuiteConfig) -> SuiteReport:
         failures.append(_failure("theta refinement stability", rel,
                                  _TOLS["lipschitz"]))
     pairs = len(cfg.test_functions) * (len(cfg.test_functions) - 1) // 2
-    report = SuiteReport("lipschitz", cases_run=2 * pairs, failures=failures)
-    report.notes.append(
-        f"calibrated theta = {theta_n:.6g} (n={cfg.n}), {theta_2n:.6g} (n={2 * cfg.n})"
-    )
-    return report
+    return SuiteReport("lipschitz", cases_run=2 * pairs, failures=failures, notes=[
+        f"calibrated theta = {theta_n:.6g} (n={cfg.n}), {theta_2n:.6g} (n={2 * cfg.n})"])
 
 
 # --- limit interchange (sequence of Taylor partial sums) -------------------------
@@ -384,12 +372,8 @@ def check_limit_interchange(cfg: SuiteConfig) -> SuiteReport:
     for name, value in prev.items():
         if value > tol:
             failures.append(_failure(f"{name} final gap", value, tol))
-    report = SuiteReport("limit_interchange", cases_run=len(ops) * _SEQ_LEN,
-                         failures=failures)
-    report.notes.append(
-        "final gaps: " + ", ".join(f"{k}={v:.3e}" for k, v in prev.items())
-    )
-    return report
+    return SuiteReport("limit_interchange", cases_run=len(ops) * _SEQ_LEN, failures=failures,
+                       notes=["final gaps: " + ", ".join(f"{k}={v:.3e}" for k, v in prev.items())])
 
 
 # --- order limits ----------------------------------------------------------------
@@ -467,9 +451,7 @@ def check_axiom_limits(cfg: SuiteConfig) -> SuiteReport:
         trend.append(f"alpha=1-{delta:g}: D_c[t](mid) = {dc[trend_n // 2]:.6g}")
     notes.append("order->1 trend toward f' (reported only): " + "; ".join(trend))
 
-    report = SuiteReport("axiom_limits", cases_run=cases, failures=failures)
-    report.notes.extend(notes)
-    return report
+    return SuiteReport("axiom_limits", cases_run=cases, failures=failures, notes=notes)
 
 
 # --- maximum-point inequality ------------------------------------------------
@@ -570,51 +552,52 @@ def check_comparison_suite(spec: KernelSpec, *, n: int = 256, count: int = 100,
 
 # --- canonical configurations ---------------------------------------------------
 
+# suite -> its runs: (report label, special case, order, interval, corpus seed
+# offset, random functions, n, informational). The comparison suite draws its
+# own cases and takes no corpus. boundedness[log] and [sin] take the fixed six
+# and the first 20 random functions of the canonical run's corpus.
+_RUNS = {
+    "boundedness": (
+        ("boundedness", "caputo_fabrizio", 0.9, (0.0, 1.0), 7, 100, 1024, False),
+        ("boundedness[log]", "log_warp", 0.9, (1.0, 2.0), 7, 20, 512, True),
+        ("boundedness[sin]", "sin_warp", 0.9, (0.0, 1.0), 7, 20, 512, True),
+    ),
+    "lipschitz": (("lipschitz", "caputo_fabrizio", 0.5, (0.0, 1.0), 11, 4, 512, False),),
+    "limit_interchange": (
+        ("limit_interchange[identity]", "caputo_fabrizio", 0.5, (0.0, 1.0), 0, 0, 512, False),
+        ("limit_interchange[log]", "log_warp", 0.5, (1.0, 2.0), 0, 0, 512, False),
+        ("limit_interchange[sin]", "sin_warp", 0.5, (0.0, 1.0), 0, 0, 512, False),
+    ),
+    "axiom_limits": (("axiom_limits", "atangana", 0.5, (0.0, 1.0), 0, 2, 1024, False),),
+    "max_point": (("max_point", "caputo_fabrizio", 0.5, (0.0, 1.0), 3, 6, 1024, False),),
+    "vanish_at_a": (("vanish_at_a", "caputo_fabrizio", 0.5, (0.0, 1.0), 0, 4, 512, False),),
+    "comparison": (("comparison", "caputo_fabrizio", 0.5, (0.0, 1.0), 0, None, 256, False),),
+}
+
+SUITE_NAMES = tuple(_RUNS)
+
 
 def default_suite_run(name: str, seed: int = 0) -> list[SuiteReport]:
-    """Run one named suite under its canonical configuration."""
-    if name == "boundedness":
-        corpus = standard_corpus(seed + 7, 100)
-        cfg = SuiteConfig(spec=make_special_case("caputo_fabrizio", 0.9),
-                          test_functions=corpus, n=1024)
-        reports = [check_boundedness(cfg)]
-        for label, interval in (("log", (1.0, 2.0)), ("sin", (0.0, 1.0))):
-            spec = make_special_case(f"{label}_warp", 0.9, interval=interval)
-            # the fixed six and the first 20 random functions
-            rep = check_boundedness(SuiteConfig(spec, corpus[:26]))
-            rep.suite_name = f"boundedness[{label}]"
-            rep.informational = True
-            rep.notes.append("informational: warped run, reported apart from the "
-                             "identity warp; failures reported, not asserted")
-            reports.append(rep)
-        return reports
-    if name == "lipschitz":
-        cfg = SuiteConfig(spec=make_special_case("caputo_fabrizio", 0.5),
-                          test_functions=standard_corpus(seed + 11, 4))
-        return [check_lipschitz(cfg)]
-    if name == "limit_interchange":
-        reports = []
-        for label, case, interval in (("identity", "caputo_fabrizio", (0.0, 1.0)),
-                                      ("log", "log_warp", (1.0, 2.0)),
-                                      ("sin", "sin_warp", (0.0, 1.0))):
-            spec = make_special_case(case, 0.5, interval=interval)
-            rep = check_limit_interchange(SuiteConfig(spec, standard_corpus(seed, 0)))
-            rep.suite_name = f"limit_interchange[{label}]"
-            reports.append(rep)
-        return reports
-    if name == "axiom_limits":
-        cfg = SuiteConfig(spec=make_special_case("atangana", 0.5),
-                          test_functions=standard_corpus(seed, 2), n=1024)
-        return [check_axiom_limits(cfg)]
-    if name == "max_point":
-        cfg = SuiteConfig(spec=make_special_case("caputo_fabrizio", 0.5),
-                          test_functions=standard_corpus(seed + 3, 6), n=1024)
-        return [check_max_point(cfg)]
-    if name == "vanish_at_a":
-        cfg = SuiteConfig(spec=make_special_case("caputo_fabrizio", 0.5),
-                          test_functions=standard_corpus(seed, 4))
-        return [check_vanish_at_a(cfg)]
-    if name == "comparison":
-        return [check_comparison_suite(make_special_case("caputo_fabrizio", 0.5),
-                                       seed=seed)]
-    raise InvalidParam(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    """Run one named suite under its canonical configurations (_RUNS). The
+    check is looked up when the suite runs, so a replaced check_* runs."""
+    if name not in _RUNS:
+        raise InvalidParam(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    reports, corpora = [], {}
+    for label, case, order, interval, offset, randoms, n, informational in _RUNS[name]:
+        spec = make_special_case(case, order, interval=interval)
+        if name == "comparison":
+            report = check_comparison_suite(spec, n=n, seed=seed + offset)
+        else:
+            # a corpus function depends on the seed and its index alone, so
+            # the runs of one seed offset take prefixes of one corpus
+            size = len(_FIXED) + randoms
+            if len(corpora.get(offset, ())) < size:
+                corpora[offset] = standard_corpus(seed + offset, randoms)
+            cfg = SuiteConfig(spec, corpora[offset][:size], n)
+            report = globals()[f"check_{name}"](cfg)
+        report.suite_name, report.informational = label, informational
+        if informational:
+            report.notes.append("informational: warped run, reported apart from the "
+                                "identity warp; failures reported, not asserted")
+        reports.append(report)
+    return reports

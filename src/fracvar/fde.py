@@ -28,7 +28,20 @@ Initial-condition compatibility: the continuous equation at t = a forces
 f(a, u0) = 0; incompatible data make the exact solution jump at a. By default
 the solver subtracts H(t_i, a) f(a, u0) from the right-hand side, which
 removes the jump (the Volterra regularization of exponential-kernel
-equations) and restores O(h^2) accuracy for incompatible data. Pass
+equations). The order that leaves depends on the kernel, as measured with
+rhs -u, u0 = 1 on [0, 1]:
+
+* the exponential kernel (gamma = 1): O(h^2) at every node, 4.3e-6 at
+  n = 64 down to 6.6e-11 at n = 16384;
+* gamma < 1: the sup error is O(h^(2 gamma)), at t = a + h. The solution
+  carries powers (t - a)^(k gamma), which the piecewise-linear u and the
+  node-sampled kernel cannot follow on the first panels. atangana 0.5
+  against its closed form E_{1/2}(-t^(1/2) / 3) reads 3.1e-4, 7.8e-5,
+  2.0e-5 and 4.9e-6 at n = 256, 1024, 4096 and 16384, first order; over
+  t >= 0.1 its order is 1.5. Self-convergence at gamma = 0.3 and 0.8 gives
+  about 0.6 and 1.6 at node 1, and about 1 + gamma at t = 1.
+
+Pass
 compat_correction=False to discretize the equation exactly as written; the
 sandwich check does this internally because the enclosure of the comparison
 lemma holds for the uncorrected equation (the corrected linear bounds start

@@ -3,11 +3,14 @@
 Every operator is a history sum over one half-step table (nodes and panel
 midpoints, one weight row per output node), which also gives the solver its
 residual. Each operator is computed under a trapezoid and a midpoint scheme;
-the reported quad_error_estimate is the sup difference between the two. The
-bounded-kernel operators sum only the scheme asked for (both on "rows"), and
-the other one, from the same table, the first time the estimate is read
-(OperatorResult); the weakly singular family makes both in one pass. Two
-row builders fill the table:
+the reported quad_error_estimate is the sup difference between the two.
+Every operator makes its OperatorResult in _result, from its sums and a post
+step (prefactors, and d/dt for the derivatives of an integral), which
+finishes the scheme asked for and, the first time the estimate is read, the
+other one. The bounded-kernel operators sum only the scheme asked for (both
+on "rows", _history) and the other one then, from the same table; the weakly
+singular family sums both in one pass (_product_sums), and only the other
+scheme's post step waits. Two row builders fill the table:
 
 * The bounded-kernel family (aux_integral_1/2 and the derivatives built on
   them): the kernel values H(t_i, .), taken with composite trapezoid weights
@@ -127,11 +130,14 @@ class OperatorResult:
     """Operator values under one scheme, with the cross-scheme estimate.
 
     cross_scheme holds |trapezoid - midpoint| per node; quad_error_estimate
-    is its maximum. other() gives the other scheme's values. The
-    bounded-kernel operators sum that scheme only then, so the first read
-    of either estimate costs one more history sum, and a result whose
-    estimate is never read costs none; the weakly singular family makes
-    both schemes in one pass.
+    is its maximum. other() gives the other scheme's values, finished by
+    _result only then: the bounded-kernel operators sum that scheme then, so
+    the first read of either estimate costs one more history sum, and a
+    result whose estimate is never read costs none; the weakly singular
+    family sums both schemes in one pass, and other() runs only the post
+    step (scaling, and the finite difference of rl_deriv_classical). Only
+    cross_scheme calls other(), once; the sums of a one-pass pair are
+    handed out once each (_result).
     """
 
     values: GridFunction
@@ -606,9 +612,20 @@ def _power_sums(psih: np.ndarray, g_mid: np.ndarray, slope: np.ndarray, mus: np.
     return mid, corr
 
 
-def _history(table: _KernelTable, x: np.ndarray, y: np.ndarray, h: float):
+def _history(table: _KernelTable, g: np.ndarray, h: float, dpsih: np.ndarray | None = None):
     """scheme -> its sums, made when asked for: the composite trapezoid sums
-    of H * x, or the midpoint sums of H * y; on "rows", both in one pass."""
+    of H * x, or the midpoint sums of H * y; on "rows", both in one pass.
+    x is g at the nodes and y its panel means, each times psi' when dpsih,
+    psi' on the half-step grid, is given: g = f with dpsih for
+    aux_integral_1, g = f' without for aux_integral_2."""
+    y = g[..., :-1] + g[..., 1:]
+    y *= 0.5
+    if dpsih is None:
+        # a copy of g, which the other scheme may sum after the call returns
+        x = np.array(g)
+    else:
+        x = dpsih[::2] * g
+        y *= dpsih[1::2]
     kept = {}
 
     def sums(scheme: str) -> np.ndarray:
@@ -629,35 +646,43 @@ def _history(table: _KernelTable, x: np.ndarray, y: np.ndarray, h: float):
     return sums
 
 
-def _result(grid: np.ndarray, sums, scheme: str, label: str) -> OperatorResult:
-    """The OperatorResult of sums(scheme), which waits for its other scheme
-    until the estimate is read."""
+def _result(f: GridFunction, sums, scheme: str, label: str, post=None) -> OperatorResult:
+    """The OperatorResult of an operator on f, the one place one is made.
+
+    sums is scheme -> its sums (_history), or the (trapezoid, midpoint) pair
+    of one pass (_product_sums), whose sums are handed out once each, as
+    _history's are. post, when given, finishes a scheme's sums in place
+    (_scaled): the other scheme's post step runs when the estimate is first
+    read, as its sum does.
+    """
+    if not callable(sums):
+        sums = dict(zip(SCHEMES, sums)).pop
+
+    def finished(s: str) -> np.ndarray:
+        out = sums(s)
+        return out if post is None else post(out)
+
     other = SCHEMES[1 - SCHEMES.index(scheme)]
-    out = GridFunction(grid=grid, values=sums(scheme), label=label)
-    return OperatorResult(values=out, scheme=scheme, other=lambda: sums(other))
+    out = GridFunction(grid=f.grid, values=finished(scheme), label=label)
+    return OperatorResult(values=out, scheme=scheme, other=lambda: finished(other))
 
 
-def _aux1(spec: KernelSpec, f: GridFunction, table: _KernelTable):
-    dpsih = spec.warp.deriv_values(table.half)
-    y = f.values[..., :-1] + f.values[..., 1:]
-    y *= 0.5
-    y *= dpsih[1::2]
-    return _history(table, dpsih[::2] * f.values, y, f.h)
+def _scaled(factors: np.ndarray, h: float | None = None):
+    """_result's post step: d/dt by fd_deriv when h is given, then times
+    factors, in place."""
+    def post(out: np.ndarray) -> np.ndarray:
+        out = out if h is None else fd_deriv(out, h)
+        return np.multiply(out, factors, out=out)
 
-
-def _aux2(spec: KernelSpec, f: GridFunction, table: _KernelTable):
-    # a copy of f', which the other scheme may sum after the call returns
-    fp = np.array(f.deriv_values())
-    fp_mid = fp[..., :-1] + fp[..., 1:]
-    fp_mid *= 0.5
-    return _history(table, fp, fp_mid, f.h)
+    return post
 
 
 def aux_integral_1(spec: KernelSpec, f: GridFunction, *,
                    scheme: str = "product_trapezoid") -> OperatorResult:
     """Integral of psi'(tau) H(t, tau) f(tau) from a to t, per node."""
     _check_inputs(spec, f, scheme)
-    return _result(f.grid, _aux1(spec, f, _KernelTable(spec, f.grid)), scheme,
+    table = _KernelTable(spec, f.grid)
+    return _result(f, _history(table, f.values, f.h, spec.warp.deriv_values(table.half)), scheme,
                    f"I1[{f.label}]")
 
 
@@ -665,7 +690,7 @@ def aux_integral_2(spec: KernelSpec, f: GridFunction, *,
                    scheme: str = "product_trapezoid") -> OperatorResult:
     """Integral of H(t, tau) f'(tau) from a to t, per node."""
     _check_inputs(spec, f, scheme)
-    return _result(f.grid, _aux2(spec, f, _KernelTable(spec, f.grid)), scheme,
+    return _result(f, _history(_KernelTable(spec, f.grid), f.deriv_values(), f.h), scheme,
                    f"I2[{f.label}]")
 
 
@@ -674,15 +699,9 @@ def rl_deriv_ns(spec: KernelSpec, f: GridFunction, *,
     """Bounded-kernel RL-type derivative: prefactor/psi' * d/dt of aux_integral_1."""
     _check_inputs(spec, f, scheme)
     table = _KernelTable(spec, f.grid)
-    inner = _aux1(spec, f, table)
+    sums = _history(table, f.values, f.h, spec.warp.deriv_values(table.half))
     factors = _prefactors(spec, table.alphas) / spec.warp.deriv_values(f.grid)
-
-    def sums(s: str) -> np.ndarray:
-        out = fd_deriv(inner(s), f.h)
-        out *= factors
-        return out
-
-    return _result(f.grid, sums, scheme, f"D_rl[{f.label}]")
+    return _result(f, sums, scheme, f"D_rl[{f.label}]", _scaled(factors, f.h))
 
 
 def caputo_deriv_ns(spec: KernelSpec, f: GridFunction, *,
@@ -690,15 +709,8 @@ def caputo_deriv_ns(spec: KernelSpec, f: GridFunction, *,
     """Bounded-kernel Caputo-type derivative: prefactor * aux_integral_2."""
     _check_inputs(spec, f, scheme)
     table = _KernelTable(spec, f.grid)
-    inner = _aux2(spec, f, table)
-    factors = _prefactors(spec, table.alphas)
-
-    def sums(s: str) -> np.ndarray:
-        out = inner(s)
-        out *= factors
-        return out
-
-    return _result(f.grid, sums, scheme, f"D_c[{f.label}]")
+    return _result(f, _history(table, f.deriv_values(), f.h), scheme, f"D_c[{f.label}]",
+                   _scaled(_prefactors(spec, table.alphas)))
 
 
 # --- weakly singular family ---------------------------------------------------
@@ -763,12 +775,6 @@ def _product_sums(spec: KernelSpec, grid: np.ndarray, data: np.ndarray,
     return mid + corr, mid
 
 
-def _finish(grid: np.ndarray, trap: np.ndarray, mid: np.ndarray,
-            scheme: str, label: str) -> OperatorResult:
-    """The OperatorResult of one pass that made both schemes."""
-    return _result(grid, lambda s: trap if s == "product_trapezoid" else mid, scheme, label)
-
-
 def _gammas(xs: np.ndarray) -> np.ndarray:
     return np.array(list(map(math.gamma, xs.tolist())))
 
@@ -790,9 +796,8 @@ def rl_integral_varorder(spec: KernelSpec, f: GridFunction, *,
     grid = f.grid
     alphas = _orders(spec, grid)
     mus = _orders(spec, 0.5 * (grid[:-1] + grid[1:])) if exponent_at == "tau" else alphas
-    trap, mid = _product_sums(spec, grid, f.values, mus)
-    scales = 1.0 / _gammas(alphas)
-    return _finish(grid, scales * trap, scales * mid, scheme, f"I[{f.label}]")
+    return _result(f, _product_sums(spec, grid, f.values, mus), scheme, f"I[{f.label}]",
+                   _scaled(1.0 / _gammas(alphas)))
 
 
 def rl_deriv_classical(spec: KernelSpec, f: GridFunction, *,
@@ -808,11 +813,9 @@ def rl_deriv_classical(spec: KernelSpec, f: GridFunction, *,
         raise DegenerateGrid(f"classical derivative needs n >= 16, got {f.n}")
     grid = f.grid
     mus = 1.0 - _alphas_checked(spec, grid)
-    inner_t, inner_m = _product_sums(spec, grid, f.values, mus)
+    sums = _product_sums(spec, grid, f.values, mus)
     factors = 1.0 / (_gammas(mus) * spec.warp.deriv_values(grid))
-    trap = factors * fd_deriv(inner_t, f.h)
-    mid = factors * fd_deriv(inner_m, f.h)
-    return _finish(grid, trap, mid, scheme, f"D_rl_cl[{f.label}]")
+    return _result(f, sums, scheme, f"D_rl_cl[{f.label}]", _scaled(factors, f.h))
 
 
 def caputo_deriv_classical(spec: KernelSpec, f: GridFunction, *,
@@ -829,9 +832,8 @@ def caputo_deriv_classical(spec: KernelSpec, f: GridFunction, *,
     grid = f.grid
     mus = 1.0 - _alphas_checked(spec, grid)
     data = f.deriv_values() / spec.warp.deriv_values(grid)
-    trap, mid = _product_sums(spec, grid, data, mus)
-    scales = 1.0 / _gammas(mus)
-    return _finish(grid, scales * trap, scales * mid, scheme, f"D_c_cl[{f.label}]")
+    return _result(f, _product_sums(spec, grid, data, mus), scheme, f"D_c_cl[{f.label}]",
+                   _scaled(1.0 / _gammas(mus)))
 
 
 # --- special-case factory -----------------------------------------------------

@@ -292,8 +292,47 @@ def test_default_run_of_every_suite_passes():
     # every canonical suite at seed 0, in the order and with the case counts
     # that `verify --suite all` reports
     reports = [r for name in SUITE_NAMES for r in default_suite_run(name, seed=0)]
+    assert [r.suite_name for r in reports] == [
+        "boundedness", "boundedness[log]", "boundedness[sin]", "lipschitz",
+        "limit_interchange[identity]", "limit_interchange[log]", "limit_interchange[sin]",
+        "axiom_limits", "max_point", "vanish_at_a", "comparison"]
+    assert [r.informational for r in reports] == [False, True, True] + [False] * 8
     assert [r.cases_run for r in reports] == [212, 52, 52, 90, 64, 64, 64, 51, 12, 30, 100]
     assert all(r.passed for r in reports if not r.informational)
+
+
+def test_default_run_calls_the_check_bound_when_it_runs(monkeypatch):
+    # a check replaced after import (a monkeypatch, a timing wrapper) is the
+    # one that runs, with the canonical configuration of each run
+    seen = []
+
+    def fake(cfg):
+        seen.append(cfg)
+        return analysis.SuiteReport("boundedness", cases_run=0, failures=[])
+
+    monkeypatch.setattr(analysis, "check_boundedness", fake)
+    reports = default_suite_run("boundedness", seed=2)
+    assert [r.suite_name for r in reports] == [
+        "boundedness", "boundedness[log]", "boundedness[sin]"]
+    assert [(cfg.spec.warp.label, cfg.spec.interval, cfg.spec.alpha_at(cfg.spec.interval[0]),
+             cfg.n, len(cfg.test_functions)) for cfg in seen] == [
+        ("t", (0.0, 1.0), 0.9, 1024, 106), ("ln(t)", (1.0, 2.0), 0.9, 512, 26),
+        ("sin(t)", (0.0, 1.0), 0.9, 512, 26)]
+    # the warped runs take the first functions of the canonical corpus
+    labels = [tf.label for tf in seen[0].test_functions]
+    assert labels[6] == "trig[9:0]"
+    assert all([tf.label for tf in cfg.test_functions] == labels[:26] for cfg in seen[1:])
+    assert "informational" in reports[1].notes[-1] and not reports[0].notes
+
+    compared = []
+
+    def fake_comparison(spec, **kwargs):
+        compared.append(kwargs)
+        return analysis.SuiteReport("comparison", cases_run=0, failures=[])
+
+    monkeypatch.setattr(analysis, "check_comparison_suite", fake_comparison)
+    [report] = default_suite_run("comparison", seed=2)
+    assert compared == [{"n": 256, "seed": 2}] and report.suite_name == "comparison"
 
 
 def test_failed_suite_reports_case_observed_bound_and_margin(monkeypatch):

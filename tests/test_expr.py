@@ -370,3 +370,25 @@ def test_negative_constant_base_is_parenthesized():
     node = expr.Binary(op="^", left=expr._const(-2.0), right=expr.Var(name="t"))
     assert expr.to_source(node) == "(-2.0)^t"
     assert expr.evaluate(expr.parse(expr.to_source(node)), {"t": 3.0}) == -8.0
+
+
+@pytest.mark.parametrize("walk", [
+    lambda node: expr.evaluate(node, {}),
+    lambda node: expr.to_function(node, ()),
+    lambda node: expr.derivative(node, "t"),
+    expr.to_source,
+], ids=["evaluate", "to_function", "derivative", "to_source"])
+def test_tree_walks_refuse_a_bare_node(walk):
+    # a hand-built tree can hold a Node that is no operation; the parser
+    # never makes one
+    with pytest.raises(TypeError, match="not an expression node"):
+        walk(expr.Node())
+
+
+@pytest.mark.parametrize("node, message", [
+    (expr.Unary(op="tan"), "unknown unary operator 'tan'"),
+    (expr.Binary(op="%"), "unknown binary operator '%'"),
+])
+def test_derivative_refuses_an_unknown_operator(node, message):
+    with pytest.raises(TypeError, match=message):
+        expr.derivative(node, "t")

@@ -384,6 +384,14 @@ class TestValidationAndFailure:
             _solve_node(lambda t, x: x * x + x + 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1e-10, 3)
         assert exc.value.node == 3
 
+    def test_bisection_that_cannot_close_its_bracket_stalls(self):
+        # g(x) = x from 1e50 brackets [0, 2e50] at once; with tol 0 and the
+        # root at 0, 200 halvings leave a bracket near 1e-10, far above the
+        # 1e-15 width that would end the search
+        with pytest.raises(NewtonDivergence, match="bisection stalled") as exc:
+            fde._bisect(lambda x: x, 1e50, 0.0, 7)
+        assert exc.value.node == 7
+
     def test_nodal_solver_leaves_newton_after_a_useless_step(self):
         # the same equation: the first step lands near 1e14 and raises |g|
         # from 1 to 1e42, so the bracket search starts at once instead of
