@@ -109,20 +109,44 @@ class TestFunction:
                                           label=self.label)
 
 
+def _harmonic_sums(a_sin, a_cos, sin, cos):
+    """(sum_j a_sin[j] sin[j] + a_cos[j] cos[j], sum_j j pi (a_sin[j] cos[j]
+    - a_cos[j] sin[j])), j = 1..6 on the first axis of each argument: the
+    values and derivatives of one trigonometric polynomial (coefficients of
+    shape (6,)) or of a stack of m (shape (6, m, 1)). The harmonics are summed
+    term by term in j into two buffers, the terms formed in two more, with
+    no fresh temporaries per harmonic."""
+    v = np.zeros(np.broadcast_shapes(a_sin.shape[1:], sin.shape[1:]))
+    d, one, two = np.zeros_like(v), np.empty_like(v), np.empty_like(v)
+    for j in range(_JPI.size):
+        np.multiply(a_sin[j], sin[j], out=one)
+        one += np.multiply(a_cos[j], cos[j], out=two)
+        v += one
+        np.multiply(a_sin[j], cos[j], out=one)
+        one -= np.multiply(a_cos[j], sin[j], out=two)
+        one *= _JPI[j]
+        d += one
+    return v, d
+
+
+def _harmonics(t):
+    """sin(j pi t) and cos(j pi t), j = 1..6 on the first axis."""
+    x = np.moveaxis(np.multiply.outer(t, _JPI), -1, 0)
+    return np.sin(x), np.cos(x)
+
+
 def _trig_poly(seed: int, index: int) -> TestFunction:
     rng = np.random.default_rng(seed * 1000 + index)
     j = np.arange(1, 7, dtype=float)
     a_sin = rng.standard_normal(6) / j**2
     a_cos = rng.standard_normal(6) / j**2
 
-    # the harmonics run along a trailing axis, so t may be a float or an array
-    def fn(t, _s=a_sin, _c=a_cos, _w=_JPI):
-        x = np.multiply.outer(t, _w)
-        return np.sum(_s * np.sin(x) + _c * np.cos(x), axis=-1)
+    # t may be a float or an array; a float gives a numpy scalar
+    def fn(t):
+        return _harmonic_sums(a_sin, a_cos, *_harmonics(t))[0][()]
 
-    def deriv(t, _s=a_sin, _c=a_cos, _w=_JPI):
-        x = np.multiply.outer(t, _w)
-        return np.sum(_w * (_s * np.cos(x) - _c * np.sin(x)), axis=-1)
+    def deriv(t):
+        return _harmonic_sums(a_sin, a_cos, *_harmonics(t))[1][()]
 
     return TestFunction(label=f"trig[{seed}:{index}]", fn=fn, deriv=deriv,
                         harmonics=(a_sin, a_cos))
@@ -157,36 +181,22 @@ def _stacks(count: int, grid: np.ndarray, rows: Callable):
 def _corpus_stacks(tfs: tuple[TestFunction, ...], a: float, b: float, n: int):
     """_stacks of the corpus tfs on the uniform n-panel grid over [a, b].
 
-    The trigonometric polynomials of a stack are summed over one table of
-    sin(j pi t) and cos(j pi t) for the grid, term by term in j as their
-    fn and deriv sum them, so each row is what fn and deriv give alone. The
-    terms are formed in two buffers made once per stack, not in fresh
-    temporaries per harmonic."""
+    The trigonometric polynomials of a stack go through _harmonic_sums at
+    once, over one table of sin(j pi t) and cos(j pi t) for the grid: the
+    routine their fn and deriv call alone, so each row is what fn and
+    deriv give by construction."""
     grid = uniform_grid(a, b, n)
-    x = np.multiply.outer(grid, _JPI)
-    # one row per harmonic
-    sin, cos = np.sin(x).T.copy(), np.cos(x).T.copy()
-    del x
+    # one contiguous row per harmonic
+    sin, cos = (np.ascontiguousarray(h) for h in _harmonics(grid))
 
     def rows(lo, hi):
         values = np.empty((hi - lo, grid.size))
         derivs = np.empty_like(values)
         trig = [k for k, tf in enumerate(tfs[lo:hi]) if tf.harmonics is not None]
-        a_sin, a_cos = (np.array([tfs[lo + k].harmonics[i] for k in trig]).reshape(-1, 6, 1)
-                        for i in (0, 1))
-        v = np.zeros((len(trig), grid.size))
-        d = np.zeros_like(v)
-        one, two = np.empty_like(v), np.empty_like(v)
-        for j in range(_JPI.size):
-            # v += a_sin sin + a_cos cos, d += jpi (a_sin cos - a_cos sin)
-            np.multiply(a_sin[:, j], sin[j], out=one)
-            one += np.multiply(a_cos[:, j], cos[j], out=two)
-            v += one
-            np.multiply(a_sin[:, j], cos[j], out=one)
-            one -= np.multiply(a_cos[:, j], sin[j], out=two)
-            one *= _JPI[j]
-            d += one
-        values[trig], derivs[trig] = v, d
+        # (6, m, 1) each: j first, one row per polynomial
+        a_sin, a_cos = np.array([tfs[lo + k].harmonics for k in trig]).reshape(
+            -1, 2, 6, 1).transpose(1, 2, 0, 3)
+        values[trig], derivs[trig] = _harmonic_sums(a_sin, a_cos, sin, cos)
         for k, tf in enumerate(tfs[lo:hi]):
             if tf.harmonics is None:
                 values[k], derivs[k] = _sample(tf.fn, grid), _sample(tf.deriv, grid)

@@ -90,12 +90,8 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
                 break
             offset = len(src) - len(stripped)
             raise ExprSyntaxError(f"unexpected character {src[offset]!r}", offset)
-        if match.lastgroup == "num":
-            tokens.append(("num", match.group("num"), match.start("num")))
-        elif match.lastgroup == "ident":
-            tokens.append(("ident", match.group("ident"), match.start("ident")))
-        else:
-            tokens.append(("op", match.group("op"), match.start("op")))
+        kind = match.lastgroup
+        tokens.append((kind, match.group(kind), match.start(kind)))
         pos = match.end()
     tokens.append(("end", "", len(src)))
     return tokens

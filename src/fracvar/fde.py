@@ -230,7 +230,7 @@ def solve_fde(problem: FdeProblem, *, compat_correction: bool = True) -> SolveRe
     scaled = np.abs(dh - targets) / np.maximum(np.maximum(1.0, np.abs(targets)), P[1:])
     worst = int(np.argmax(scaled)) + 1
     residual = float(scaled[worst - 1])
-    if residual > 10.0 * NEWTON_TOL:
+    if not residual <= 10.0 * NEWTON_TOL:  # NaN fails too
         raise NewtonDivergence(
             f"residual certification failed ({residual:.3e} at node {worst})",
             node=worst,

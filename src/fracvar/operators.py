@@ -105,7 +105,6 @@ from .kernel import (
     KernelSpec,
     NormalizationFunction,
     OrderFunction,
-    WarpFunction,
     _alphas_checked,
     _ml_kernel,
     _orders,
@@ -838,21 +837,20 @@ def caputo_deriv_classical(spec: KernelSpec, f: GridFunction, *,
 
 # --- special-case factory -----------------------------------------------------
 
-SPECIAL_CASES = (
-    "variable_ml",
-    "atangana",
-    "yang_machado",
-    "caputo_fabrizio",
-    "unit_norm_exp",
-    "log_warp",
-    "sin_warp",
-)
-
-
-def _as_order(alpha) -> OrderFunction:
-    if isinstance(alpha, OrderFunction):
-        return alpha
-    return OrderFunction.constant(float(alpha))
+# name -> (gamma = beta, warp, constant order only, refusal when gamma or beta is
+# passed). gamma = beta is None to track alpha(t), "alpha" for the constant
+# alpha, or 1.0; with no refusal, a passed gamma or beta replaces the 1.0.
+_SPECIAL = {
+    "variable_ml": (None, identity_warp, False,
+                    "variable_ml fixes gamma and beta to the order itself"),
+    "atangana": ("alpha", identity_warp, True, "atangana fixes gamma = beta = alpha"),
+    "yang_machado": (1.0, identity_warp, True, "yang_machado fixes gamma = beta = 1"),
+    "caputo_fabrizio": (1.0, identity_warp, True, "caputo_fabrizio fixes gamma = beta = 1"),
+    "unit_norm_exp": (1.0, identity_warp, False, "unit_norm_exp fixes gamma = beta = 1"),
+    "log_warp": (1.0, log_warp, False, None),
+    "sin_warp": (1.0, sin_warp, False, None),
+}
+SPECIAL_CASES = tuple(_SPECIAL)
 
 
 def make_special_case(name: str, alpha, M: NormalizationFunction | None = None,
@@ -870,45 +868,25 @@ def make_special_case(name: str, alpha, M: NormalizationFunction | None = None,
 
     yang_machado and caputo_fabrizio build the same kernel; they differ only
     in which derivative form (rl_deriv_ns vs caputo_deriv_ns) the name refers
-    to.
+    to. Each name is one row of _SPECIAL; the checks run in one order for
+    all of them: the name, a constant order, M, gamma and beta (a kernel
+    fixed at 1 accepts a passed 1), then a > 0 for the log warp.
     """
-    if name not in SPECIAL_CASES:
+    if name not in _SPECIAL:
         raise InvalidParam(f"unknown special case {name!r}; choose from {SPECIAL_CASES}")
-    order = _as_order(alpha)
-    norm = M if M is not None else NormalizationFunction.one()
-    warp: WarpFunction = identity_warp()
-
-    if name == "variable_ml":
-        if gamma is not None or beta is not None:
-            raise InvalidParam("variable_ml fixes gamma and beta to the order itself")
-        gamma_v = beta_v = None
-    elif name == "atangana":
-        if not order.is_constant:
-            raise InvalidParam("atangana requires a constant order")
-        if gamma is not None or beta is not None:
-            raise InvalidParam("atangana fixes gamma = beta = alpha")
-        gamma_v = beta_v = float(order.fn(interval[0]))
-    elif name in ("yang_machado", "caputo_fabrizio"):
-        if not order.is_constant:
-            raise InvalidParam(f"{name} requires a constant order")
-        if gamma not in (None, 1.0) or beta not in (None, 1.0):
-            raise InvalidParam(f"{name} fixes gamma = beta = 1")
-        gamma_v = beta_v = 1.0
-    elif name == "unit_norm_exp":
-        if M is not None:
-            raise InvalidParam("unit_norm_exp fixes M to 1; do not pass M")
-        if gamma not in (None, 1.0) or beta not in (None, 1.0):
-            raise InvalidParam("unit_norm_exp fixes gamma = beta = 1")
-        gamma_v = beta_v = 1.0
-    else:
-        gamma_v = 1.0 if gamma is None else float(gamma)
-        beta_v = 1.0 if beta is None else float(beta)
-        if name == "log_warp":
-            if interval[0] <= 0.0:
-                raise InvalidParam("log_warp requires a > 0")
-            warp = log_warp()
-        else:
-            warp = sin_warp()
-
-    return KernelSpec(gamma=gamma_v, beta=beta_v, order=order, warp=warp,
-                      norm=norm, interval=(float(interval[0]), float(interval[1])))
+    rule, warp, constant, refusal = _SPECIAL[name]
+    order = alpha if isinstance(alpha, OrderFunction) else OrderFunction.constant(float(alpha))
+    if constant and not order.is_constant:
+        raise InvalidParam(f"{name} requires a constant order")
+    if name == "unit_norm_exp" and M is not None:
+        raise InvalidParam("unit_norm_exp fixes M to 1; do not pass M")
+    if refusal and not all(v is None or rule == 1.0 == v for v in (gamma, beta)):
+        raise InvalidParam(refusal)
+    fixed = float(order.fn(interval[0])) if rule == "alpha" else rule
+    gamma_v = fixed if gamma is None else float(gamma)
+    beta_v = fixed if beta is None else float(beta)
+    if warp is log_warp and interval[0] <= 0.0:
+        raise InvalidParam("log_warp requires a > 0")
+    return KernelSpec(gamma=gamma_v, beta=beta_v, order=order, warp=warp(),
+                      norm=M if M is not None else NormalizationFunction.one(),
+                      interval=(float(interval[0]), float(interval[1])))

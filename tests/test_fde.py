@@ -364,6 +364,26 @@ class TestValidationAndFailure:
         with pytest.raises(NewtonDivergence):
             solve_fde(problem)
 
+    def test_nan_in_the_certification_fails_it(self):
+        # the last rhs call certifies node n; a NaN there is no residual
+        # below the bound, so the certification must refuse it, not report it
+        def problem(rhs):
+            return FdeProblem(spec=CF, rhs=rhs, initial=1.0, grid_n=64)
+
+        clean = []
+        solve_fde(problem(lambda t, u: clean.append(t) or -u))
+        assert clean[-1] == 1.0
+
+        calls = []
+
+        def rhs(t, u):
+            calls.append(t)
+            return math.nan if len(calls) == len(clean) else -u
+
+        with pytest.raises(NewtonDivergence, match="residual certification failed") as exc:
+            solve_fde(problem(rhs))
+        assert exc.value.node == 64
+
     def test_nodal_solver_falls_back_to_bisection(self):
         # x + 1 = x^3 + x: at the start 0 the slope 1 - (3x^2 + 1) vanishes
         # (its central difference is about -1e-14), so the step on that fresh

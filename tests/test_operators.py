@@ -1174,3 +1174,80 @@ def test_special_case_refusals(name, kwargs, message):
         kwargs["alpha"] = OrderFunction.from_expr(kwargs["alpha"], interval=(0.0, 1.0))
     with pytest.raises(InvalidParam, match=f"^{message}$"):
         make_special_case(name, **kwargs)
+
+
+# every named kernel with its defaults (alpha 0.5; log_warp needs a > 0):
+# gamma, beta, the warp label and the normalization label
+@pytest.mark.parametrize("name, kwargs, gamma, beta, warp", [
+    ("variable_ml", {}, None, None, "t"),
+    ("atangana", {}, 0.5, 0.5, "t"),
+    ("yang_machado", {}, 1.0, 1.0, "t"),
+    ("caputo_fabrizio", {}, 1.0, 1.0, "t"),
+    ("unit_norm_exp", {}, 1.0, 1.0, "t"),
+    ("log_warp", {"interval": (1.0, 2.0)}, 1.0, 1.0, "ln(t)"),
+    ("sin_warp", {}, 1.0, 1.0, "sin(t)"),
+    ("log_warp", {"interval": (1.0, 2.0), "gamma": 0.7, "beta": 0.6}, 0.7, 0.6, "ln(t)"),
+    ("sin_warp", {"gamma": 0.7, "beta": 0.6}, 0.7, 0.6, "sin(t)"),
+])
+def test_named_kernel_specs(name, kwargs, gamma, beta, warp):
+    spec = make_special_case(name, 0.5, **kwargs)
+    assert (spec.gamma, spec.beta) == (gamma, beta)
+    assert spec.warp.label == warp
+    assert spec.norm.label == "1"
+    assert spec.interval == kwargs.get("interval", (0.0, 1.0))
+    assert spec.order.is_constant and spec.alpha_at(spec.interval[0]) == 0.5
+
+
+_VARIABLE = OrderFunction.from_expr("0.5 + 0.1*t", interval=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("name, kwargs, message", [
+    ("variable_ml", {"gamma": 1.0}, "variable_ml fixes gamma and beta to the order itself"),
+    ("variable_ml", {"beta": 0.5}, "variable_ml fixes gamma and beta to the order itself"),
+    ("unit_norm_exp", {"M": NormalizationFunction.one()},
+     "unit_norm_exp fixes M to 1; do not pass M"),
+    ("log_warp", {"interval": (0.0, 1.0)}, "log_warp requires a > 0"),
+    ("grunwald", {}, "unknown special case 'grunwald'; choose from ('variable_ml', "
+     "'atangana', 'yang_machado', 'caputo_fabrizio', 'unit_norm_exp', 'log_warp', "
+     "'sin_warp')"),
+    # precedence: the order before gamma and beta, M before gamma and beta
+    ("atangana", {"alpha": _VARIABLE, "gamma": 0.5}, "atangana requires a constant order"),
+    ("caputo_fabrizio", {"alpha": _VARIABLE, "beta": 0.5},
+     "caputo_fabrizio requires a constant order"),
+    ("unit_norm_exp", {"M": NormalizationFunction.one(), "gamma": 0.5},
+     "unit_norm_exp fixes M to 1; do not pass M"),
+    ("log_warp", {"interval": (0.0, 1.0), "gamma": 0.7}, "log_warp requires a > 0"),
+])
+def test_named_kernel_refusals_exactly(name, kwargs, message):
+    with pytest.raises(InvalidParam) as exc:
+        make_special_case(name, **{"alpha": 0.5, **kwargs})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", ["yang_machado", "caputo_fabrizio", "unit_norm_exp"])
+def test_kernels_fixed_at_one_accept_a_passed_one(name):
+    spec = make_special_case(name, 0.5, gamma=1.0, beta=1)
+    assert (spec.gamma, spec.beta) == (1.0, 1.0)
+
+
+# RL-type derivatives of f = t against closed forms at 2e-7 relative: tight
+# enough that a 1e-6 relative error in a prefactor or in the finite
+# difference that takes the derivative of the history integral shows
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+def test_rl_ns_of_linear_exponential_kernel(alpha):
+    # D_rl t = (1/alpha) (1 - exp(-alpha t / (1 - alpha))) for M = 1, gamma = beta = 1
+    f = sampled(IDENT, n=4096, deriv=ONE)
+    out = rl_deriv_ns(cf_spec(alpha), f).values.values
+    t = f.grid[1:]
+    expected = (1.0 - np.exp(-alpha * t / (1.0 - alpha))) / alpha
+    assert np.max(np.abs(out[1:] - expected) / expected) < 2e-7
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6])
+def test_rl_classical_of_linear(alpha):
+    # D^alpha_RL t = t^(1 - alpha) / Gamma(2 - alpha), away from the left end
+    f = sampled(IDENT, n=2048, deriv=ONE)
+    out = rl_deriv_classical(cf_spec(alpha), f).values.values
+    keep = f.grid >= 0.5
+    expected = f.grid[keep] ** (1.0 - alpha) / math.gamma(2.0 - alpha)
+    assert np.max(np.abs(out[keep] - expected) / expected) < 2e-7
