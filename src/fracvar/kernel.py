@@ -16,7 +16,7 @@ KernelSpec bundles the ingredients and validates them by sampling at grid
 resolution (1,024 panels): order bounds, psi' positivity plus a finite
 difference consistency check, and the normalization's endpoint/positivity
 constraints. gamma or beta may be None, meaning "track alpha(t) at the active
-output node" (kernel rows are then re-evaluated with that node's order).
+output node" (each node's kernel row then takes that node's order).
 """
 
 from __future__ import annotations

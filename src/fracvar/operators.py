@@ -32,17 +32,35 @@ grid. No declared property of the order enters.
   so both sums come from one exact recurrence (_exp_sums), O(n) with about
   log2 n numpy passes at most. Error: 3e-16 to 3e-15 sup relative against
   long-double direct sums at n = 2048.
-* Otherwise "toeplitz", every sampled exponent equal (alpha, or mu) on a
-  uniformly spaced psi: the rows are Toeplitz (tracked gamma/beta are then
-  constant too), and one row and a convolution per sum made serve every
-  node, truncated to the n + 1 outputs kept: real FFTs against the row's
-  node or midpoint spectrum, made by the sum that reads it (_lower_product),
-  O(n log n). Error: within 1e-14 of long-double direct sums, relative to
-  the largest sum.
+* Otherwise "toeplitz" on a uniformly spaced psi, where the rows at one
+  exponent are Toeplitz. Every sampled exponent equal (alpha, or mu; tracked
+  gamma/beta are then constant too): one base row and a convolution per sum
+  made serve every node, truncated to the n + 1 outputs kept: real FFTs
+  against the row's node or midpoint spectrum, made by the sum that reads it
+  (_lower_product), O(n log n). A kernel row's midpoint half is evaluated
+  only then, by the first midpoint sum. Error: within 1e-14 of long-double
+  direct sums, relative to the largest sum. A sampled exponent that varies (a
+  tracked order, a tracked gamma or beta alone, a variable alpha under a
+  fixed kernel, the weakly singular exponents at t or at tau) takes m base
+  rows at Chebyshev-Lobatto points of the exponent (ln lam for kernel rows,
+  mu for moments; m = 9, 17, 33 or 65), and node i's row is
+  sum_m L_m(e) g_m with the barycentric weights L_m at the node's exponent,
+  or at each source's for panel exponents. A sum is then m truncated FFT
+  products of one stack row, combined at the targets or with the data
+  weighted at the sources, O(m n log n). The points are certified as an
+  SOE rule is, within _SOE_TOL, on the history sums of data 1
+  (_chebyshev_rows: their last Chebyshev coefficient in the exponent, and
+  direct rows at two sampled exponents), and the rows are
+  taken only when their m (2n + 1) values are at most the K n rate-source
+  pairs of the "soe" rule, or the (n + 1)^2 values of "rows" when no rule is
+  accepted. Refused past m = 65, they leave the table to "soe" or "rows".
+  Tracked 0.5..0.7 on psi = t takes m = 17, 0.3..0.95 and 0.75..0.99 take
+  m = 33; the integral of order 0.4 + 0.3 t, m = 17 against K = 56.
 * Otherwise "soe" on a rule of mlf (the Mittag-Leffler rule spot-checked,
   the power rule bounded by the proof in its docstring), with rates shared
   by every node and the slow ones (r span <= 1) folded into 14, so K is
-  about 60 and the sums cost O(nK) (_exp_sums).
+  about 60 and the sums cost O(nK) (_exp_sums). On a uniformly spaced psi
+  only where it costs less than interpolated Toeplitz rows.
   - gamma = beta < 1 at every node (a tracked order, variable_ml, or a
     constant order on the log, sin or expression warps): _soe_rule,
     H_i(s) ~ sum_k w_ik exp(-r_k s). Each sum is the exact diagonal (H = 1)
@@ -53,8 +71,10 @@ grid. No declared property of the order enters.
     last panel; the earlier panels enter through closed-form integrals of
     exp(-r (psi_i - x)) against the linear data.
 * Otherwise "rows", when no rule applies (gamma != beta) or the rule is
-  refused, as when it would need more than n rates: one row per output node,
-  O(n^2) kernel evaluations, each sum a dot product, as accurate as the rows.
+  refused, as when it would need more than n rates, on a psi that is not
+  uniformly spaced or where interpolated Toeplitz rows are refused or cost
+  more (small n): one row per output node, O(n^2) kernel evaluations, each
+  sum a dot product, as accurate as the rows.
   Each call of sums() builds the rows again, so the bounded-kernel operators
   make both schemes in their first call (_history) and keep the other. Node
   sums alone (the solver's residual) take node rows, half the kernel values.
@@ -81,9 +101,11 @@ rows. A node dots its near sources with their weights and takes the sources
 before its block from a far field. Toeplitz rows dot inside aligned blocks
 of _NEAR nodes, and their far field (_toeplitz_far) adds real FFT products
 of length 2h for each dyadic block of h sources further back, O(n log^2 n).
-Kernel rows dot the whole row and have no far field, O(n^2). Both FFT
-products, the sums' truncated one and the march's, are _circular products
-against a spectrum made once.
+With m base rows the near weights are combined per node with its L_m, and
+the far field keeps m memories, one per base row, combined at each target:
+O(m n log^2 n). Kernel rows dot the whole row and have no far field,
+O(n^2). Both FFT products, the sums' truncated one and the march's, are
+_circular products against a spectrum made once.
 
 Outer d/dt steps use second-order central differences with one-sided stencils
 at the interval ends.
@@ -99,7 +121,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateGrid, InvalidParam
+from .errors import DegenerateGrid, InvalidParam, NonConvergent
 from .grids import GridFunction, fd_deriv
 from .kernel import (
     KernelSpec,
@@ -113,12 +135,13 @@ from .kernel import (
     log_warp,
     sin_warp,
 )
-from .mlf import _power_rule, _soe_rule
+from .mlf import _SOE_TOL, _power_rule, _soe_rule
 
 SCHEMES = ("product_trapezoid", "product_midpoint")
 _BLOCK = 1 << 15     # doubles for a rate block of _exp_sums, and for a chunk of its sums
 _FACTOR_TEMPS = 4    # temporaries of _power_sums' factors, per rate and source
 _NEAR = 64           # nodes per aligned near-field block of the Toeplitz march
+_DEGREES = (8, 16, 32, 64)  # nested Chebyshev-Lobatto point sets of interpolated Toeplitz rows
 _NARROW = 1e-4       # panel width / (u_j + u_j+1) below which _moments takes its series
 # Taylor coefficients of _phis' phi1, z^1 to z^15
 _PHI1_SERIES = [(-1) ** (p + 1) * p / (2.0 * math.factorial(p + 2)) for p in range(1, 16)]
@@ -189,37 +212,59 @@ class _KernelTable:
 
     * "soe", first, for beta = gamma = 1 and every sampled alpha equal: the
       exact rule (rates [lam], weights None), whatever the warp;
-    * "toeplitz": every sampled exponent (alpha, or mu) equal and psi
-      uniformly spaced; the last row at exact multiples of the half step,
-      reversed, serves every node;
+    * "toeplitz" on a uniformly spaced psi: m base rows, each the last row
+      at one exponent, at exact multiples of the half step, reversed. Every
+      sampled exponent (alpha, or mu) equal gives m = 1, one row that serves
+      every node. Otherwise the rows sit at nested Chebyshev-Lobatto points
+      of the exponent's coordinate (_chebyshev_rows): ln lam, lam = alpha /
+      (1 - alpha), for kernel rows, mu for moments; node i's row is
+      sum_m L_m(e) g_m, with the barycentric weights L_m (_lagrange) at the
+      targets' exponents for node exponents and at the sources' for panel
+      exponents. They are taken when certified and cheaper: their values,
+      m (2n + 1), at most the rate-source pairs K n of the rule of "soe",
+      or, with no rule, the (n + 1)^2 kernel values of "rows";
     * "soe": mlf's rule accepted, _soe_rule for kernel rows with gamma =
       beta at every node, _power_rule for mu, which lies in (0, 1];
     * "rows": none of these, one row per node.
+
+    A kernel base row is built in halves: the node half (_nodes) here, the
+    midpoint half (_mids) when a midpoint sum first reads it. A moment row
+    is built whole, both halves from the same powers.
     """
 
     def __init__(self, spec: KernelSpec, grid: np.ndarray, mus: np.ndarray | None = None):
-        self.n = grid.size - 1
+        self.n = n = grid.size - 1
         self.half = np.empty(2 * grid.size - 1)
         self.half[::2] = grid
         self.half[1::2] = 0.5 * (grid[:-1] + grid[1:])
         self.psih = spec.warp.values(self.half)
-        self._mus = None
+        self._mus = self._lagrange = None
+        self._kernel = mus is None
+        self._per_panel = per_panel = mus is not None and mus.size == n
         if mus is None:
             alphas = exponents = self.alphas = _alphas_checked(spec, grid)
-            self._row_fn = lambda i, dpsi: _ml_kernel(spec, float(alphas[i]), dpsi)
+            at = lambda alpha, dpsi: _ml_kernel(spec, float(alpha), dpsi)
+            node_exponent = alphas.__getitem__
         else:
             exponents = mus
-            self._per_panel = per_panel = mus.size == self.n
-            self._row_fn = functools.partial(_moments, mus, per_panel, np.diff(self.psih[::2]))
+            widths = np.diff(self.psih[::2])
+            at = lambda mu, dpsi: _moments(mu, widths, dpsi)
+            node_exponent = lambda i: mus[:i] if per_panel else float(mus[i])
+        # no closure refers to self, so a table is freed as soon as it is dropped
+        self._at = at
+        self._row_fn = lambda i, dpsi: at(node_exponent(i), dpsi)
         same = bool(np.all(exponents == exponents[0]))
         if mus is None and spec.beta == spec.gamma == 1.0 and same:
             self.path, self._rule = "soe", (alphas[:1] / (1.0 - alphas[:1]), None)
             return
         steps = np.diff(self.psih)
-        if same and np.max(np.abs(steps - steps[0])) <= 1e-12 * max(1.0, abs(steps[0])):
-            self.path = "toeplitz"
-            k = np.arange(self.half.size - 1, -1, -1, dtype=float)
-            self._base = self._row_fn(self.n, k * (0.5 * float(self.psih[2] - self.psih[0])))[::-1]
+        uniform = np.max(np.abs(steps - steps[0])) <= 1e-12 * max(1.0, abs(steps[0]))
+        # psi_n - psi at half-grid points 0..2n, for a uniformly spaced psi
+        self._dpsi = np.arange(2 * n, -1, -1, dtype=float) * (
+            0.5 * float(self.psih[2] - self.psih[0]))
+        if same and uniform:
+            self.path, self._points = "toeplitz", [node_exponent(n)]
+            self._set_base(self._base_row(self._points[0])[None])
             return
         span = float(self.psih[-1] - self.psih[0])
         if mus is None:
@@ -227,29 +272,76 @@ class _KernelTable:
             gammas = alphas if spec.gamma is None else np.full(alphas.size, float(spec.gamma))
             self._rule = _soe_rule(betas, alphas / (1.0 - alphas), float(np.min(steps)), span,
                                    self.n) if np.array_equal(betas, gammas) else None
+            coords, exponent = np.log(alphas / (1.0 - alphas)), _alpha_at
         else:
             # the exponent of panel j, or of node j + 1
-            self._mus = mus = mus if per_panel else mus[1:]
-            self._rule = _power_rule(1.0 - mus, float(np.min(np.diff(self.psih[::2]))),
+            self._mus = mus if per_panel else mus[1:]
+            self._rule = _power_rule(1.0 - self._mus, float(np.min(np.diff(self.psih[::2]))),
                                      span, self.n)
+            coords, exponent = mus, float
         self.path = "rows" if self._rule is None else "soe"
+        if not uniform:
+            return
+        budget = (n + 1) ** 2 if self._rule is None else self._rule[0].size * n
+        rows = _chebyshev_rows(coords, exponents, exponent, self._base_row, 2 * n + 1, budget)
+        if rows is not None:
+            points, self._points, base = rows
+            self.path, self._lagrange = "toeplitz", _lagrange(points, coords)
+            if per_panel:
+                # the last node's zero data has no panel, and takes no weight
+                self._lagrange = np.pad(self._lagrange, ((0, 0), (0, 1)))
+            self._set_base(base)
+
+    def _base_row(self, e) -> np.ndarray:
+        """The base row at exponent e, increasing in s: the node half of a
+        kernel row, or a whole moment row."""
+        return self._at(e, self._dpsi[:: 2 if self._kernel else 1])[::-1]
+
+    def _set_base(self, base: np.ndarray) -> None:
+        if self._kernel:
+            self._nodes = base
+        else:
+            self._nodes, self._mids = base[:, ::2], base[:, 1::2]
+
+    @functools.cached_property
+    def _mids(self) -> np.ndarray:
+        """The midpoint half of the kernel base rows, built on first read."""
+        return np.array([self._at(e, self._dpsi[1::2])[::-1] for e in self._points])
 
     def _row(self, i: int, stride: int) -> np.ndarray:
-        """Node i's weights at half-grid points 0, stride, ..., 2i."""
-        if self.path == "toeplitz":
-            return self._base[2 * i :: -stride]
+        """Node i's weights at half-grid points 0, stride, ..., 2i, on "rows"."""
         dpsi = np.maximum(self.psih[2 * i] - self.psih[: 2 * i + 1 : stride], 0.0)
         return self._row_fn(i, dpsi)
 
     def row(self, i: int) -> np.ndarray:
         """H(t_i, tau_j) for j = 0..i (kernel rows)."""
-        return self._row(i, 2)
+        if self.path != "toeplitz":
+            return self._row(i, 2)
+        base = self._nodes[:, i::-1]
+        return base[0] if self._lagrange is None else self._lagrange[:, i] @ base
 
     @functools.cached_property
     def _weights(self):
         """The rule's weights at nodes 1..n, folded once for every sum."""
         weights = self._rule[1]
         return None if weights is None else weights(slice(1, None))
+
+    def _products(self, base: np.ndarray, data: np.ndarray) -> np.ndarray:
+        """Toeplitz sums of each row of data (m, k) against one half of the
+        base rows: one truncated product for m = 1; else, one stack row at a
+        time, the m products combined at the targets (node exponents) or the
+        data weighted at the sources first (panel exponents)."""
+        weights = self._lagrange
+        if weights is None:
+            return _lower_product(base[0], data)
+        k = data.shape[-1]
+        out = np.empty(data.shape)
+        for sums, d in zip(out, data):
+            if self._per_panel:
+                sums[:] = _lower_product(base, weights[:, :k] * d).sum(axis=0)
+            else:
+                sums[:] = np.einsum("mi,mi->i", _lower_product(base, d), weights[:, -k:])
+        return out
 
     def sums(self, x: np.ndarray | None,
              y: np.ndarray | None) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -268,9 +360,9 @@ class _KernelTable:
         nodes, mids = None, np.zeros((m, n + 1))
         if self.path == "toeplitz":
             if x is not None:
-                nodes = _lower_product(self._base[::2], x)
+                nodes = self._products(self._nodes, x)
             if y is not None:
-                mids[:, 1:] = _lower_product(self._base[1::2], y)
+                mids[:, 1:] = self._products(self._mids, y)
         elif self.path == "rows":
             # one data row per sum made: x at the nodes, y at the midpoints;
             # node rows alone when no midpoint sum is made
@@ -310,7 +402,8 @@ class _KernelTable:
     def march(self):
         """The solver march's memory, node by node, on the path of sums():
         _soe_march on the rule, exact or certified, or _row_march on the
-        rows, the Toeplitz ones with their dyadic far field (_toeplitz_far).
+        rows, the Toeplitz ones with their dyadic far field (_toeplitz_far),
+        one per base row, combined with the node's weights L_m.
 
         A generator: for node i = 1..n it yields the Python floats H(t_i, a),
         H(t_i, t_{i-1}) and sum_{j<i-1} c_ij du_j, c_ij = (H(t_i, t_j) +
@@ -321,14 +414,101 @@ class _KernelTable:
         if self.path == "rows":
             return _row_march(self.n, ((float(r[0]), float(r[-2]), 0.5 * (r[:-2] + r[1:-1]))
                                        for r in map(self.row, range(1, self.n + 1))))
-        g = self._base[::2]
-        c = 0.5 * (g[1:] + g[:-1])
+        g = self._nodes
+        c = 0.5 * (g[:, 1:] + g[:, :-1])
         # node p + 1 takes its near sources p0..p-1, k = p - p0 of them, with
         # c[k], ..., c[1]: the last k entries of the reversed c
-        cr = c[::-1].copy()
-        near = [cr[-1 - k : -1] for k in range(_NEAR)]
-        return _row_march(self.n, zip(g[1:].tolist(), itertools.repeat(float(g[1])),
-                                      itertools.cycle(near)), _toeplitz_far(c))
+        cr = c[:, ::-1].copy()
+        weights = None if self._lagrange is None else self._lagrange[:, 1:]
+        if weights is None:
+            heads, subs = g[0, 1:].tolist(), itertools.repeat(float(g[0, 1]))
+            near = itertools.cycle([cr[0, -1 - k : -1] for k in range(_NEAR)])
+        else:
+            heads = np.einsum("mi,mi->i", weights, g[:, 1:]).tolist()
+            subs = (g[:, 1] @ weights).tolist()
+            near = (weights[:, p] @ cr[:, -1 - p % _NEAR : -1] for p in range(self.n))
+        return _row_march(self.n, zip(heads, subs, near), _toeplitz_far(c, weights))
+
+
+def _alpha_at(x: float) -> float:
+    """alpha = lam / (1 + lam) at ln lam = x, without overflow."""
+    return 1.0 / (1.0 + math.exp(-x)) if x >= 0.0 else math.exp(x) / (1.0 + math.exp(x))
+
+
+def _barycentric(size: int) -> np.ndarray:
+    """Barycentric weights of the Chebyshev-Lobatto points: (-1)^k, halved
+    at both ends."""
+    w = np.where(np.arange(size) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    return w
+
+
+def _lagrange(points: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """L_m(at) for the Chebyshev-Lobatto points, one row per point and one
+    column per target, by the barycentric formula; a target on a point
+    takes the first such point's row alone."""
+    d = at[None, :] - points[:, None]
+    exact = d == 0.0
+    d[exact] = 1.0
+    q = _barycentric(points.size)[:, None] / d
+    q /= q.sum(axis=0)
+    hit = np.flatnonzero(exact.any(axis=0))
+    q[:, hit] = 0.0
+    q[np.argmax(exact[:, hit], axis=0), hit] = 1.0
+    return q
+
+
+def _chebyshev_rows(coords: np.ndarray, exponents: np.ndarray, exponent, row, size: int,
+                    budget: int):
+    """Base rows at nested Chebyshev-Lobatto points of the exponent
+    coordinate over [min coords, max coords]: (points, their exponents,
+    rows), or None.
+
+    coords are the sampled exponents' coordinates, exponent(x) the exponent
+    at coordinate x and row(e) the base row at exponent e. N + 1 points,
+    N = 8, 16, 32, 64, each set holding the last, one row per exponent,
+    built one at a time. A set is certified as an SOE rule is, within
+    _SOE_TOL, on the history sums of data 1, the cumulative sums S(s) of a
+    row, relative to the largest of them at any point:
+
+    * the tail: |c_N(s)| at every s, c_N the last Chebyshev coefficient of
+      S(s) in the coordinate, (1/N) sum_k w_k S_k(s) with the barycentric
+      weights w_k;
+    * direct rows at two sampled exponents, the nearest the middle of the
+      first and of the last gap between points, where the exponent is most
+      extreme: |S(s)| of the interpolated row less the direct one.
+
+    Sums, not values: a moment row's closed-form differences of powers
+    carry rounding that grows with n, which no interpolation removes and
+    which the sums of adjacent entries cancel. The rows are refused (None)
+    when a set fails, past N = 64, when its values, (N + 1) size, would pass
+    budget, or when a row raises NonConvergent.
+    """
+    top = _DEGREES[-1]
+    lo, hi = float(np.min(coords)), float(np.max(coords))
+    points = lo + (hi - lo) * (0.5 - 0.5 * np.cos(np.pi * np.arange(top + 1) / top))
+    built = {}
+    try:
+        for degree in _DEGREES:
+            if (degree + 1) * size > budget:
+                return None
+            at = np.arange(0, top + 1, top // degree)
+            for j in at.tolist():
+                if j not in built:
+                    built[j] = row(exponent(float(points[j])))
+            x, g = points[at], np.array([built[j] for j in at.tolist()])
+            sums = np.cumsum(g, axis=1)
+            tol = _SOE_TOL * float(np.max(np.abs(sums)))
+            if not np.max(np.abs(_barycentric(at.size) @ sums)) / degree <= tol:
+                continue
+            checks = [int(np.argmin(np.abs(coords - 0.5 * (x[k] + x[k + 1])))) for k in (0, -2)]
+            if all(np.max(np.abs(np.cumsum(_lagrange(x, coords[i : i + 1])[:, 0] @ g
+                                           - row(float(exponents[i]))))) <= tol
+                   for i in checks):
+                return x, [exponent(float(v)) for v in x], g
+    except NonConvergent:
+        return None
+    return None
 
 
 def _row_march(n: int, rows, far=None):
@@ -349,7 +529,7 @@ def _row_march(n: int, rows, far=None):
         stored[p] = yield head, sub, near if far is None else fars[p - p0] + near
 
 
-def _toeplitz_far(c: np.ndarray):
+def _toeplitz_far(c: np.ndarray, weights=None):
     """The far field of _row_march on Toeplitz rows, blocked as in Hairer,
     Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6(3), 1985).
 
@@ -361,18 +541,25 @@ def _toeplitz_far(c: np.ndarray):
     _circular product of length 2h, made once per h). Every pair j < p in
     different blocks meets in exactly one such product, so the march costs
     O(n log^2 n) on the exact Toeplitz weights.
+
+    c holds one row per base row; with weights (one row per base row, one
+    column per p), target p takes sum_m weights[m, p] M_p of row m, else
+    M_p of the one row.
     """
-    far = np.zeros(c.size)  # the part of M_p from earlier blocks
+    far = np.zeros(c.shape)  # the part of M_p from earlier blocks
     products = {}
 
     def block(p0: int, steps: np.ndarray) -> list:
         if p0:
             h = p0 & -p0
             if h not in products:
-                products[h] = _circular(c[: 2 * h], 2 * h)
+                products[h] = _circular(c[:, : 2 * h], 2 * h)
             # outputs h..2h-1 of the product of length 2h do not wrap
-            far[p0 : p0 + h] += products[h](steps[p0 - h : p0])[h : h + c.size - p0]
-        return far[p0 : p0 + _NEAR].tolist()
+            far[:, p0 : p0 + h] += products[h](steps[p0 - h : p0])[:, h : h + c.shape[1] - p0]
+        near = far[:, p0 : p0 + _NEAR]
+        if weights is None:
+            return near[0].tolist()
+        return np.einsum("mi,mi->i", weights[:, p0 : p0 + _NEAR], near).tolist()
 
     return block
 
@@ -428,14 +615,14 @@ def _circular(a: np.ndarray, size: int):
 
 
 def _lower_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The first a.size outputs of np.convolve(a, b) along b's last axis,
-    b.shape[-1] == a.size: the _circular product of length L, the least
-    power of two at or above 2 (a.size - 1), truncated. Only output
-    2 (a.size - 1) of the full product can wrap, onto output 0, which is
-    therefore set to a[0] b[0]."""
-    m = a.size
+    """The first m outputs of np.convolve(a, b) along the last axis, m the
+    length of both: the _circular product of length L, the least power of
+    two at or above 2 (m - 1), truncated. Only output 2 (m - 1) of the full
+    product can wrap, onto output 0, which is therefore set to a[0] b[0].
+    Rows of a 2-d a and of b broadcast against each other."""
+    m = a.shape[-1]
     out = _circular(a, 1 << (2 * m - 3).bit_length())(b)[..., :m]
-    out[..., 0] = a[0] * b[..., 0]
+    out[..., 0] = a[..., 0] * b[..., 0]
     return out
 
 
@@ -715,13 +902,12 @@ def caputo_deriv_ns(spec: KernelSpec, f: GridFunction, *,
 # --- weakly singular family ---------------------------------------------------
 
 
-def _moments(mus: np.ndarray, per_panel: bool, widths: np.ndarray, i: int,
-             dpsi: np.ndarray) -> np.ndarray:
-    """Node i's row of _product_sums, given dpsi = psi_i - psi at half-grid
-    points 0, 1, ..., 2i and the panel widths w_j = psi_j+1 - psi_j: entry
-    2j the integral of (psi_i - x)^(mu-1) over panel j, entry 2j+1 its first
-    moment about the panel midpoint, entry 2i zero. mu is mus[i], or mus[j]
-    on panel j when per_panel.
+def _moments(mu, widths: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
+    """The row of _product_sums of node i, given dpsi = psi_i - psi at
+    half-grid points 0, 1, ..., 2i and the panel widths w_j = psi_j+1 -
+    psi_j: entry 2j the integral of (psi_i - x)^(mu-1) over panel j, entry
+    2j+1 its first moment about the panel midpoint, entry 2i zero. mu is a
+    float, or one exponent per panel (mu[j] on panel j).
 
     The closed form of the first moment cancels, to an error of about
     eps u^(mu+1) at u = psi_i - psi_j, and the slopes of a panel, of order
@@ -731,9 +917,9 @@ def _moments(mus: np.ndarray, per_panel: bool, widths: np.ndarray, i: int,
     c^(mu+1) (1 - mu) (2/3) rho^3 (1 + (2 - mu) (3 - mu) rho^2 / 10), whose
     next term is below 1e-16 of it.
     """
+    i = dpsi.size // 2
     U = dpsi[::2].copy()  # powers of a strided view are about 20 % slower
     u0, u1 = U[:-1], U[1:]
-    mu = mus[:i] if per_panel else float(mus[i])
     m0 = (u0**mu - u1**mu) / mu
     out = np.zeros(dpsi.size)
     out[:-1:2] = m0
@@ -744,7 +930,7 @@ def _moments(mus: np.ndarray, per_panel: bool, widths: np.ndarray, i: int,
     narrow = widths[:i] < _NARROW * twice_c
     if narrow.any():
         rho = widths[:i][narrow] / twice_c[narrow]
-        mu = mu[narrow] if per_panel else mu
+        mu = mu[narrow] if np.ndim(mu) else mu
         m1[narrow] = ((0.5 * twice_c[narrow]) ** (mu + 1.0) * (1.0 - mu) * (2.0 / 3.0) * rho**3
                       * (1.0 + (2.0 - mu) * (3.0 - mu) / 10.0 * rho**2))
     return out

@@ -89,9 +89,9 @@ def test_estimate_error_column_is_the_cross_scheme_gap(tmp_path, op, operator):
 @pytest.mark.parametrize("flags,mids", [([], 0), (["--estimate-error"], 1),
                                          (["--format", "json"], 1)])
 def test_deriv_sums_the_second_scheme_only_for_the_estimate(flags, mids, monkeypatch, capsys):
-    # a tracked-order deriv sums its midpoint column, _exp_sums on the
-    # 2n + 1 points of the half-step grid, only when the estimate is
-    # written: an estimate_error column or JSON output
+    # a tracked-order deriv on the log warp sums its midpoint column,
+    # _exp_sums on the 2n + 1 points of the half-step grid, only when the
+    # estimate is written: an estimate_error column or JSON output
     counted = []
     real = operators._exp_sums
 
@@ -100,9 +100,9 @@ def test_deriv_sums_the_second_scheme_only_for_the_estimate(flags, mids, monkeyp
         return real(psi, rates, weights, x, factors)
 
     monkeypatch.setattr(operators, "_exp_sums", exp_sums)
-    assert run(["deriv", "--op", "caputo_ns", "--alpha", "0.5 + 0.2*t", "--beta", "track",
-                "--gamma", "track", "--f", "sin(t)", "--a", "0", "--b", "1", "--n", "512",
-                *flags]) == 0
+    assert run(["deriv", "--op", "caputo_ns", "--alpha", "0.3 + 0.2*t", "--beta", "track",
+                "--gamma", "track", "--psi", "ln(t)", "--f", "sin(t)", "--a", "1", "--b", "2",
+                "--n", "512", *flags]) == 0
     capsys.readouterr()
     assert sum(counted) == mids and len(counted) == 1 + mids
 

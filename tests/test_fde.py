@@ -36,7 +36,7 @@ from fracvar.errors import (
 )
 from fracvar import fde, operators
 from fracvar.fde import MAX_NEWTON, NEWTON_TOL, _solve_node
-from fracvar.kernel import KernelSpec, NormalizationFunction, identity_warp
+from fracvar.kernel import KernelSpec, NormalizationFunction, identity_warp, log_warp
 from fracvar.operators import _KernelTable
 
 CF = make_special_case("caputo_fabrizio", alpha=0.5, interval=(0.0, 1.0))
@@ -209,11 +209,15 @@ def test_stale_slope_takes_a_fresh_one(monkeypatch):
 @pytest.mark.parametrize("spec, route", [
     (make_special_case("log_warp", alpha=0.6, interval=(1.0, 3.0)), "soe exact"),
     (make_special_case("log_warp", alpha=0.5, interval=(1.0, 2.0), gamma=0.5, beta=0.5), "soe"),
-    (make_special_case("variable_ml", alpha=OrderFunction.from_expr("0.5 + 0.2*t",
-                                                                    interval=(0.0, 1.0))),
+    (KernelSpec(gamma=None, beta=None,
+                order=OrderFunction.from_expr("0.3 + 0.2*t", interval=(1.0, 2.0)),
+                warp=log_warp(), norm=NormalizationFunction.one(), interval=(1.0, 2.0)),
      "soe"),
     (make_special_case("atangana", alpha=0.5, interval=(0.0, 1.0)), "toeplitz"),
-], ids=["exp_log_warp", "soe_log_warp", "soe_tracked", "toeplitz"])
+    (make_special_case("variable_ml", alpha=OrderFunction.from_expr("0.5 + 0.2*t",
+                                                                    interval=(0.0, 1.0))),
+     "toeplitz"),
+], ids=["exp_log_warp", "soe_log_warp", "soe_tracked", "toeplitz", "interpolated"])
 def test_march_matches_rows_march(spec, route, monkeypatch):
     # the march on its own path against one kernel row per node
     n = 2048
@@ -276,7 +280,7 @@ def test_blocked_toeplitz_march_matches_direct_dots(gamma, beta, n, monkeypatch)
                       interval=(0.0, 1.0))
     table = _KernelTable(spec, uniform_grid(0.0, 1.0, n))
     assert table.path == "toeplitz"
-    blocked, direct = _march_yields(table, _direct_dot_march(table._base[::2]))
+    blocked, direct = _march_yields(table, _direct_dot_march(table._nodes[0]))
     assert np.array_equal(blocked[:, :2], direct[:, :2])
     assert np.max(np.abs(blocked[:, 2] - direct[:, 2])) <= 1e-13 * np.max(np.abs(direct[:, 2]))
 
@@ -284,7 +288,7 @@ def test_blocked_toeplitz_march_matches_direct_dots(gamma, beta, n, monkeypatch)
                          initial=1.0, grid_n=n)
     monkeypatch.setattr(fde, "NEWTON_TOL", 1e-13)
     fast = solve_fde(problem).solution.values
-    monkeypatch.setattr(_KernelTable, "march", lambda self: _direct_dot_march(self._base[::2]))
+    monkeypatch.setattr(_KernelTable, "march", lambda self: _direct_dot_march(self._nodes[0]))
     slow = solve_fde(problem).solution.values
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 

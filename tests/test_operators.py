@@ -369,6 +369,14 @@ def tracked_spec(order="0.3 + 0.2*t"):
                       interval=(0.0, 1.0))
 
 
+def tracked_log_spec(order="0.2 + 0.1*t"):
+    """A tracked order on psi = ln t over [1, 3] (0.3..0.5 by default, as
+    tracked_spec): its rows are not Toeplitz, so it keeps the SOE sums."""
+    return KernelSpec(gamma=None, beta=None,
+                      order=OrderFunction.from_expr(order, interval=(1.0, 3.0)),
+                      warp=log_warp(), norm=NormalizationFunction.one(), interval=(1.0, 3.0))
+
+
 @pytest.mark.parametrize("case", ["toeplitz", "log_warp", "tracked", "exp", "exp_log_warp",
                                   "soe_log_warp", "soe_variable_order", "soe_tracked"])
 def test_history_sums_match_direct_kernel_rows(case):
@@ -390,9 +398,11 @@ def test_history_sums_match_direct_kernel_rows(case):
         spec = cf_spec(0.4, interval=(1.0, 3.0), gamma=0.5, beta=0.5, warp=log_warp())
     elif case == "soe_variable_order":
         spec = KernelSpec(gamma=0.6, beta=0.6,
-                          order=OrderFunction.from_expr("0.3 + 0.2*t", interval=(0.0, 1.0)),
-                          warp=identity_warp(), norm=NormalizationFunction.one(),
-                          interval=(0.0, 1.0))
+                          order=OrderFunction.from_expr("0.2 + 0.1*t", interval=(1.0, 3.0)),
+                          warp=log_warp(), norm=NormalizationFunction.one(),
+                          interval=(1.0, 3.0))
+    elif case == "soe_tracked":
+        spec = tracked_log_spec()
     else:
         spec = tracked_spec()
     if case.startswith("soe"):
@@ -440,8 +450,8 @@ def test_exponential_sums_match_long_double_rows(alpha, interval, warp):
 
 
 @pytest.mark.parametrize("order, gamma, interval, warp", [
-    ("0.3 + 0.2*t", None, (0.0, 1.0), identity_warp()),   # tracked
-    ("0.75 + 0.2*t", None, (0.0, 1.0), identity_warp()),  # tracked, K = 430
+    ("0.3 + 0.2*t", None, (0.1, 1.0), log_warp()),   # tracked
+    ("0.75 + 0.2*t", None, (0.1, 1.0), log_warp()),  # tracked, K = 463
     ("0.4", 0.5, (1.0, 3.0), log_warp()),                 # one rule for every node
 ])
 def test_soe_midpoint_sums_match_long_double_rows(order, gamma, interval, warp):
@@ -581,10 +591,10 @@ def test_soe_routing(monkeypatch):
 
     monkeypatch.setattr(operators, "_ml_kernel", counted)
     n = 512
-    for spec, rows in ((tracked_spec(), 0),
+    for spec, rows in ((tracked_log_spec(), 0),
                        (cf_spec(0.4, interval=(1.0, 3.0), gamma=0.5, beta=0.5,
                                 warp=log_warp()), 0),
-                       (tracked_spec("0.79 + 0.2*t"), n + 1),
+                       (tracked_log_spec("0.69 + 0.1*t"), n + 1),
                        (cf_spec(0.4, interval=(1.0, 3.0), gamma=0.7, beta=0.6,
                                 warp=log_warp()), n + 1)):
         grid = uniform_grid(*spec.interval, n)
@@ -593,9 +603,9 @@ def test_soe_routing(monkeypatch):
         assert len(calls) == rows
     # so does a spot check that misses
     monkeypatch.setattr(mlf, "_SOE_TOL", 0.0)
-    grid = uniform_grid(0.0, 1.0, n)
+    grid = uniform_grid(1.0, 3.0, n)
     calls.clear()
-    _KernelTable(tracked_spec(), grid).sums(np.sin(grid), np.cos(grid[1:]))
+    _KernelTable(tracked_log_spec(), grid).sums(np.sin(grid), np.cos(grid[1:]))
     assert len(calls) == n + 1
 
 
@@ -605,10 +615,10 @@ def test_soe_rule_refused_when_its_reference_does_not_converge(monkeypatch):
     def refuse(beta, z, tol=1e-12):
         raise NonConvergent("reference refused")
 
-    grid = uniform_grid(0.0, 1.0, 512)
-    assert _KernelTable(tracked_spec(), grid).path == "soe"
+    grid = uniform_grid(1.0, 3.0, 512)
+    assert _KernelTable(tracked_log_spec(), grid).path == "soe"
     monkeypatch.setattr(mlf, "_ml_neg_array", refuse)
-    assert _KernelTable(tracked_spec(), grid).path == "rows"
+    assert _KernelTable(tracked_log_spec(), grid).path == "rows"
 
 
 def test_singular_toeplitz_and_rows_agree():
@@ -794,8 +804,9 @@ def test_power_soe_routing(monkeypatch):
     f = sampled(np.sin, n=n, deriv=np.cos)
     rl_integral_varorder(_order_spec("0.5 + 0.5*t"), f)
     assert rows == []
-    spec = _order_spec("0.3 + 0.4*t")
-    operators._product_sums(spec, f.grid, f.values, np.linspace(1.1, 1.3, n + 1))
+    spec = _order_spec("0.4", interval=(1.0, 3.0), warp=log_warp())
+    grid = uniform_grid(1.0, 3.0, n)
+    operators._product_sums(spec, grid, np.sin(grid), np.linspace(1.1, 1.3, n + 1))
     assert len(rows) == n + 1
 
 
@@ -986,13 +997,18 @@ def _stack_case(path):
         return cf_spec(0.4, gamma=0.5, beta=0.5, **log), 512, ("soe", "soe")
     if path == "rows":
         return cf_spec(0.4, gamma=0.7, beta=0.6, **log), 96, ("rows", "soe")
-    # the power SOE of a variable order on psi = t (tracked gamma = beta for
-    # the bounded kernel)
-    return tracked_spec(), 512, ("soe", "soe")
+    if path == "interpolated":
+        # Toeplitz rows interpolated in the order on psi = t, for a tracked
+        # gamma = beta and for the exponents of the weakly singular family
+        return tracked_spec(), 512, ("toeplitz", "toeplitz")
+    # the power SOE of a variable order on the log warp (tracked gamma =
+    # beta for the bounded kernel)
+    return tracked_log_spec(), 512, ("soe", "soe")
 
 
 @pytest.mark.parametrize("block", [None, 512])
-@pytest.mark.parametrize("path", ["exp", "exp_log", "toeplitz", "soe", "rows", "power_soe"])
+@pytest.mark.parametrize("path", ["exp", "exp_log", "toeplitz", "soe", "rows", "power_soe",
+                                  "interpolated"])
 def test_stacked_rows_equal_single_calls_bit_for_bit(path, block, monkeypatch):
     # every operator on a stack of functions gives, in each row, exactly what
     # it gives that function alone; a small _BLOCK cuts the stack into
@@ -1008,8 +1024,11 @@ def test_stacked_rows_equal_single_calls_bit_for_bit(path, block, monkeypatch):
     assert table.path == bounded
     if path == "exp":
         assert table._rule[0].size == 1 and table._rule[1] is None
-    mus = np.full(n + 1, 0.5) if path != "power_soe" else 1.0 - spec.order.values(grid)
+    variable = path in ("power_soe", "interpolated")
+    mus = 1.0 - spec.order.values(grid) if variable else np.full(n + 1, 0.5)
     assert _KernelTable(spec, grid, mus).path == singular
+    if path == "interpolated":
+        assert table._lagrange.shape[0] > 1
     fns = ((np.sin, np.cos), (np.exp, np.exp), (lambda t: t * t, lambda t: 2.0 * t),
            (lambda t: np.cos(3.0 * t), lambda t: -3.0 * np.sin(3.0 * t)),
            (lambda t: 1e3 * np.sin(t + 1.0), lambda t: 1e3 * np.cos(t + 1.0)))
@@ -1033,7 +1052,7 @@ def test_stacked_rows_equal_single_calls_bit_for_bit(path, block, monkeypatch):
                 assert np.array_equal(stacked.cross_scheme[k], alone.cross_scheme), (op, k)
 
 
-@pytest.mark.parametrize("path", ["exp", "toeplitz", "soe", "power_soe"])
+@pytest.mark.parametrize("path", ["exp", "toeplitz", "soe", "power_soe", "interpolated"])
 def test_second_scheme_summed_only_when_the_estimate_is_read(path, monkeypatch):
     # a bounded-kernel call sums its own scheme's column alone, the node
     # column of _exp_sums (on the n + 1 nodes) or of the Toeplitz products
@@ -1103,8 +1122,8 @@ def test_tracked_rule_folded_once_per_table(scheme, monkeypatch):
         return rates, counted
 
     monkeypatch.setattr(operators, "_soe_rule", soe_rule)
-    spec = tracked_spec()
-    f = sampled(np.sin, n=256, deriv=np.cos)
+    spec = tracked_log_spec()
+    f = sampled(np.sin, 1.0, 3.0, n=256, deriv=np.cos)
     assert _KernelTable(spec, f.grid).path == "soe"
     result = caputo_deriv_ns(spec, f, scheme=scheme)
     assert folds == [slice(1, None)]
@@ -1117,11 +1136,11 @@ def test_stacked_rows_equal_single_calls_on_rows_after_a_refused_rule(monkeypatc
     # power rule the weakly singular one; stacked rows still match single calls
     monkeypatch.setattr(mlf, "_SOE_TOL", 0.0)
     monkeypatch.setattr(operators, "_power_rule", lambda *args: None)
-    spec = tracked_spec()
-    grid = uniform_grid(0.0, 1.0, 64)
+    spec = tracked_log_spec()
+    grid = uniform_grid(1.0, 3.0, 64)
     assert _KernelTable(spec, grid).path == "rows"
     assert _KernelTable(spec, grid, 1.0 - spec.order.values(grid)).path == "rows"
-    singles = [sampled(fn, n=64) for fn in (np.sin, np.exp, np.cos)]
+    singles = [sampled(fn, 1.0, 3.0, n=64) for fn in (np.sin, np.exp, np.cos)]
     stack = GridFunction(grid=grid, values=np.array([f.values for f in singles]))
     for op in ALL_OPERATORS:
         whole = op(spec, stack).values.values
@@ -1251,3 +1270,169 @@ def test_rl_classical_of_linear(alpha):
     keep = f.grid >= 0.5
     expected = f.grid[keep] ** (1.0 - alpha) / math.gamma(2.0 - alpha)
     assert np.max(np.abs(out[keep] - expected) / expected) < 2e-7
+
+
+# --- Toeplitz rows interpolated in the exponent ----------------------------------
+
+TRACKED_ORDERS = ["0.5 + 0.2*t", "0.3 + 0.65*t", "0.75 + 0.24*t"]
+
+
+def _interpolated(table):
+    """The number of base rows of a Toeplitz table."""
+    assert table.path == "toeplitz"
+    return table._nodes.shape[0]
+
+
+def test_interpolated_rows_routing(monkeypatch):
+    # a constant order keeps one base row; a tracked order reaching 0.99,
+    # a tracked beta alone and the integral's exponents at tau take rows at
+    # Chebyshev points of the exponent; with every set of points refused,
+    # past 65 of them, the tables fall back to the SOE rule or to rows
+    n = 512
+    grid = uniform_grid(0.0, 1.0, n)
+    table = _KernelTable(cf_spec(0.6, gamma=0.5, beta=0.5), grid)
+    assert _interpolated(table) == 1 and table._lagrange is None
+    assert _interpolated(_KernelTable(tracked_spec("0.75 + 0.24*t"), grid)) in (9, 17, 33, 65)
+    beta_alone = KernelSpec(gamma=0.7, beta=None, order=tracked_spec().order,
+                            warp=identity_warp(), norm=NormalizationFunction.one(),
+                            interval=(0.0, 1.0))
+    assert _interpolated(_KernelTable(beta_alone, grid)) > 1
+    order = tracked_spec("0.4 + 0.3*t").order
+    panels = order.values(0.5 * (grid[:-1] + grid[1:]))
+    table = _KernelTable(cf_spec(0.6), grid, panels)
+    assert _interpolated(table) > 1 and table._lagrange.shape == (table._nodes.shape[0], n + 1)
+
+    built = []
+    real = operators._ml_kernel
+
+    def counted(*args):
+        built.append(args[2].size)
+        return real(*args)
+
+    monkeypatch.setattr(operators, "_ml_kernel", counted)
+    monkeypatch.setattr(operators, "_SOE_TOL", 0.0)
+    assert _KernelTable(tracked_spec("0.75 + 0.24*t"), grid).path == "rows"
+    assert built == [n + 1] * 65
+    assert _KernelTable(tracked_spec("0.5 + 0.2*t"), grid).path == "soe"
+    assert _KernelTable(beta_alone, grid).path == "rows"
+    assert _KernelTable(cf_spec(0.6), grid, panels).path == "soe"
+
+
+def test_kernel_midpoint_half_built_only_when_read(monkeypatch):
+    # a Toeplitz kernel table evaluates the node halves of its base rows
+    # (and of the interpolation's two check rows) when it is built, and
+    # their midpoint halves on the first midpoint sum only
+    built = []
+    real = operators._ml_kernel
+
+    def counted(*args):
+        built.append(args[2].size)
+        return real(*args)
+
+    n = 256
+    f = sampled(np.sin, n=n, deriv=np.cos)
+    for spec in (cf_spec(0.6, gamma=0.5, beta=0.5), tracked_spec()):
+        m = _interpolated(_KernelTable(spec, f.grid))
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, "_ml_kernel", counted)
+            built.clear()
+            result = caputo_deriv_ns(spec, f)
+            assert built == [n + 1] * (1 if m == 1 else m + 2)
+            built.clear()
+            assert result.quad_error_estimate > 0.0
+            assert built == [n] * m
+
+
+def _rows_cached(monkeypatch):
+    """Force every table of the operators onto rows, as when no rule or
+    interpolation is accepted, and build each half-step row once: node
+    rows are its even entries."""
+    monkeypatch.setattr(operators, "_chebyshev_rows", lambda *args: None)
+    monkeypatch.setattr(operators, "_soe_rule", lambda *args: None)
+    monkeypatch.setattr(operators, "_power_rule", lambda *args: None)
+    cache = {}
+    real = _KernelTable._row
+
+    def row(self, i, stride):
+        key = (self.n, i, self._per_panel, None if self._kernel else self._mus.tobytes())
+        if key not in cache:
+            cache[key] = real(self, i, 1)
+        return cache[key][::stride]
+
+    monkeypatch.setattr(_KernelTable, "_row", row)
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+@pytest.mark.parametrize("order", TRACKED_ORDERS)
+def test_interpolated_rows_match_rows(order, n, monkeypatch):
+    # a tracked order on psi = t: caputo_ns, the integral rl_ns
+    # differentiates (aux_integral_1), both schemes, and the solve on
+    # interpolated Toeplitz rows against the same on one kernel row per
+    # node, within 1e-12 of the largest value of the rows. rl_ns takes d/dt
+    # of that integral by a stencil of gain 4 / h, which also carries the
+    # rows' own rounding: the SOE sums of 0.5..0.7 are 7.6e-12 from rows at
+    # n = 2048. So rl_ns is held to 4 n times the bound.
+    spec = tracked_spec(order)
+    f = sampled(lambda t: np.sin(3.0 * t), n=n, deriv=lambda t: 3.0 * np.cos(3.0 * t))
+    problem = FdeProblem(spec=spec, rhs=lambda t, u: -u ** 3 - u + math.sin(math.pi * t),
+                         initial=1.0, grid_n=n)
+    ops = (caputo_deriv_ns, aux_integral_1, rl_deriv_ns)
+
+    def outputs():
+        values = [op(spec, f, scheme=scheme).values.values for op in ops for scheme in SCHEMES]
+        return values + [solve_fde(problem).solution.values]
+
+    assert _interpolated(_KernelTable(spec, f.grid)) > 1
+    fast = outputs()
+    _rows_cached(monkeypatch)
+    assert _KernelTable(spec, f.grid).path == "rows"
+    gains = [1.0] * 4 + [4.0 * n] * 2 + [1.0]
+    for k, (got, want, gain) in enumerate(zip(fast, outputs(), gains)):
+        assert np.max(np.abs(got - want)) <= gain * 1e-12 * np.max(np.abs(want)), k
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_interpolated_moments_match_rows(n, monkeypatch):
+    # the variable-order integral (exponent at t and at tau) and both
+    # classical derivatives on interpolated Toeplitz moment rows against
+    # one moment row per node, within 1e-12 of the largest value; the
+    # classical RL derivative, d/dt of its integral, within 4 n times that
+    # (test_interpolated_rows_match_rows)
+    spec = _order_spec("0.45 + 0.2*t")
+    f = sampled(np.sin, n=n, deriv=np.cos)
+    calls = [(rl_integral_varorder, {"exponent_at": "t"}, 1.0),
+             (rl_integral_varorder, {"exponent_at": "tau"}, 1.0),
+             (caputo_deriv_classical, {}, 1.0), (rl_deriv_classical, {}, 4.0 * n)]
+
+    def outputs():
+        return [op(spec, f, scheme=scheme, **kwargs).values.values
+                for op, kwargs, _ in calls for scheme in SCHEMES]
+
+    grid = f.grid
+    alphas = spec.order.values(grid)
+    for mus in (alphas, spec.order.values(0.5 * (grid[:-1] + grid[1:])), 1.0 - alphas):
+        assert _interpolated(_KernelTable(spec, grid, mus)) > 1
+    fast = outputs()
+    _rows_cached(monkeypatch)
+    gains = [gain for *_, gain in calls for _ in SCHEMES]
+    for k, (got, want, gain) in enumerate(zip(fast, outputs(), gains)):
+        assert np.max(np.abs(got - want)) <= gain * 1e-12 * np.max(np.abs(want)), k
+
+
+@pytest.mark.parametrize("n", [2048, 8192])
+@pytest.mark.parametrize("exponent_at", ["t", "tau"])
+def test_interpolated_integral_matches_the_power_rule(exponent_at, n, monkeypatch):
+    # the bench's variable-order integral: interpolated rows against the
+    # sums of exponentials of the power rule, within 1e-13 of the largest
+    # value, in both schemes
+    spec = _order_spec("0.4 + 0.3*t")
+    f = sampled(lambda t: 1.0 - 0.5 * t + 0.3 * t ** 3, n=n)
+    got = [rl_integral_varorder(spec, f, exponent_at=exponent_at, scheme=scheme).values.values
+           for scheme in SCHEMES]
+    monkeypatch.setattr(operators, "_chebyshev_rows", lambda *args: None)
+    grid = f.grid
+    mus = spec.order.values(0.5 * (grid[:-1] + grid[1:])) if exponent_at == "tau" else None
+    assert _KernelTable(spec, grid, spec.order.values(grid) if mus is None else mus).path == "soe"
+    for scheme, g in zip(SCHEMES, got):
+        want = rl_integral_varorder(spec, f, exponent_at=exponent_at, scheme=scheme).values.values
+        assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want)), scheme
