@@ -50,17 +50,17 @@ grid. No declared property of the order enters.
   weighted at the sources, O(m n log n). The points are certified as an
   SOE rule is, within _SOE_TOL, on the history sums of data 1
   (_chebyshev_rows: their last Chebyshev coefficient in the exponent, and
-  direct rows at two sampled exponents), and the rows are
-  taken only when their m (2n + 1) values are at most the K n rate-source
-  pairs of the "soe" rule, or the (n + 1)^2 values of "rows" when no rule is
-  accepted. Refused past m = 65, they leave the table to "soe" or "rows".
-  Tracked 0.5..0.7 on psi = t takes m = 17, 0.3..0.95 and 0.75..0.99 take
-  m = 33; the integral of order 0.4 + 0.3 t, m = 17 against K = 56.
+  direct rows at two sampled exponents), and are tried before any rule is
+  built: they are taken when certified and their m (2n + 1) values are at
+  most the (n + 1)^2 values of "rows". Refused past m = 65, or by that
+  budget (small n), they leave the table to "soe" or "rows". Tracked
+  0.5..0.7 on psi = t takes m = 17, 0.3..0.95 and 0.75..0.99 take m = 33;
+  the integral of order 0.4 + 0.3 t, m = 17.
 * Otherwise "soe" on a rule of mlf (the Mittag-Leffler rule spot-checked,
   the power rule bounded by the proof in its docstring), with rates shared
   by every node and the slow ones (r span <= 1) folded into 14, so K is
   about 60 and the sums cost O(nK) (_exp_sums). On a uniformly spaced psi
-  only where it costs less than interpolated Toeplitz rows.
+  only where interpolated Toeplitz rows are refused.
   - gamma = beta < 1 at every node (a tracked order, variable_ml, or a
     constant order on the log, sin or expression warps): _soe_rule,
     H_i(s) ~ sum_k w_ik exp(-r_k s). Each sum is the exact diagonal (H = 1)
@@ -72,9 +72,9 @@ grid. No declared property of the order enters.
     exp(-r (psi_i - x)) against the linear data.
 * Otherwise "rows", when no rule applies (gamma != beta) or the rule is
   refused, as when it would need more than n rates, on a psi that is not
-  uniformly spaced or where interpolated Toeplitz rows are refused or cost
-  more (small n): one row per output node, O(n^2) kernel evaluations, each
-  sum a dot product, as accurate as the rows.
+  uniformly spaced or where interpolated Toeplitz rows are refused: one row
+  per output node, O(n^2) kernel evaluations, each sum a dot product, as
+  accurate as the rows.
   Each call of sums() builds the rows again, so the bounded-kernel operators
   make both schemes in their first call (_history) and keep the other. Node
   sums alone (the solver's residual) take node rows, half the kernel values.
@@ -220,9 +220,9 @@ class _KernelTable:
       (1 - alpha), for kernel rows, mu for moments; node i's row is
       sum_m L_m(e) g_m, with the barycentric weights L_m (_lagrange) at the
       targets' exponents for node exponents and at the sources' for panel
-      exponents. They are taken when certified and cheaper: their values,
-      m (2n + 1), at most the rate-source pairs K n of the rule of "soe",
-      or, with no rule, the (n + 1)^2 kernel values of "rows";
+      exponents. They are tried first, and taken when certified and their
+      values, m (2n + 1), are at most the (n + 1)^2 kernel values of
+      "rows"; the rule of "soe" is built only when they are refused;
     * "soe": mlf's rule accepted, _soe_rule for kernel rows with gamma =
       beta at every node, _power_rule for mu, which lies in (0, 1];
     * "rows": none of these, one row per node.
@@ -266,31 +266,32 @@ class _KernelTable:
             self.path, self._points = "toeplitz", [node_exponent(n)]
             self._set_base(self._base_row(self._points[0])[None])
             return
+        if mus is not None:
+            # the exponent of panel j, or of node j + 1
+            self._mus = mus if per_panel else mus[1:]
+        if uniform:
+            coords, exponent = ((np.log(alphas / (1.0 - alphas)), _alpha_at) if mus is None
+                                else (mus, float))
+            rows = _chebyshev_rows(coords, exponents, exponent, self._base_row, 2 * n + 1,
+                                   (n + 1) ** 2)
+            if rows is not None:
+                points, self._points, base = rows
+                self.path, self._lagrange = "toeplitz", _lagrange(points, coords)
+                if per_panel:
+                    # the last node's zero data has no panel, and takes no weight
+                    self._lagrange = np.pad(self._lagrange, ((0, 0), (0, 1)))
+                self._set_base(base)
+                return
         span = float(self.psih[-1] - self.psih[0])
         if mus is None:
             betas = alphas if spec.beta is None else np.full(alphas.size, float(spec.beta))
             gammas = alphas if spec.gamma is None else np.full(alphas.size, float(spec.gamma))
             self._rule = _soe_rule(betas, alphas / (1.0 - alphas), float(np.min(steps)), span,
                                    self.n) if np.array_equal(betas, gammas) else None
-            coords, exponent = np.log(alphas / (1.0 - alphas)), _alpha_at
         else:
-            # the exponent of panel j, or of node j + 1
-            self._mus = mus if per_panel else mus[1:]
             self._rule = _power_rule(1.0 - self._mus, float(np.min(np.diff(self.psih[::2]))),
                                      span, self.n)
-            coords, exponent = mus, float
         self.path = "rows" if self._rule is None else "soe"
-        if not uniform:
-            return
-        budget = (n + 1) ** 2 if self._rule is None else self._rule[0].size * n
-        rows = _chebyshev_rows(coords, exponents, exponent, self._base_row, 2 * n + 1, budget)
-        if rows is not None:
-            points, self._points, base = rows
-            self.path, self._lagrange = "toeplitz", _lagrange(points, coords)
-            if per_panel:
-                # the last node's zero data has no panel, and takes no weight
-                self._lagrange = np.pad(self._lagrange, ((0, 0), (0, 1)))
-            self._set_base(base)
 
     def _base_row(self, e) -> np.ndarray:
         """The base row at exponent e, increasing in s: the node half of a
@@ -328,19 +329,21 @@ class _KernelTable:
 
     def _products(self, base: np.ndarray, data: np.ndarray) -> np.ndarray:
         """Toeplitz sums of each row of data (m, k) against one half of the
-        base rows: one truncated product for m = 1; else, one stack row at a
-        time, the m products combined at the targets (node exponents) or the
-        data weighted at the sources first (panel exponents)."""
+        base rows, whose spectra are made once per call: one truncated
+        product for m = 1; else, one stack row at a time, the m products
+        combined at the targets (node exponents) or the data weighted at the
+        sources first (panel exponents)."""
         weights = self._lagrange
         if weights is None:
-            return _lower_product(base[0], data)
+            return _lower_product(base[0])(data)
         k = data.shape[-1]
+        product = _lower_product(base)
         out = np.empty(data.shape)
         for sums, d in zip(out, data):
             if self._per_panel:
-                sums[:] = _lower_product(base, weights[:, :k] * d).sum(axis=0)
+                sums[:] = product(weights[:, :k] * d).sum(axis=0)
             else:
-                sums[:] = np.einsum("mi,mi->i", _lower_product(base, d), weights[:, -k:])
+                sums[:] = np.einsum("mi,mi->i", product(d), weights[:, -k:])
         return out
 
     def sums(self, x: np.ndarray | None,
@@ -614,16 +617,22 @@ def _circular(a: np.ndarray, size: int):
     return lambda b: np.fft.irfft(np.fft.rfft(b, size) * spectrum, size)
 
 
-def _lower_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The first m outputs of np.convolve(a, b) along the last axis, m the
-    length of both: the _circular product of length L, the least power of
-    two at or above 2 (m - 1), truncated. Only output 2 (m - 1) of the full
-    product can wrap, onto output 0, which is therefore set to a[0] b[0].
-    Rows of a 2-d a and of b broadcast against each other."""
+def _lower_product(a: np.ndarray):
+    """b -> the first m outputs of np.convolve(a, b) along the last axis, m
+    the length of both: the _circular product of length L, the least power
+    of two at or above 2 (m - 1), truncated, against a's spectrum, made once.
+    Only output 2 (m - 1) of the full product can wrap, onto output 0, which
+    is therefore set to a[0] b[0]. Rows of a 2-d a and of b broadcast
+    against each other."""
     m = a.shape[-1]
-    out = _circular(a, 1 << (2 * m - 3).bit_length())(b)[..., :m]
-    out[..., 0] = a[..., 0] * b[..., 0]
-    return out
+    product = _circular(a, 1 << (2 * m - 3).bit_length())
+
+    def lower(b: np.ndarray) -> np.ndarray:
+        out = product(b)[..., :m]
+        out[..., 0] = a[..., 0] * b[..., 0]
+        return out
+
+    return lower
 
 
 def _exp_sums(psi: np.ndarray, rates: np.ndarray, weights, x: np.ndarray,
@@ -946,10 +955,11 @@ def _product_sums(spec: KernelSpec, grid: np.ndarray, data: np.ndarray,
     linear g is its mean plus slope * (x - midpoint), so the trapezoid sum is
     the midpoint sum plus the slopes against the first moments (_moments),
     exact, so the integrable singularity at x = psi_i costs no accuracy. The
-    table's path follows the sampled exponents: Toeplitz when every mu is
-    equal on a uniformly spaced psi, else the sums of exponentials of
-    _power_sums (O(nK), K about 60) when the rule is certified, else rows
-    (O(n^2)). Every mu lies in (0, 1]: alpha or 1 - alpha, with alpha
+    table's path follows the sampled exponents and psi: on a uniformly
+    spaced psi, Toeplitz rows, one when every mu is equal, else interpolated
+    in mu when they are certified and cost less than rows; else the sums of
+    exponentials of _power_sums (O(nK), K about 60) when the rule is
+    certified; else rows (O(n^2)). Every mu lies in (0, 1]: alpha or 1 - alpha, with alpha
     checked on the grid.
     """
     table = _KernelTable(spec, grid, mus)
