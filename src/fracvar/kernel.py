@@ -302,10 +302,20 @@ def _prefactors(spec: KernelSpec, alphas: np.ndarray) -> np.ndarray:
     return spec.norm.values(alphas) / (1.0 - alphas)
 
 
-def _ml_kernel(spec: KernelSpec, alpha: float, dpsi: np.ndarray) -> np.ndarray:
-    """H at one output node of order alpha, given dpsi = psi(t) - psi(tau) >= 0."""
-    lam = alpha / (1.0 - alpha)
-    return _ml_neg_array(spec.beta_at(alpha), -lam * dpsi ** spec.gamma_at(alpha))
+def _ml_kernel(spec: KernelSpec, alpha, dpsi: np.ndarray) -> np.ndarray:
+    """H at one output node of order alpha, given dpsi = psi(t) - psi(tau) >= 0;
+    for an array of orders, one row of H per order on the same dpsi, from
+    one evaluator call. Each row takes its own power of dpsi, with a scalar
+    exponent as alone: numpy's power has fast paths (sqrt at 0.5) that an
+    array of exponents does not take."""
+    alphas = np.ravel(alpha).tolist()
+    z = np.empty((len(alphas),) + np.shape(dpsi))
+    for row, a in zip(z, alphas):
+        np.multiply(-(a / (1.0 - a)), dpsi ** spec.gamma_at(a), out=row)
+    betas = [spec.beta_at(a) for a in alphas]
+    if np.ndim(alpha) == 0:
+        return _ml_neg_array(betas[0], z[0])
+    return _ml_neg_array(np.array(betas), z)
 
 
 def kernel_values(spec: KernelSpec, t: float, taus: np.ndarray) -> np.ndarray:

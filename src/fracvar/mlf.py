@@ -1,8 +1,10 @@
 """One-parameter Mittag-Leffler function E_beta(z) = sum_k z^k / Gamma(beta k + 1).
 
 Every kernel value goes through one array evaluator for z <= 0, 0 < beta <= 1
-(``_ml_neg_array``). Each value it returns is certified to the relative
-tolerance ``tol``; otherwise NonConvergent is raised. Two routes:
+(``_ml_neg_array``), over one row or over rows with one beta each, which
+take one Horner loop and each give what they give alone, bit for bit. Each
+value it returns is certified to the relative tolerance ``tol``; otherwise
+NonConvergent is raised. Two routes:
 
 * The power series by Horner's rule, with the term count fixed in advance
   from the largest argument. Even and odd terms are summed apart in z^2, free
@@ -86,6 +88,7 @@ _DEFAULT_QUAD_TOL = 1e-10
 _H0 = 0.25           # initial trapezoid step on both maps
 _REFINE = 5          # step halvings after the first comparison
 _BLOCK = 1 << 16     # argument-node pairs per temporary
+_ROWS_BLOCK = 1 << 14  # values per block of rows of _ml_neg_array
 _POLE_BETA = 0.8     # above it, arguments near the pole take the angular form
 _LOG_TAIL = math.log(0.25 * _EPS)
 _LOG_TERM_CAP = math.log(1e290)
@@ -111,50 +114,66 @@ class MLParams:
             raise InvalidParam(f"tol must lie in (0, 1e-2), got {self.tol}")
 
 
-def _series_array(beta: float, z: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Horner sum of the series over an array of nonzero z; returns
-    (values, certified).
-
-    The series runs in u = |z| / max|z|, with coefficients a_k, the terms at
-    the largest |z|, so no coefficient underflows before the sum is done. The
-    term count K is fixed so that the tail beyond it there is below eps / 4;
-    a term above 1e290 leaves every element uncertified.
-    """
-    x = np.abs(z).ravel()
-    xmax = float(np.max(x))
-    log_x = math.log(xmax)
+def _coefficients(beta: float, log_x: float) -> list[float] | None:
+    """The terms a_k of the series at |z| = e^log_x, in an even count: up to
+    the first whose tail is below eps / 4, padded with a zero; None when a
+    term passes 1e290 first, or after _MAX_TERMS terms."""
     coeffs = [1.0]
-    summable = False
     lg = math.lgamma(beta + 1.0)  # lgamma(beta k + 1), carried from the ratio test
     for k in range(1, _MAX_TERMS + 1):
         log_term = k * log_x - lg
         if log_term > _LOG_TERM_CAP:
-            break
+            return None
         coeffs.append(math.exp(log_term))
         # term ratios r fall with k, so the tail is at most term * r / (1 - r)
         lg_next = math.lgamma(beta * (k + 1) + 1.0)
         log_r = log_x + lg - lg_next
         if log_r < 0.0 and log_term + log_r - math.log1p(-math.exp(log_r)) < _LOG_TAIL:
-            summable = True
-            break
+            return coeffs + [0.0] * (len(coeffs) % 2)
         lg = lg_next
-    if not summable:
-        return np.ones(z.shape), np.zeros(z.shape, dtype=bool)
-    if len(coeffs) % 2:
-        coeffs.append(0.0)
-    # columns[j] holds (a_2j, a_2j+1)
-    columns = np.array(coeffs).reshape(-1, 2, 1)[::-1]
-    u = x / xmax
+    return None
+
+
+def _series_array(beta, z: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Horner sum of the series over z; returns (values, certified).
+
+    beta is a float for the whole array, or one beta per row of a 2-d z,
+    and each row is summed as it is alone. It runs in u = |z| / max|z| over
+    the row, which needs a nonzero z (a zero gives 1), with coefficients
+    a_k, the terms at that largest |z| (_coefficients), so no coefficient
+    underflows before the sum is done. A row whose series is not summable
+    is left uncertified. The rows share one Horner loop: a row of K terms
+    takes zero coefficients above them, which leave its sums as they are,
+    bit for bit, and K enters its roundoff bound.
+    """
+    betas = np.array(beta, dtype=float).reshape(-1)
+    u = np.abs(z).reshape(betas.size, -1)
+    xmax = u.max(axis=1)
+    rows = [_coefficients(b, math.log(m)) for b, m in zip(betas.tolist(), xmax.tolist())]
+    terms = [0 if c is None else len(c) for c in rows]
+    width = max(2, *terms)
+    table = np.array([[0.0] * width if c is None else c + [0.0] * (width - len(c))
+                      for c in rows])
+    # columns[j] holds (a_2j, a_2j+1) of every row
+    columns = table.T.reshape(-1, 2, betas.size, 1)[::-1]
+    u /= xmax[:, None]
     y = u * u
-    acc = np.repeat(columns[0], x.size, axis=1)
+    acc = np.repeat(columns[0], u.shape[1], axis=2)
     for col in columns[1:]:
         acc *= y
         acc += col
-    even, odd = acc[0], u * acc[1]
-    neg = z.ravel() < 0.0
-    value = np.where(neg, even - odd, even + odd)
-    certified = _EPS * len(coeffs) * (even + odd) <= tol * np.abs(value)
+    even, odd = acc
+    odd *= u
+    neg = z.reshape(u.shape) < 0.0
+    # u and y, spent, hold the sum and the difference, then |value| tol
+    total = np.add(even, odd, out=u)
+    value = np.where(neg, np.subtract(even, odd, out=y), total)
+    total *= _EPS * np.array(terms, dtype=float)[:, None]  # the roundoff bound
+    certified = total <= np.multiply(np.abs(value, out=y), tol, out=y)
     certified &= ~neg | ((value > 0.0) & (value <= 1.0))
+    if None in rows:
+        failed = [c is None for c in rows]
+        value[failed], certified[failed] = 1.0, False
     return value.reshape(z.shape), certified.reshape(z.shape)
 
 
@@ -269,30 +288,59 @@ def _quadrature(beta: float, x: np.ndarray, tol: float) -> np.ndarray:
     return np.minimum(out, 1.0)
 
 
-def _ml_neg_array(beta: float, z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _ml_neg_array(beta, z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """E_beta over an array of nonpositive arguments, each certified to tol.
 
-    The hot path of kernel evaluation. Raises NonConvergent when an element
-    can be certified by neither the series nor the quadrature.
+    The hot path of kernel evaluation. beta is a float for the whole array,
+    or one beta per row of a 2-d z; each row takes the routes it takes
+    alone, bit for bit: its own series (_series_array, all rows in one
+    Horner loop), and one quadrature call for its uncertified elements.
+    Raises NonConvergent when an element can be certified by neither the
+    series nor the quadrature.
     """
     z = np.asarray(z, dtype=float)
-    if beta == 1.0:
-        return np.exp(z)
-    if not np.all(z <= 0.0):
+    betas = np.array(beta, dtype=float).reshape(-1)
+    rows = z.reshape(betas.size, -1)
+    step = max(1, _ROWS_BLOCK // max(1, rows.shape[1]))
+    if betas.size > step:  # rows in blocks of about _ROWS_BLOCK values
+        out = np.empty(rows.shape)
+        for lo in range(0, betas.size, step):
+            out[lo : lo + step] = _ml_neg_array(betas[lo : lo + step], rows[lo : lo + step], tol)
+        return out.reshape(z.shape)
+    x = -rows
+    beta_list = betas.tolist()
+    if 1.0 in beta_list:  # E_1 = exp, on any argument
+        out = np.exp(-x)
+        rest = betas != 1.0
+        if rest.any():
+            out[rest] = _ml_neg_array(betas[rest], -x[rest], tol)
+        return out.reshape(z.shape)
+    if not (x >= 0.0).all():
         raise InvalidParam("_ml_neg_array needs nonpositive arguments")
-    x = -z.ravel()
     out = np.ones_like(x)
     # the roundoff bound eps * K * E_beta(x) <= tol * E_beta(-x) <= tol needs
     # exp(x^(1/beta)) below tol / eps, so larger arguments skip the series
-    x_cut = (math.log(max(tol / _EPS, 1.0)) + 1.0) ** beta
+    log_ratio = math.log(max(tol / _EPS, 1.0)) + 1.0
+    x_cut = np.array([log_ratio**b for b in beta_list])[:, None]
     todo = (x > 0.0) & (x <= x_cut)
-    if np.any(todo):
-        value, certified = _series_array(beta, -x[todo], tol)
-        out[todo] = value
-        todo[todo] = ~certified
+    counts = todo.sum(axis=1)
+    width = int(counts.max())
+    if width:
+        # each row's series arguments packed to the left of a row of width,
+        # zeros after them where rows differ in count
+        live = counts > 0
+        args = -x[todo]
+        packed = Ellipsis
+        if args.size < width * int(np.count_nonzero(live)):
+            packed = np.arange(width) < counts[live, None]
+            args, args[packed] = np.zeros(packed.shape), args
+        value, certified = _series_array(betas[live], args.reshape(-1, width), tol)
+        out[todo] = value[packed].ravel()
+        todo[todo] = ~certified[packed].ravel()
     todo |= x > x_cut
-    if np.any(todo):
-        out[todo] = _quadrature(beta, x[todo], tol)
+    for i, rest in enumerate(todo.any(axis=1).tolist()):
+        if rest:
+            out[i, todo[i]] = _quadrature(beta_list[i], x[i, todo[i]], tol)
     return out.reshape(z.shape)
 
 
@@ -374,12 +422,13 @@ def _soe_rule(betas: np.ndarray, lams: np.ndarray, s_min: float, span: float,
     rates, weights = rule
     s = np.geomspace(s_min, span, 64)
     decays = np.exp(-np.outer(s, rates))
-    for i in {int(np.argmin(betas)), int(np.argmax(betas)),
-              int(np.argmin(lams)), int(np.argmax(lams))}:
-        try:
-            want = _ml_neg_array(float(betas[i]), -lams[i] * s ** betas[i])
-        except NonConvergent:
-            return None
+    picks = sorted({int(np.argmin(betas)), int(np.argmax(betas)),
+                    int(np.argmin(lams)), int(np.argmax(lams))})
+    try:
+        wants = _ml_neg_array(betas[picks], np.array([-lams[i] * s ** betas[i] for i in picks]))
+    except NonConvergent:
+        return None
+    for i, want in zip(picks, wants):
         got = decays @ weights([i])(slice(None))[:, 0]
         if not np.max(np.abs(got - want) / want) <= _SOE_TOL:
             return None

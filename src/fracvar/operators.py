@@ -55,7 +55,11 @@ grid. No declared property of the order enters.
   most the (n + 1)^2 values of "rows". Refused past m = 65, or by that
   budget (small n), they leave the table to "soe" or "rows". Tracked
   0.5..0.7 on psi = t takes m = 17, 0.3..0.95 and 0.75..0.99 take m = 33;
-  the integral of order 0.4 + 0.3 t, m = 17.
+  the integral of order 0.4 + 0.3 t, m = 17. Each set of points is one
+  evaluation, its two check rows included, and a kernel table's midpoint
+  halves one more (one Mittag-Leffler call over rows, one beta each): the
+  tracked 0.5..0.7 table at n = 1024 makes 2 calls, not 19, and a
+  caputo_ns call on it takes about 6.5 ms in-process, against 7.1-7.8.
 * Otherwise "soe" on a rule of mlf (the Mittag-Leffler rule spot-checked,
   the power rule bounded by the proof in its docstring), with rates shared
   by every node and the slow ones (r span <= 1) folded into 14, so K is
@@ -243,7 +247,7 @@ class _KernelTable:
         self._per_panel = per_panel = mus is not None and mus.size == n
         if mus is None:
             alphas = exponents = self.alphas = _alphas_checked(spec, grid)
-            at = lambda alpha, dpsi: _ml_kernel(spec, float(alpha), dpsi)
+            at = lambda alpha, dpsi: _ml_kernel(spec, alpha, dpsi)
             node_exponent = alphas.__getitem__
         else:
             exponents = mus
@@ -264,7 +268,7 @@ class _KernelTable:
             0.5 * float(self.psih[2] - self.psih[0]))
         if same and uniform:
             self.path, self._points = "toeplitz", [node_exponent(n)]
-            self._set_base(self._base_row(self._points[0])[None])
+            self._set_base(self._base_rows(self._points[0]))
             return
         if mus is not None:
             # the exponent of panel j, or of node j + 1
@@ -272,7 +276,7 @@ class _KernelTable:
         if uniform:
             coords, exponent = ((np.log(alphas / (1.0 - alphas)), _alpha_at) if mus is None
                                 else (mus, float))
-            rows = _chebyshev_rows(coords, exponents, exponent, self._base_row, 2 * n + 1,
+            rows = _chebyshev_rows(coords, exponents, exponent, self._base_rows, 2 * n + 1,
                                    (n + 1) ** 2)
             if rows is not None:
                 points, self._points, base = rows
@@ -293,10 +297,13 @@ class _KernelTable:
                                      span, self.n)
         self.path = "rows" if self._rule is None else "soe"
 
-    def _base_row(self, e) -> np.ndarray:
-        """The base row at exponent e, increasing in s: the node half of a
-        kernel row, or a whole moment row."""
-        return self._at(e, self._dpsi[:: 2 if self._kernel else 1])[::-1]
+    def _base_rows(self, exponents) -> np.ndarray:
+        """The base rows, increasing in s, from one evaluation: the node
+        halves of kernel rows, or whole moment rows; one row for the last
+        node's exponent (node_exponent(n)), or one per entry of a column of
+        exponents."""
+        rows = self._at(exponents, self._dpsi[:: 2 if self._kernel else 1])
+        return rows.reshape(-1, rows.shape[-1])[:, ::-1]
 
     def _set_base(self, base: np.ndarray) -> None:
         if self._kernel:
@@ -306,8 +313,9 @@ class _KernelTable:
 
     @functools.cached_property
     def _mids(self) -> np.ndarray:
-        """The midpoint half of the kernel base rows, built on first read."""
-        return np.array([self._at(e, self._dpsi[1::2])[::-1] for e in self._points])
+        """The midpoint half of the kernel base rows, built on first read in
+        one evaluation."""
+        return self._at(np.reshape(self._points, (-1, 1)), self._dpsi[1::2])[:, ::-1]
 
     def _row(self, i: int, stride: int) -> np.ndarray:
         """Node i's weights at half-grid points 0, stride, ..., 2i, on "rows"."""
@@ -461,18 +469,21 @@ def _lagrange(points: np.ndarray, at: np.ndarray) -> np.ndarray:
     return q
 
 
-def _chebyshev_rows(coords: np.ndarray, exponents: np.ndarray, exponent, row, size: int,
+def _chebyshev_rows(coords: np.ndarray, exponents: np.ndarray, exponent, rows, size: int,
                     budget: int):
     """Base rows at nested Chebyshev-Lobatto points of the exponent
     coordinate over [min coords, max coords]: (points, their exponents,
     rows), or None.
 
     coords are the sampled exponents' coordinates, exponent(x) the exponent
-    at coordinate x and row(e) the base row at exponent e. N + 1 points,
-    N = 8, 16, 32, 64, each set holding the last, one row per exponent,
-    built one at a time. A set is certified as an SOE rule is, within
-    _SOE_TOL, on the history sums of data 1, the cumulative sums S(s) of a
-    row, relative to the largest of them at any point:
+    at coordinate x and rows(es) the base rows at a column of exponents,
+    from one evaluation. N + 1 points, N = 8, 16, 32, 64, each set holding the
+    last; a set is one rows() call, its new points with its two check rows,
+    whose exponents follow from the points alone (a refused set has paid
+    for its checks too). The rows are kept in point order in one array, and
+    each row's cumulative sums are made once. A set is certified as an SOE
+    rule is, within _SOE_TOL, on the history sums of data 1, the cumulative
+    sums S(s) of a row, relative to the largest of them at any point:
 
     * the tail: |c_N(s)| at every s, c_N the last Chebyshev coefficient of
       S(s) in the coordinate, (1/N) sum_k w_k S_k(s) with the barycentric
@@ -490,28 +501,41 @@ def _chebyshev_rows(coords: np.ndarray, exponents: np.ndarray, exponent, row, si
     top = _DEGREES[-1]
     lo, hi = float(np.min(coords)), float(np.max(coords))
     points = lo + (hi - lo) * (0.5 - 0.5 * np.cos(np.pi * np.arange(top + 1) / top))
-    built = {}
+    g = sums = None
     try:
         for degree in _DEGREES:
             if (degree + 1) * size > budget:
                 return None
-            at = np.arange(0, top + 1, top // degree)
-            for j in at.tolist():
-                if j not in built:
-                    built[j] = row(exponent(float(points[j])))
-            x, g = points[at], np.array([built[j] for j in at.tolist()])
-            sums = np.cumsum(g, axis=1)
-            tol = _SOE_TOL * float(np.max(np.abs(sums)))
-            if not np.max(np.abs(_barycentric(at.size) @ sums)) / degree <= tol:
-                continue
+            x = points[:: top // degree]
             checks = [int(np.argmin(np.abs(coords - 0.5 * (x[k] + x[k + 1])))) for k in (0, -2)]
-            if all(np.max(np.abs(np.cumsum(_lagrange(x, coords[i : i + 1])[:, 0] @ g
-                                           - row(float(exponents[i]))))) <= tol
-                   for i in checks):
+            new = x if g is None else x[1::2]  # the last set's points are every other one
+            built = rows(np.array([exponent(float(v)) for v in new]
+                                  + [float(exponents[i]) for i in checks])[:, None])
+            g, added = _interleaved(g, built[: new.size])
+            # the new rows' cumulative sums, made in place in their copy
+            sums, added = _interleaved(sums, added)
+            np.cumsum(added, axis=1, out=added)
+            tol = _SOE_TOL * float(np.max(np.abs(sums)))
+            if not np.max(np.abs(_barycentric(x.size) @ sums)) / degree <= tol:
+                continue
+            if all(np.max(np.abs(np.cumsum(_lagrange(x, coords[i : i + 1])[:, 0] @ g - direct)))
+                   <= tol for i, direct in zip(checks, built[new.size :])):
                 return x, [exponent(float(v)) for v in x], g
     except NonConvergent:
         return None
     return None
+
+
+def _interleaved(old: np.ndarray | None, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One new array of rows, and the view of new's rows in it: new alone
+    when old is None, else old's rows at the even places and new's at the
+    odd ones."""
+    if old is None:
+        out = np.array(new)
+        return out, out
+    out = np.empty((old.shape[0] + new.shape[0], new.shape[1]))
+    out[::2], out[1::2] = old, new
+    return out, out[1::2]
 
 
 def _row_march(n: int, rows, far=None):
@@ -916,7 +940,9 @@ def _moments(mu, widths: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     half-grid points 0, 1, ..., 2i and the panel widths w_j = psi_j+1 -
     psi_j: entry 2j the integral of (psi_i - x)^(mu-1) over panel j, entry
     2j+1 its first moment about the panel midpoint, entry 2i zero. mu is a
-    float, or one exponent per panel (mu[j] on panel j).
+    float, one exponent per panel (mu[j] on panel j), or a column of
+    exponents (shape (m, 1)), which gives one such row per exponent, each
+    with its own scalar powers, as alone (kernel._ml_kernel says why).
 
     The closed form of the first moment cancels, to an error of about
     eps u^(mu+1) at u = psi_i - psi_j, and the slopes of a panel, of order
@@ -926,22 +952,25 @@ def _moments(mu, widths: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     c^(mu+1) (1 - mu) (2/3) rho^3 (1 + (2 - mu) (3 - mu) rho^2 / 10), whose
     next term is below 1e-16 of it.
     """
+    def power(u, e):
+        return np.array([u**v for v in e[:, 0].tolist()]) if np.ndim(e) == 2 else u**e
+
     i = dpsi.size // 2
     U = dpsi[::2].copy()  # powers of a strided view are about 20 % slower
     u0, u1 = U[:-1], U[1:]
-    m0 = (u0**mu - u1**mu) / mu
-    out = np.zeros(dpsi.size)
-    out[:-1:2] = m0
-    q = (u0 ** (mu + 1.0) - u1 ** (mu + 1.0)) / (mu + 1.0)
-    m1 = out[1::2]
+    m0 = (power(u0, mu) - power(u1, mu)) / mu
+    out = np.zeros(m0.shape[:-1] + dpsi.shape)
+    out[..., :-1:2] = m0
+    q = (power(u0, mu + 1.0) - power(u1, mu + 1.0)) / (mu + 1.0)
+    m1 = out[..., 1::2]
     np.subtract(0.5 * (u0 + u1) * m0, q, out=m1)
     twice_c = u0 + u1
     narrow = widths[:i] < _NARROW * twice_c
     if narrow.any():
         rho = widths[:i][narrow] / twice_c[narrow]
-        mu = mu[narrow] if np.ndim(mu) else mu
-        m1[narrow] = ((0.5 * twice_c[narrow]) ** (mu + 1.0) * (1.0 - mu) * (2.0 / 3.0) * rho**3
-                      * (1.0 + (2.0 - mu) * (3.0 - mu) / 10.0 * rho**2))
+        mu = mu[narrow] if np.ndim(mu) == 1 else mu
+        m1[..., narrow] = (power(0.5 * twice_c[narrow], mu + 1.0) * (1.0 - mu) * (2.0 / 3.0)
+                           * rho**3 * (1.0 + (2.0 - mu) * (3.0 - mu) / 10.0 * rho**2))
     return out
 
 
@@ -959,8 +988,8 @@ def _product_sums(spec: KernelSpec, grid: np.ndarray, data: np.ndarray,
     spaced psi, Toeplitz rows, one when every mu is equal, else interpolated
     in mu when they are certified and cost less than rows; else the sums of
     exponentials of _power_sums (O(nK), K about 60) when the rule is
-    certified; else rows (O(n^2)). Every mu lies in (0, 1]: alpha or 1 - alpha, with alpha
-    checked on the grid.
+    certified; else rows (O(n^2)). Every mu lies in (0, 1]: alpha or
+    1 - alpha, with alpha checked on the grid.
     """
     table = _KernelTable(spec, grid, mus)
     g_mid = 0.5 * (data[..., :-1] + data[..., 1:])

@@ -20,6 +20,7 @@ from fracvar import (
     warp_from_expr,
 )
 from fracvar.errors import DomainError, InvalidParam, SingularOrder
+from fracvar.kernel import _ml_kernel
 from fracvar.mlf import MLParams, ml_eval
 
 
@@ -258,3 +259,20 @@ def test_warp_that_raises_value_error_is_invalid():
 
     with pytest.raises(InvalidParam, match="warp undefined on the interval: math domain error"):
         cf_spec(0.5, warp=WarpFunction(fn=undefined, deriv=undefined))
+
+
+@pytest.mark.parametrize("gamma, beta", [(None, None), (0.5, None), (None, 1.0)])
+def test_kernel_rows_of_orders_match_one_call_per_order(gamma, beta):
+    # an array of orders gives one kernel row per order, each bit for bit
+    # what that order gives alone: its own scalar power of dpsi (at
+    # gamma = 0.5 numpy takes sqrt) and its own Mittag-Leffler row, also at
+    # beta = 1, where the rows are exp
+    spec = KernelSpec(gamma=gamma, beta=beta,
+                      order=OrderFunction.from_expr("0.5 + 0.49*t", interval=(0.0, 1.0)),
+                      warp=identity_warp(), norm=NormalizationFunction.one(),
+                      interval=(0.0, 1.0))
+    dpsi = np.linspace(0.0, 1.0, 1025)[::-1]
+    alphas = np.array([0.5, 0.61, 0.7, 0.9, 0.99])
+    alone = np.array([_ml_kernel(spec, float(a), dpsi) for a in alphas])
+    assert np.array_equal(_ml_kernel(spec, alphas, dpsi), alone)
+    assert np.array_equal(_ml_kernel(spec, alphas[:, None], dpsi), alone)

@@ -276,6 +276,55 @@ def test_array_helper_beta_one_is_exp():
     assert np.array_equal(_ml_neg_array(1.0, z), np.exp(z))
 
 
+def test_rows_of_betas_match_one_call_per_row(monkeypatch):
+    # one beta per row of a 2-d argument gives, bit for bit, what each row
+    # gives alone: series-only rows; kernel rows of tracked 0.5..0.7 at
+    # n = 1024, whose largest arguments the series leaves uncertified; rows
+    # of tracked 0.75..0.99 past the series cut, near the pole (angular
+    # quadrature); a row at beta = 1; zero arguments, and arguments above
+    # the cut of a beta = 1/2 row
+    s = np.linspace(0.0, 1.0, 1025)
+    alphas = [0.5, 0.55, 0.673, 0.7, 0.8, 0.95, 0.99]
+    betas = np.array(alphas + [1.0, 0.5])
+    z = np.array([-(a / (1.0 - a)) * s**a for a in alphas]
+                 + [-3.0 * s, -np.concatenate((s[:513], np.geomspace(3.1, 400.0, 512)))])
+    quadratures = []
+    real = mlf._quadrature
+
+    def counted(beta, x, tol):
+        quadratures.append(beta)
+        return real(beta, x, tol)
+
+    monkeypatch.setattr(mlf, "_quadrature", counted)
+    alone = np.array([_ml_neg_array(float(b), row) for b, row in zip(betas, z)])
+    assert sorted(set(quadratures)) == [0.5, 0.673, 0.7, 0.8, 0.95, 0.99]
+    assert np.array_equal(alone[-2], np.exp(z[-2]))
+    quadratures.clear()
+    assert np.array_equal(_ml_neg_array(betas, z), alone)
+    # one quadrature call per row with uncertified elements, as alone
+    assert quadratures == [0.673, 0.7, 0.8, 0.95, 0.99, 0.5]
+    assert np.array_equal(_ml_neg_array(betas[::-1].copy(), z[::-1]), alone[::-1])
+
+
+def test_spot_check_evaluates_its_pairs_in_one_call(monkeypatch):
+    # the SOE rule's spot check takes one evaluator call for its extreme
+    # (beta, lam) pairs, each row as alone, and keeps its verdicts
+    betas = np.linspace(0.5, 0.7, 513)
+    lams = betas / (1.0 - betas)
+    calls = []
+    real = mlf._ml_neg_array
+
+    def counted(beta, z, tol=1e-12):
+        calls.append(np.shape(z))
+        return real(beta, z, tol)
+
+    monkeypatch.setattr(mlf, "_ml_neg_array", counted)
+    assert mlf._soe_rule(betas, lams, 1.0 / 1024, 1.0, 1024) is not None
+    assert calls == [(2, 64)]
+    monkeypatch.setattr(mlf, "_SOE_TOL", 0.0)
+    assert mlf._soe_rule(betas, lams, 1.0 / 1024, 1.0, 1024) is None
+
+
 def test_array_helper_refuses_positive_arguments():
     with pytest.raises(InvalidParam, match="nonpositive"):
         _ml_neg_array(0.5, np.array([-1.0, 0.5]))

@@ -42,7 +42,7 @@ from fracvar.errors import (
 )
 from fracvar import mlf, operators
 from fracvar.mlf import _ml_neg_array
-from fracvar.operators import SCHEMES, SPECIAL_CASES, _KernelTable
+from fracvar.operators import _DEGREES, SCHEMES, SPECIAL_CASES, _KernelTable
 
 
 def cf_spec(alpha=0.5, interval=(0.0, 1.0), gamma=1.0, beta=1.0, warp=None):
@@ -1288,6 +1288,22 @@ def _interpolated(table):
     return table._nodes.shape[0]
 
 
+_NEW_POINTS = (9, 8, 16, 32)  # the points each nested Chebyshev-Lobatto set adds
+
+
+def _counted_kernel_calls(patch):
+    """(rows, values per row) of every _ml_kernel call of the operators."""
+    calls = []
+    real = operators._ml_kernel
+
+    def counted(spec, alpha, dpsi):
+        calls.append((np.size(alpha), dpsi.size))
+        return real(spec, alpha, dpsi)
+
+    patch.setattr(operators, "_ml_kernel", counted)
+    return calls
+
+
 def test_interpolated_rows_routing(monkeypatch):
     # a constant order keeps one base row; a tracked order reaching 0.99,
     # a tracked beta alone and the integral's exponents at tau take rows at
@@ -1313,17 +1329,12 @@ def test_interpolated_rows_routing(monkeypatch):
         assert _interpolated(table) > 1
         assert table._lagrange.shape == (table._nodes.shape[0], n + 1)
 
-    built = []
-    real = operators._ml_kernel
-
-    def counted(*args):
-        built.append(args[2].size)
-        return real(*args)
-
-    monkeypatch.setattr(operators, "_ml_kernel", counted)
+    calls = _counted_kernel_calls(monkeypatch)
     monkeypatch.setattr(operators, "_SOE_TOL", 0.0)
     assert _KernelTable(tracked_spec("0.75 + 0.24*t"), grid).path == "rows"
-    assert built == [n + 1] * 65
+    # 65 base rows of n + 1 values, one call per set of points, which also
+    # takes the set's two check rows
+    assert calls == [(k + 2, n + 1) for k in _NEW_POINTS]
     assert _KernelTable(tracked_spec("0.5 + 0.2*t"), grid).path == "soe"
     assert _KernelTable(beta_alone, grid).path == "rows"
     assert _KernelTable(cf_spec(0.6), grid, panels).path == "soe"
@@ -1331,27 +1342,22 @@ def test_interpolated_rows_routing(monkeypatch):
 
 def test_kernel_midpoint_half_built_only_when_read(monkeypatch):
     # a Toeplitz kernel table evaluates the node halves of its base rows
-    # (and of the interpolation's two check rows) when it is built, and
-    # their midpoint halves on the first midpoint sum only
-    built = []
-    real = operators._ml_kernel
-
-    def counted(*args):
-        built.append(args[2].size)
-        return real(*args)
-
+    # (and of the interpolation's check rows, two per set of points, in the
+    # set's one call) when it is built, and their midpoint halves in one
+    # call on the first midpoint sum only
     n = 256
     f = sampled(np.sin, n=n, deriv=np.cos)
     for spec in (cf_spec(0.6, gamma=0.5, beta=0.5), tracked_spec()):
         m = _interpolated(_KernelTable(spec, f.grid))
         with monkeypatch.context() as patch:
-            patch.setattr(operators, "_ml_kernel", counted)
-            built.clear()
+            calls = _counted_kernel_calls(patch)
             result = caputo_deriv_ns(spec, f)
-            assert built == [n + 1] * (1 if m == 1 else m + 2)
-            built.clear()
+            sets = _NEW_POINTS[: _DEGREES.index(m - 1) + 1] if m > 1 else ()
+            assert calls == ([(k + 2, n + 1) for k in sets] if sets else [(1, n + 1)])
+            assert sum(sets) == (m if m > 1 else 0)
+            calls.clear()
             assert result.quad_error_estimate > 0.0
-            assert built == [n] * m
+            assert calls == [(m, n)]
 
 
 def _rows_cached(monkeypatch):
