@@ -21,6 +21,10 @@ equals the result for its function alone, so the verdicts and every reported
 number are those of one call per function. A stack holds
 2^15 doubles (31 functions at n = 1024): fewer, larger calls cut the
 per-call overhead for under 1 MB of peak RSS (the figures are at _STACK).
+A corpus is sampled on a grid by _Sampler: a trigonometric polynomial takes
+one matrix-vector product per row (values and derivatives) against a table
+of its harmonics made once per grid, so each stacked row is its function's
+on(), bit for bit; fn and deriv stay the term-by-term reference.
 
 Two estimates need calibrated context:
 
@@ -94,9 +98,12 @@ _JPI = np.arange(1, 7, dtype=float) * math.pi
 class TestFunction:
     """A corpus function and its derivative, each taking a float or an ndarray.
 
-    harmonics, for a trigonometric polynomial, holds its coefficients of
-    sin(j pi t) and of cos(j pi t), j = 1..6; the suites sample such
-    polynomials in stacks, from one table of sines and cosines per grid.
+    harmonics, for a trigonometric polynomial, holds two coefficient vectors
+    of shape (12,), made once: of (sin(j pi t), cos(j pi t)) for its values
+    and of (cos(j pi t), sin(j pi t)) for its derivative, j = 1..6. on()
+    samples the function on a grid through _Sampler, which takes one
+    matrix-vector product per vector for such a polynomial, and calls fn and
+    deriv on the grid for any other function.
     """
 
     label: str
@@ -105,18 +112,20 @@ class TestFunction:
     harmonics: tuple[np.ndarray, np.ndarray] | None = None
 
     def on(self, a: float, b: float, n: int) -> GridFunction:
-        return GridFunction.from_callable(self.fn, a, b, n, deriv=self.deriv,
-                                          label=self.label)
+        grid = uniform_grid(a, b, n)
+        values, derivs = _Sampler(grid)(self)
+        return GridFunction(grid=grid, values=values, derivs=derivs, label=self.label)
 
 
 def _harmonic_sums(a_sin, a_cos, sin, cos):
     """(sum_j a_sin[j] sin[j] + a_cos[j] cos[j], sum_j j pi (a_sin[j] cos[j]
-    - a_cos[j] sin[j])), j = 1..6 on the first axis of each argument: the
-    values and derivatives of one trigonometric polynomial (coefficients of
-    shape (6,)) or of a stack of m (shape (6, m, 1)). The harmonics are summed
+    - a_cos[j] sin[j])), j = 1..6 on the first axis of sin and cos: the values
+    and derivatives of one trigonometric polynomial with coefficients of
+    shape (6,), at a point or an array of points. The harmonics are summed
     term by term in j into two buffers, the terms formed in two more, with
-    no fresh temporaries per harmonic."""
-    v = np.zeros(np.broadcast_shapes(a_sin.shape[1:], sin.shape[1:]))
+    no fresh temporaries per harmonic: each value is the same at a float and
+    inside an array, the reference the grid samples of _Sampler are held to."""
+    v = np.zeros(sin.shape[1:])
     d, one, two = np.zeros_like(v), np.empty_like(v), np.empty_like(v)
     for j in range(_JPI.size):
         np.multiply(a_sin[j], sin[j], out=one)
@@ -135,6 +144,30 @@ def _harmonics(t):
     return np.sin(x), np.cos(x)
 
 
+class _Sampler:
+    """Values and derivatives of corpus functions on one grid.
+
+    A trigonometric polynomial takes one matrix-vector product per
+    coefficient vector against a C-contiguous (12, n + 1) table of its
+    harmonics, [sin; cos] for the values and [cos; sin] for the
+    derivatives, made on the first such call; one product per function
+    keeps each row the same whatever else is sampled with it (a product
+    over a whole stack sums in an order that depends on the row count).
+    Any other function is fn and deriv over the grid at once."""
+
+    def __init__(self, grid: np.ndarray):
+        self.grid = grid
+        self._tables = None
+
+    def __call__(self, tf: TestFunction) -> tuple[np.ndarray, np.ndarray]:
+        if tf.harmonics is None:
+            return _sample(tf.fn, self.grid), _sample(tf.deriv, self.grid)
+        if self._tables is None:
+            sin, cos = _harmonics(self.grid)
+            self._tables = np.concatenate((sin, cos)), np.concatenate((cos, sin))
+        return tuple(c @ table for c, table in zip(tf.harmonics, self._tables))
+
+
 def _trig_poly(seed: int, index: int) -> TestFunction:
     rng = np.random.default_rng(seed * 1000 + index)
     j = np.arange(1, 7, dtype=float)
@@ -148,8 +181,9 @@ def _trig_poly(seed: int, index: int) -> TestFunction:
     def deriv(t):
         return _harmonic_sums(a_sin, a_cos, *_harmonics(t))[1][()]
 
+    harmonics = np.concatenate((a_sin, a_cos)), np.concatenate((_JPI * a_sin, -_JPI * a_cos))
     return TestFunction(label=f"trig[{seed}:{index}]", fn=fn, deriv=deriv,
-                        harmonics=(a_sin, a_cos))
+                        harmonics=harmonics)
 
 
 # the six fixed functions that lead every corpus
@@ -179,27 +213,16 @@ def _stacks(count: int, grid: np.ndarray, rows: Callable):
 
 
 def _corpus_stacks(tfs: tuple[TestFunction, ...], a: float, b: float, n: int):
-    """_stacks of the corpus tfs on the uniform n-panel grid over [a, b].
-
-    The trigonometric polynomials of a stack go through _harmonic_sums at
-    once, over one table of sin(j pi t) and cos(j pi t) for the grid: the
-    routine their fn and deriv call alone, so each row is what fn and
-    deriv give by construction."""
+    """_stacks of the corpus tfs on the uniform n-panel grid over [a, b],
+    each row sampled by one _Sampler for the grid: its function's on()."""
     grid = uniform_grid(a, b, n)
-    # one contiguous row per harmonic
-    sin, cos = (np.ascontiguousarray(h) for h in _harmonics(grid))
+    sample = _Sampler(grid)
 
     def rows(lo, hi):
         values = np.empty((hi - lo, grid.size))
         derivs = np.empty_like(values)
-        trig = [k for k, tf in enumerate(tfs[lo:hi]) if tf.harmonics is not None]
-        # (6, m, 1) each: j first, one row per polynomial
-        a_sin, a_cos = np.array([tfs[lo + k].harmonics for k in trig]).reshape(
-            -1, 2, 6, 1).transpose(1, 2, 0, 3)
-        values[trig], derivs[trig] = _harmonic_sums(a_sin, a_cos, sin, cos)
         for k, tf in enumerate(tfs[lo:hi]):
-            if tf.harmonics is None:
-                values[k], derivs[k] = _sample(tf.fn, grid), _sample(tf.deriv, grid)
+            values[k], derivs[k] = sample(tf)
         return values, derivs
 
     return _stacks(len(tfs), grid, rows)
@@ -393,8 +416,9 @@ def _kernel_deviation(spec: KernelSpec, n: int) -> float:
     """max |H(t_i, t_j) - 1| over j <= i at every (n // 128)-th node of the
     uniform n-panel grid, read from the rows of the operators' kernel table."""
     table = _KernelTable(spec, uniform_grid(*spec.interval, n))
-    return max(float(np.max(np.abs(table.row(i) - 1.0)))
-               for i in range(0, n + 1, max(1, n // 128)))
+    rows = np.concatenate([table.row(i) for i in range(0, n + 1, max(1, n // 128))])
+    rows -= 1.0
+    return float(np.max(np.abs(rows, out=rows)))
 
 
 def check_axiom_limits(cfg: SuiteConfig) -> SuiteReport:

@@ -54,6 +54,8 @@ _DERIV_OPS = {
     "rl_classical": rl_deriv_classical,
     "caputo_classical": caputo_deriv_classical,
 }
+# the operators that read f': only their f is given its derivative
+_READS_DERIV = frozenset({"caputo_ns", "caputo_classical"})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,12 +204,17 @@ def _kernel_from_args(args) -> KernelSpec:
     )
 
 
-def _grid_function(source: str, a: float, b: float, n: int) -> GridFunction:
+def _grid_function(source: str, a: float, b: float, n: int,
+                   deriv: bool = True) -> GridFunction:
+    """f from its expression on the grid, with its exact f' when deriv is set
+    (evaluating f' may fail where f is fine, as sqrt(t) at t = 0)."""
     node = expr.parse(source, allowed_vars={"t"})
-    dnode = expr.derivative(node, "t")
-    return GridFunction.from_callable(
-        lambda t: expr.evaluate(node, {"t": t}), a, b, n,
-        deriv=lambda t: expr.evaluate(dnode, {"t": t}), label=source)
+    fprime = None
+    if deriv:
+        dnode = expr.derivative(node, "t")
+        fprime = lambda t: expr.evaluate(dnode, {"t": t})
+    return GridFunction.from_callable(lambda t: expr.evaluate(node, {"t": t}), a, b, n,
+                                      deriv=fprime, label=source)
 
 
 def _config_echo(args) -> dict:
@@ -336,7 +343,8 @@ def _emit(args, columns: list[str], table: np.ndarray,
 
 def _run_operator(args) -> None:
     spec = _kernel_from_args(args)
-    f = _grid_function(args.f, args.a, args.b, args.n)
+    f = _grid_function(args.f, args.a, args.b, args.n,
+                       deriv=args.command == "deriv" and args.op in _READS_DERIV)
     if args.command == "deriv":
         result = _DERIV_OPS[args.op](spec, f, scheme=args.scheme)
     else:

@@ -958,10 +958,18 @@ def _moments(mu, widths: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     i = dpsi.size // 2
     U = dpsi[::2].copy()  # powers of a strided view are about 20 % slower
     u0, u1 = U[:-1], U[1:]
-    m0 = (power(u0, mu) - power(u1, mu)) / mu
+
+    def gaps(e):
+        """u0^e - u1^e: one power of U, differenced, unless e is per panel."""
+        if np.ndim(e) == 1:
+            return power(u0, e) - power(u1, e)
+        p = power(U, e)
+        return p[..., :-1] - p[..., 1:]
+
+    m0 = gaps(mu) / mu
     out = np.zeros(m0.shape[:-1] + dpsi.shape)
     out[..., :-1:2] = m0
-    q = (power(u0, mu + 1.0) - power(u1, mu + 1.0)) / (mu + 1.0)
+    q = gaps(mu + 1.0) / (mu + 1.0)
     m1 = out[..., 1::2]
     np.subtract(0.5 * (u0 + u1) * m0, q, out=m1)
     twice_c = u0 + u1

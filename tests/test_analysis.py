@@ -75,8 +75,8 @@ def test_corpus_array_calls_match_float_calls(seed):
 @pytest.mark.parametrize("n", [64, 1024])
 def test_corpus_stacks_match_each_function_alone(n):
     # the suites sample the corpus in stacks, the trigonometric polynomials
-    # from one table of harmonics per grid; each row is what fn and deriv
-    # give alone, bit for bit, and every stack stays within the budget
+    # from one table of harmonics per grid; each row is what on() gives for
+    # its function alone, bit for bit, and every stack stays within the budget
     tfs = standard_corpus(seed=9, random_count=20)
     rows = 0
     for lo, f in analysis._corpus_stacks(tfs, 0.0, 1.0, n):
@@ -87,6 +87,25 @@ def test_corpus_stacks_match_each_function_alone(n):
             assert np.array_equal(f.derivs[k], alone.derivs), tfs[lo + k].label
         rows += f.values.shape[0]
     assert rows == len(tfs)
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_grid_samples_match_fn_and_deriv(n):
+    # on() takes one product per polynomial against a table of harmonics,
+    # fn and deriv sum term by term: they agree at the nodes to a few
+    # rounding errors of the sum of |coefficients| (times j pi for deriv)
+    eps = np.finfo(float).eps
+    jpi = np.arange(1, 7) * math.pi
+    for tf in standard_corpus(seed=4, random_count=12):
+        f = tf.on(0.0, 1.0, n)
+        assert f.values.shape == f.derivs.shape == (n + 1,)
+        if tf.harmonics is None:
+            continue
+        a_sin, a_cos = tf.harmonics[0][:6], tf.harmonics[0][6:]
+        value_scale = np.sum(np.abs(a_sin) + np.abs(a_cos))
+        deriv_scale = np.sum(jpi * (np.abs(a_sin) + np.abs(a_cos)))
+        assert np.max(np.abs(f.values - tf.fn(f.grid))) <= 32 * eps * value_scale, tf.label
+        assert np.max(np.abs(f.derivs - tf.deriv(f.grid))) <= 32 * eps * deriv_scale, tf.label
 
 
 def test_corpus_derivatives_are_consistent():

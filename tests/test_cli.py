@@ -235,6 +235,20 @@ def test_cli_csv_is_percent_g_of_the_results(capsys):
         assert outs[0] == percent_g(columns, table), argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["integral", "--alpha", "0.5", "--f", "sqrt(t)"],
+    ["deriv", "--op", "rl_ns", "--alpha", "0.5", "--f", "abs(t-0.5)"],
+    ["deriv", "--op", "rl_classical", "--alpha", "0.5", "--f", "abs(t-0.5)"],
+])
+def test_operators_without_fprime_never_evaluate_it(argv, capsys):
+    # f' of these f fails at a node, and only the Caputo types read f'
+    assert run(argv + ["--a", "0", "--b", "1", "--n", "16"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 18
+    assert run(["deriv", "--op", "caputo_ns", *argv[-4:],
+                "--a", "0", "--b", "1", "--n", "16"]) == 2
+    assert capsys.readouterr().err == "fracvar: numerical failure: division by zero\n"
+
+
 SOLVE_EXAMPLE = ["solve", "--rhs", "-u", "--u0", "1", "--alpha", "0.5",
                  "--a", "0", "--b", "1", "--n", "64"]
 
